@@ -87,7 +87,13 @@ def _parse_lambda(text: str) -> Dict[int, int]:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"bad JSON curve class: {exc}")
-        return {int(k): int(v) for k, v in raw.items()}
+        try:
+            out = {int(k): v for k, v in raw.items()}
+        except ValueError:
+            raise InvalidInputError(f"bad JSON curve class index in {text!r}")
+        if any(type(v) is not int for v in out.values()):
+            raise InvalidInputError("JSON curve class exponents must be integers")
+        return out
     for part in text.split(","):
         if ":" not in part:
             raise InvalidInputError(
@@ -430,7 +436,11 @@ def _apply_config(args) -> None:
         if hasattr(args, attr) and getattr(args, attr) in (None, ""):
             if attr in ("max_q", "max_weyl", "seed", "imin", "imax",
                         "jmin", "jmax", "max_len"):
-                setattr(args, attr, int(val))
+                try:
+                    setattr(args, attr, int(val))
+                except ValueError:
+                    raise InvalidInputError(
+                        f"config key {key!r} needs an integer, got {val!r}")
             else:
                 setattr(args, attr, val)
     for attr, val in _DEFAULTS.items():

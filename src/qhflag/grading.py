@@ -44,10 +44,6 @@ def grading_scale(c: int, a: Grading) -> Grading:
     return tuple(c * x for x in a)
 
 
-def grading_abs(a: Grading) -> int:
-    return sum(a)
-
-
 # ---------------------------------------------------------------------------
 # Dynkin-diagram helpers
 # ---------------------------------------------------------------------------
@@ -89,22 +85,6 @@ def is_a_chain(rs: RootSystem, indices: Iterable[int]) -> bool:
             return False
         degs.append(len(nb))
     return all(d <= 2 for d in degs) and degs.count(1) == (2 if len(ind) > 1 else 0)
-
-
-def chain_path(rs: RootSystem, indices: Sequence[int]) -> Tuple[int, ...]:
-    """The indices of an A-chain listed along the path, lower end first."""
-    ind = rs.check_parabolic(indices)
-    if len(ind) == 1:
-        return ind
-    ends = [i for i in ind if sum(1 for j in ind if rs.adjacent(i, j)) == 1]
-    start = min(ends)
-    path = [start]
-    seen = {start}
-    while len(path) < len(ind):
-        nxt = next(j for j in ind if j not in seen and rs.adjacent(path[-1], j))
-        path.append(nxt)
-        seen.add(nxt)
-    return tuple(path)
 
 
 # ---------------------------------------------------------------------------

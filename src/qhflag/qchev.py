@@ -135,7 +135,6 @@ class QuantumFlagRing:
         self.by_length: List[List[int]] = [[] for _ in range(self.max_length + 1)]
         for i, w in enumerate(self.elements):
             self.by_length[w.length].append(i)
-        self._cmat_index = {w.cmat: i for i, w in enumerate(self.elements)}
         # Positive-root data for the Chevalley formula.
         self._chev_data = []
         for g in rs.positive_roots:
@@ -206,8 +205,7 @@ class QuantumFlagRing:
                 c = gv[i - 1]  # <chi_i, gamma^vee>
                 if c == 0:
                     continue
-                cmat2 = weyl._mat_mul(w.cmat, sref.cmat)
-                widx2 = self._cmat_index[cmat2]
+                widx2 = self.index[weyl.multiply(w, sref)]
                 l2 = self.lengths[widx2]
                 if l2 == lw + 1:
                     out.append((widx2, 0, c))
@@ -237,18 +235,6 @@ class QuantumFlagRing:
             for widx2, qshift, c in self._chev_row(i, widx):
                 k2 = widx2 * qb + qkey + qshift
                 out[k2] = get(k2, 0) + c * val
-        return {k: v for k, v in out.items() if v}
-
-    def _chev_apply_classical(self, i: int, cls: Dict[int, int]) -> Dict[int, int]:
-        qb = self._qbase
-        out: Dict[int, int] = {}
-        get = out.get
-        for key, val in cls.items():
-            widx, qkey = divmod(key, qb)
-            for widx2, qshift, c in self._chev_row(i, widx):
-                if qshift == 0:
-                    k2 = widx2 * qb + qkey
-                    out[k2] = get(k2, 0) + c * val
         return {k: v for k, v in out.items() if v}
 
     # -- divisor expressions ---------------------------------------------------

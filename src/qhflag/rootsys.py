@@ -9,8 +9,8 @@ Cartan convention: ``cartan[i][j] = <alpha_j, alpha_i^vee>`` (0-based
 storage).  The symmetrizer ``d`` satisfies ``d[i] * cartan[i][j] ==
 d[j] * cartan[j][i]`` and is normalized so short roots get 1.
 
-Instances are immutable after construction and safe for unrestricted
-concurrent reads.
+Instances are immutable after construction apart from the lazily filled
+Weyl table in ``_cache``, and safe for unrestricted concurrent reads.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class RootSystem:
                     f"{series}{rank}: generated {len(self.positive_roots)} "
                     f"positive roots, tables say {expected}")
         self._key = (self.series, self.rank, self.cartan)
-        self._cache: Dict = {}  # lazy per-system caches (Weyl generators etc.)
+        self._cache: Dict = {}  # lazy per-system caches (the Weyl table)
 
     # -- construction ------------------------------------------------------
 
@@ -285,9 +285,6 @@ class RootSystem:
             if all(beta[k] == 0 or (k + 1) in ind for k in range(self.n)):
                 out.append(beta)
         return tuple(out)
-
-    def root_support(self, beta: Root) -> Tuple[int, ...]:
-        return tuple(k + 1 for k in range(self.n) if beta[k] != 0)
 
     def adjacent(self, i: int, j: int) -> bool:
         return i != j and self.cartan[i - 1][j - 1] != 0

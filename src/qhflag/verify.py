@@ -178,30 +178,35 @@ def verify_key_lemma(setup: VerificationSetup,
     rs, op = ctx.rs, ctx.op
     rep = Report("key-lemma", setup.system, list(ctx.parabolic), list(op.order))
     elements = weyl.enumerate_group(rs, cap=setup.max_weyl)
+    roots = []  # (gamma, s_gamma, gamma^vee, <2 rho, gamma^vee>)
+    for gamma in rs.positive_roots:
+        gv = rs.coroot_of(gamma)
+        roots.append((gamma, weyl.reflection(rs, gamma), gv, rs.two_rho_pairing(gv)))
+    gr_simple = [op.gr_weyl(weyl.simple_reflection(rs, i))
+                 for i in range(1, rs.n + 1)]
     vacuous = 0
     for u in elements:
         gu = op.gr_weyl(u)
-        for gamma in rs.positive_roots:
-            sg = weyl.reflection(rs, gamma)
+        bounds = [grading_add(gu, g) for g in gr_simple]
+        uword = ctx.word(u)
+        for gamma, sg, gv, tworho in roots:
             usg = weyl.multiply(u, sg)
-            gv = rs.coroot_of(gamma)
             part_a = usg.length == u.length + 1
-            part_b = usg.length == u.length + 1 - rs.two_rho_pairing(gv)
+            part_b = usg.length == u.length + 1 - tworho
             if not (part_a or part_b):
                 vacuous += 1
                 continue
-            for i in range(1, rs.n + 1):
+            for i, bound in enumerate(bounds, 1):
                 if gv[i - 1] == 0:
                     continue
-                bound = grading_add(gu, op.gr_weyl(weyl.simple_reflection(rs, i)))
                 if part_a:
-                    case = f"u={ctx.word(u)};gamma={gamma};i={i};part=a"
+                    case = f"u={uword};gamma={gamma};i={i};part=a"
                     if _want(only_case, case):
                         g = op.gr_weyl(usg)
                         rep.record(case, g <= bound,
                                    lhs=f"gr(u*s_gamma)={g}", rhs=f"bound={bound}")
                 if part_b:
-                    case = f"u={ctx.word(u)};gamma={gamma};i={i};part=b"
+                    case = f"u={uword};gamma={gamma};i={i};part=b"
                     if _want(only_case, case):
                         g = op.gr(usg, gv)
                         rep.record(case, g <= bound,

@@ -1,91 +1,97 @@
 """Exact Weyl group arithmetic over a fixed root system.
 
-A Weyl element is stored as a pair of n x n integer matrices: its action on
-the coroot lattice (column j = image of the j-th simple coroot; this is the
-canonical form used for equality) and the induced action on the root
-lattice.  Lengths are computed by counting inversions at construction and
-cached.  Elements are immutable and freely shareable between threads; every
-operation here is pure.
+Each system numbers its 2N roots once (positive roots first, then their
+negatives) and a Weyl element is the permutation it induces on them.  An
+element is fixed by the images of the simple roots, so it is interned per
+system under that key: a product is a permutation composition plus one
+dict lookup, and lengths, descents and inversion sets are read from the
+signs of the images.  The per-system table in ``rs._cache`` fills lazily
+(E8 is never tabulated) and only through ``dict.setdefault``, so threads
+racing on one system share one canonical element.  Elements are immutable
+apart from the memoized reduced word.
 
 Weyl elements serialize as reduced words: arrays of 1-based simple indices.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapExceededError, InternalConsistencyError, InvalidInputError
 from .rootsys import Coroot, Root, RootSystem
 
+Perm = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
 
 WEYL_CAP = 2000
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    rng = range(n)
-    bt = tuple(tuple(b[i][j] for i in rng) for j in rng)  # columns of b
-    return tuple(tuple(sum(row[k] * col[k] for k in rng) for col in bt)
-                 for row in a)
+class _Table:
+    """Root numbering, generators and interned elements of one system."""
+
+    def __init__(self, rs: RootSystem):
+        self.rs = rs
+        pos = rs.positive_roots
+        self.npos = len(pos)
+        self.roots = pos + tuple(tuple(-c for c in g) for g in pos)
+        self.index = {g: k for k, g in enumerate(self.roots)}  # root -> index
+        self.coroots = tuple(map(rs.coroot_of, self.roots))    # same numbering
+        self.coindex = {c: k for k, c in enumerate(self.coroots)}
+        # Indices of the simple roots; an element's key is their images.
+        self.simple = tuple(self.index[rs.simple_root(i)]
+                            for i in range(1, rs.n + 1))
+        self.intern: Dict[Perm, "WeylElt"] = {}
+        self.reflections: Dict[Root, "WeylElt"] = {}
+        self.groups: Dict[Tuple[int, ...], Tuple["WeylElt", ...]] = {}
+        self.identity = _intern(self, tuple(range(len(self.roots))))
+        self.gens = tuple(
+            _intern(self, tuple(self.index[rs.reflect_root(i, g)]
+                                for g in self.roots))
+            for i in range(1, rs.n + 1))
 
 
-def _mat_vec(a: Matrix, v: Sequence[int]) -> Tuple[int, ...]:
-    n = len(a)
-    return tuple(sum(a[i][k] * v[k] for k in range(n)) for i in range(n))
+def _table(rs: RootSystem) -> _Table:
+    return rs._cache.get("weyl") or rs._cache.setdefault("weyl", _Table(rs))
 
 
-def _identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def _intern(table: _Table, perm: Perm) -> "WeylElt":
+    """The canonical element with root permutation ``perm``."""
+    key = tuple(map(perm.__getitem__, table.simple))
+    return (table.intern.get(key)
+            or table.intern.setdefault(key, WeylElt(table, perm, key)))
 
 
-def _mat_inverse(a: Matrix) -> Matrix:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] +
-         [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise InternalConsistencyError("singular Weyl action matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = m[i][n + j]
-            if x.denominator != 1:
-                raise InternalConsistencyError("non-integer Weyl inverse")
-            row.append(int(x))
-        out.append(tuple(row))
-    return tuple(out)
+def _lookup(index: Dict[Root, int], beta: Sequence[int], what: str) -> int:
+    k = index.get(tuple(beta))
+    if k is None:
+        raise InvalidInputError(f"{tuple(beta)} is not a {what}")
+    return k
 
 
 class WeylElt:
-    """One Weyl group element; equality and hashing use the coroot action."""
+    """One Weyl group element: a permutation of the root indices.
 
-    __slots__ = ("rs", "cmat", "rmat", "length", "_word", "_hash")
+    ``key`` holds the indices of the images of the simple roots; equality
+    and hashing use it.  Build elements through the functions of this
+    module, which return the interned instance.
+    """
 
-    def __init__(self, rs: RootSystem, cmat: Matrix, rmat: Matrix):
-        self.rs = rs
-        self.cmat = cmat
-        self.rmat = rmat
-        self.length = sum(
-            1 for g in rs.positive_roots
-            if not rs.is_positive_root(_mat_vec(rmat, g)))
-        self._word: Optional[Tuple[int, ...]] = None
-        self._hash = hash((rs.key(), cmat))
+    __slots__ = ("rs", "perm", "key", "length", "_table", "_word", "_hash")
+
+    def __init__(self, table: _Table, perm: Perm, key: Perm):
+        self.rs = table.rs
+        self.perm = perm
+        self.key = key
+        npos = table.npos
+        self.length = sum(1 for k in perm[:npos] if k >= npos)
+        self._table = table
+        self._word: Optional[Tuple[int, ...]] = None if self.length else ()
+        self._hash = hash((self.rs.key(), key))
 
     def __eq__(self, other):
-        return (isinstance(other, WeylElt) and self.rs == other.rs
-                and self.cmat == other.cmat)
+        return self is other or (isinstance(other, WeylElt)
+                                 and self.key == other.key
+                                 and self.rs == other.rs)
 
     def __hash__(self):
         return self._hash
@@ -100,30 +106,44 @@ class WeylElt:
     def is_identity(self) -> bool:
         return self.length == 0
 
+    @property
+    def rmat(self) -> Matrix:
+        """Action on the root lattice; column j is w(alpha_j)."""
+        return tuple(zip(*map(self._table.roots.__getitem__, self.key)))
+
+    @property
+    def cmat(self) -> Matrix:
+        """Action on the coroot lattice; column j is w(alpha_j^vee)."""
+        return tuple(zip(*map(self._table.coroots.__getitem__, self.key)))
+
     def apply_root(self, beta: Root) -> Root:
-        return _mat_vec(self.rmat, beta)
+        """w(beta) for a root beta."""
+        table = self._table
+        return table.roots[self.perm[_lookup(table.index, beta, "root")]]
 
     def apply_coroot(self, lam: Coroot) -> Coroot:
-        return _mat_vec(self.cmat, lam)
+        """w(lam) for a coroot lam."""
+        table = self._table
+        return table.coroots[self.perm[_lookup(table.coindex, lam, "coroot")]]
 
     def inverse(self) -> "WeylElt":
-        return WeylElt(self.rs, _mat_inverse(self.cmat), _mat_inverse(self.rmat))
+        inv = [0] * len(self.perm)
+        for k, image in enumerate(self.perm):
+            inv[image] = k
+        return _intern(self._table, tuple(inv))
 
     def descends_right(self, i: int) -> bool:
         """True iff l(w s_i) = l(w) - 1, i.e. w(alpha_i) is negative."""
-        img = self.apply_root(self.rs.simple_root(i))
-        return not self.rs.is_positive_root(img)
+        self.rs._check_index(i)
+        return self.key[i - 1] >= self._table.npos
 
     def word(self) -> Tuple[int, ...]:
-        """Reduced word, greedy lowest-descent-first (deterministic)."""
+        """Reduced word, greedy lowest-descent-first (deterministic):
+        word(w) = word(w s_j) + (j,) for the lowest right descent j of w."""
         if self._word is None:
-            letters: List[int] = []
-            x = self
-            while x.length:
-                j = next(i for i in range(1, self.rs.n + 1) if x.descends_right(i))
-                letters.append(j)
-                x = multiply(x, simple_reflection(self.rs, j))
-            self._word = tuple(reversed(letters))
+            table = self._table
+            j = next(i for i, k in enumerate(self.key, 1) if k >= table.npos)
+            self._word = multiply(self, table.gens[j - 1]).word() + (j,)
         return self._word
 
     def sort_key(self):
@@ -131,31 +151,21 @@ class WeylElt:
 
 
 def identity(rs: RootSystem) -> WeylElt:
-    cache = rs._cache
-    if "weyl_id" not in cache:
-        e = _identity_matrix(rs.n)
-        cache["weyl_id"] = WeylElt(rs, e, e)
-    return cache["weyl_id"]
+    return _table(rs).identity
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
-    cache = rs._cache.setdefault("weyl_s", {})
-    if i not in cache:
-        rs._check_index(i)
-        n = rs.n
-        rmat = tuple(zip(*[rs.reflect_root(i, rs.simple_root(j + 1))
-                           for j in range(n)]))
-        cmat = tuple(zip(*[rs.reflect_coroot(i, rs.simple_coroot(j + 1))
-                           for j in range(n)]))
-        cache[i] = WeylElt(rs, cmat, rmat)
-    return cache[i]
+    rs._check_index(i)
+    return _table(rs).gens[i - 1]
 
 
 def multiply(w1: WeylElt, w2: WeylElt) -> WeylElt:
     """Group product w1 * w2 (w2 acts first)."""
-    if w1.rs != w2.rs:
+    if w1.rs is not w2.rs and w1.rs != w2.rs:
         raise InvalidInputError("cannot multiply elements of different systems")
-    return WeylElt(w1.rs, _mat_mul(w1.cmat, w2.cmat), _mat_mul(w1.rmat, w2.rmat))
+    p1 = w1.perm
+    return (w1._table.intern.get(tuple(map(p1.__getitem__, w2.key)))
+            or _intern(w1._table, tuple(map(p1.__getitem__, w2.perm))))
 
 
 def word_to_element(rs: RootSystem, word: Iterable[int]) -> WeylElt:
@@ -170,31 +180,32 @@ def reduced_word(w: WeylElt) -> Tuple[int, ...]:
 
 
 def reflection(rs: RootSystem, gamma: Root) -> WeylElt:
-    """The reflection s_gamma for a positive root gamma."""
+    """The reflection s_gamma for a positive root gamma (cached per root)."""
     gamma = tuple(gamma)
-    if not rs.is_positive_root(gamma):
-        raise InvalidInputError(f"{gamma} is not a positive root")
-    gv = rs.coroot_of(gamma)
-    n = rs.n
-    rcols = []
-    ccols = []
-    for j in range(1, n + 1):
-        aj = rs.simple_root(j)
-        c = rs.pairing(aj, gv)
-        rcols.append(tuple(aj[k] - c * gamma[k] for k in range(n)))
-        ajv = rs.simple_coroot(j)
-        c2 = rs.pairing(gamma, ajv)
-        ccols.append(tuple(ajv[k] - c2 * gv[k] for k in range(n)))
-    rmat = tuple(zip(*rcols))
-    cmat = tuple(zip(*ccols))
-    return WeylElt(rs, cmat, rmat)
+    table = _table(rs)
+    r = table.reflections.get(gamma)
+    if r is None:
+        if not rs.is_positive_root(gamma):
+            raise InvalidInputError(f"{gamma} is not a positive root")
+        gv = rs.coroot_of(gamma)
+        perm = []
+        for beta in table.roots:
+            c = rs.pairing(beta, gv)
+            perm.append(table.index[tuple(b - c * g for b, g in zip(beta, gamma))])
+        r = table.reflections.setdefault(gamma, _intern(table, tuple(perm)))
+    return r
 
 
 def inversion_set(w: WeylElt) -> FrozenSet[Root]:
     """Positive roots sent to negative roots by w; size equals l(w)."""
-    rs = w.rs
-    return frozenset(g for g in rs.positive_roots
-                     if not rs.is_positive_root(w.apply_root(g)))
+    table = w._table
+    npos = table.npos
+    return frozenset(table.roots[k] for k in range(npos) if w.perm[k] >= npos)
+
+
+def _cap_error(cap: int) -> CapExceededError:
+    return CapExceededError(f"Weyl enumeration exceeds cap {cap} "
+                            f"(raise the cap explicitly to proceed)")
 
 
 def enumerate_group(rs: RootSystem, indices: Optional[Iterable[int]] = None,
@@ -202,14 +213,21 @@ def enumerate_group(rs: RootSystem, indices: Optional[Iterable[int]] = None,
     """All elements of the parabolic subgroup W_{P'} (whole group if None).
 
     Deterministic output, sorted by (length, reduced word).  Refuses with
-    CapExceededError as soon as more than ``cap`` elements are found.
+    CapExceededError as soon as more than ``cap`` elements are found.  A
+    complete enumeration is cached per system and index set.
     """
     if indices is None:
         indices = range(1, rs.n + 1)
     ind = rs.check_parabolic(indices)
-    gens = [simple_reflection(rs, i) for i in ind]
-    seen = {identity(rs)}
-    frontier = [identity(rs)]
+    table = _table(rs)
+    group = table.groups.get(ind)
+    if group is not None:
+        if len(group) > cap:
+            raise _cap_error(cap)
+        return group
+    gens = [table.gens[i - 1] for i in ind]
+    seen = {table.identity}
+    frontier = [table.identity]
     while frontier:
         nxt = []
         for w in frontier:
@@ -218,19 +236,16 @@ def enumerate_group(rs: RootSystem, indices: Optional[Iterable[int]] = None,
                 if x not in seen:
                     seen.add(x)
                     if len(seen) > cap:
-                        raise CapExceededError(
-                            f"Weyl enumeration exceeds cap {cap} "
-                            f"(raise the cap explicitly to proceed)")
+                        raise _cap_error(cap)
                     nxt.append(x)
         frontier = nxt
-    return tuple(sorted(seen, key=WeylElt.sort_key))
+    return table.groups.setdefault(
+        ind, tuple(sorted(seen, key=WeylElt.sort_key)))
 
 
 def is_minimal_representative(w: WeylElt, indices: Iterable[int]) -> bool:
     """True iff w is the minimal-length element of w W_{P'}."""
-    rs = w.rs
-    return all(rs.is_positive_root(w.apply_root(rs.simple_root(i)))
-               for i in rs.check_parabolic(indices))
+    return not any(w.descends_right(i) for i in w.rs.check_parabolic(indices))
 
 
 def parabolic_decompose(w: WeylElt, indices: Iterable[int]) -> Tuple[WeylElt, WeylElt]:

@@ -134,6 +134,23 @@ def test_pw_zero_class(capsys):
     assert data["omega_factor_word"] == []
 
 
+@pytest.mark.parametrize("lam", ['{"a":1}', '{"2":"x"}', '{"2":1.5}',
+                                 '{"2":true}', '{"2":null}'])
+def test_pw_bad_json_lambda_is_usage_error(capsys, lam):
+    code, out, err = run(capsys, "pw", "--system", "A2", "--parabolic", "1",
+                         "--lambda", lam)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_pw_json_lambda(capsys):
+    code, out, _ = run(capsys, "pw", "--system", "A2", "--parabolic", "1",
+                       "--lambda", '{"2": 1}', "--format", "json")
+    assert code == 0
+    assert json.loads(out)["lambda_B"] == [0, 1]
+
+
 def test_qhp_cli(capsys):
     code, out, _ = run(capsys, "qhp", "--system", "A3", "--parabolic", "1,2",
                        "--u", "3", "--v", "2,3")
@@ -267,3 +284,15 @@ def test_out_file(tmp_path, capsys):
                        "--v", "1", "--out", str(target))
     assert code == 0
     assert target.read_text().strip() == "q1 + s[2,1]"
+
+
+@pytest.mark.parametrize("line", ["max-q=abc", "max-weyl=1.5", "seed=",
+                                  "seed=x"])
+def test_config_non_integer_value_is_usage_error(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"system=A2\nparabolic=1\n{line}\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfg),
+                         "--suites", "key-lemma")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: config key") and err.count("\n") == 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -34,6 +35,28 @@ def test_key_lemma_counts_vacuous_cases():
     rep = run_suite("key-lemma", setup_for("A2", (1,)))
     assert rep.ok
     assert rep.extra["vacuous"] > 0
+
+
+def test_key_lemma_report_is_unchanged_b3(monkeypatch):
+    # The key-lemma output on B3/(1,2) as the straightforward per-(u, gamma,
+    # i) evaluation produced it: the JSON report without its wall time, and
+    # a digest of the ordered stream of every recorded case.
+    cases = []
+    record = Report.record
+
+    def spy(self, case, ok, lhs="", rhs=""):
+        cases.append([case, ok, lhs, rhs])
+        record(self, case, ok, lhs, rhs)
+
+    monkeypatch.setattr(Report, "record", spy)
+    rep = run_suite("key-lemma", setup_for("B3", (1, 2))).to_json_obj()
+    del rep["elapsed_ms"]
+    assert rep == {"suite": "key-lemma", "system": "B3", "parabolic": [1, 2],
+                   "order": [1, 2], "total": 372, "passes": 372,
+                   "failures": [], "informational": False,
+                   "extra": {"vacuous": 192}}
+    assert hashlib.sha256(json.dumps(cases).encode()).hexdigest() == (
+        "a22e9694cad61d29e65ad7ace0f347c69678975774d8a8b09a2bf6aa927e86ba")
 
 
 def test_ideal_quotient_a3():

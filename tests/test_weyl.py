@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import pytest
 
 from qhflag.errors import CapExceededError, InvalidInputError
@@ -6,7 +10,7 @@ from qhflag import weyl
 from qhflag.weyl import (enumerate_group, full_decomposition, identity,
                          inversion_set, longest_element, multiply,
                          parabolic_decompose, reflection, simple_reflection,
-                         word_to_element)
+                         word_to_element, WeylElt)
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +222,162 @@ def test_system_mismatch_rejected(a2, a3):
         multiply(identity(a2), identity(a3))
 
 
+def test_action_is_on_roots_and_coroots():
+    w = word_to_element(build_root_system("B", 2), [1, 2])
+    with pytest.raises(InvalidInputError, match="not a root"):
+        w.apply_root((2, 2))
+    with pytest.raises(InvalidInputError, match="not a coroot"):
+        w.apply_coroot((0, 0))
+
+
 def test_inverse(a3):
     for w in enumerate_group(a3):
         assert multiply(w, w.inverse()) == identity(a3)
+
+
+# -- matrix oracle -----------------------------------------------------------
+# The element as a pair of integer matrices (root and coroot lattice), built
+# from its reduced word with the root system's simple reflections only.
+
+def _columns_of_word(reflect, n, word):
+    """Images of the n unit vectors under s_{word[0]} ... s_{word[-1]}."""
+    cols = []
+    for j in range(n):
+        v = tuple(1 if k == j else 0 for k in range(n))
+        for i in reversed(word):
+            v = reflect(i, v)
+        cols.append(v)
+    return tuple(zip(*cols))
+
+
+def _mat_vec(a, v):
+    return tuple(sum(a[i][k] * v[k] for k in range(len(v)))
+                 for i in range(len(a)))
+
+
+def _greedy_word(rs, rmat):
+    """Lowest-right-descent word of the element acting by ``rmat``."""
+    letters = []
+    while True:
+        j = next((j for j in range(1, rs.n + 1)
+                  if not rs.is_positive_root(_mat_vec(rmat, rs.simple_root(j)))),
+                 None)
+        if j is None:
+            return tuple(reversed(letters))
+        letters.append(j)
+        sj = _columns_of_word(rs.reflect_root, rs.n, (j,))
+        rmat = tuple(tuple(sum(rmat[r][k] * sj[k][c] for k in range(rs.n))
+                           for c in range(rs.n)) for r in range(rs.n))
+
+
+@pytest.mark.parametrize("series,rank,order", [
+    ("A", 3, 24), ("B", 3, 48), ("C", 3, 48), ("D", 4, 192), ("G", 2, 12),
+    ("F", 4, 1152)])
+def test_matrix_oracle(series, rank, order):
+    rs = build_root_system(series, rank)
+    group = enumerate_group(rs)
+    assert len(group) == order
+    roots = rs.positive_roots + tuple(tuple(-c for c in g)
+                                      for g in rs.positive_roots)
+    rmats = set()
+    for w in group:
+        word = w.word()
+        rmat = _columns_of_word(rs.reflect_root, rs.n, word)
+        cmat = _columns_of_word(rs.reflect_coroot, rs.n, word)
+        rmats.add(rmat)
+        assert (w.rmat, w.cmat) == (rmat, cmat)
+        assert _greedy_word(rs, rmat) == word
+        assert word_to_element(rs, word) is w
+        inv = frozenset(g for g in rs.positive_roots
+                        if not rs.is_positive_root(_mat_vec(rmat, g)))
+        assert inversion_set(w) == inv
+        assert w.length == len(inv) == len(word)
+        for g in roots:
+            assert w.apply_root(g) == _mat_vec(rmat, g)
+            gv = rs.coroot_of(g)
+            assert w.apply_coroot(gv) == _mat_vec(cmat, gv)
+    assert len(rmats) == order
+
+
+def test_e6_enumerates_with_raised_cap():
+    e6 = build_root_system("E", 6)
+    group = enumerate_group(e6, cap=60000)
+    assert len(group) == 51840
+    assert group[-1].length == 36 == longest_element(e6).length
+    assert group[-1] is longest_element(e6)
+
+
+def test_f4_enumeration_builds_each_element_once(monkeypatch):
+    built = []
+    init = WeylElt.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(WeylElt, "__init__", counting_init)
+    group = enumerate_group(build_root_system("F", 4))
+    assert len(group) == len(built) == 1152
+
+
+def test_enumeration_is_cached_and_cap_still_applies():
+    rs = build_root_system("A", 3)
+    with pytest.raises(CapExceededError, match="cap 10"):
+        enumerate_group(rs, cap=10)
+    group = enumerate_group(rs)  # the capped run left nothing behind
+    assert len(group) == 24
+    assert enumerate_group(rs, cap=24) is group
+    assert enumerate_group(rs, indices=[3, 2, 1, 1]) is group
+    with pytest.raises(CapExceededError) as later:
+        enumerate_group(rs, cap=10)
+    with pytest.raises(CapExceededError) as fresh:
+        enumerate_group(build_root_system("A", 3), cap=10)
+    assert str(later.value) == str(fresh.value)
+
+
+def test_equal_systems_share_element_equality():
+    b3, other = build_root_system("B", 3), build_root_system("B", 3)
+    for w, x in zip(enumerate_group(b3), enumerate_group(other)):
+        assert w == x and hash(w) == hash(x) and w is not x
+        assert multiply(w, x) == multiply(x.inverse(), w.inverse()).inverse()
+    assert identity(b3) != identity(build_root_system("A", 3))
+
+
+def test_concurrent_enumeration_shares_canonical_elements(monkeypatch):
+    # Each thread first enumerates a different rank-3 parabolic subgroup of
+    # a fresh B4, so the threads race to intern the elements they share; a
+    # pause in every construction widens the window between the lookup of
+    # an element and its insertion.
+    init = WeylElt.__init__
+
+    def slow_init(self, *args):
+        time.sleep(1e-4)
+        init(self, *args)
+
+    monkeypatch.setattr(WeylElt, "__init__", slow_init)
+    rs = build_root_system("B", 4)
+    results = [None] * 4
+    barrier = threading.Barrier(4)
+
+    def work(k):
+        barrier.wait()
+        sub = enumerate_group(rs, indices=[i for i in range(1, 5) if i != k + 1])
+        results[k] = (sub, enumerate_group(rs))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    full = results[0][1]
+    assert len(full) == 384
+    canonical = {w: w for w in full}
+    for sub, group in results:
+        assert group == full
+        assert all(canonical[w] is w for w in sub + group)
