@@ -1,8 +1,9 @@
 """Walk through QH*(Fl_3): the multiplication table, the grading table,
 and the filtration property, printed step by step."""
 
-from qhflag import QuantumFlagRing, build_root_system, canonical_order, format_qclass
-from qhflag.cli import grading_table_cells, _cell_label
+from qhflag import (QuantumFlagRing, build_root_system, canonical_order,
+                    format_qclass, format_term)
+from qhflag.cli import grading_table_cells
 from qhflag.grading import grading_add
 
 rs = build_root_system("A", 2)
@@ -18,7 +19,8 @@ print("\n== gradings: gr(q1) =", op.gr_q(1), ", gr(q2) =", op.gr_q(2), "==")
 cells = grading_table_cells(rs, op, -2, 4, 0, 6, max_weyl=2000)
 print("grading table, rows i = 4..-2, columns j = 0..6:")
 for i in range(4, -3, -1):
-    row = [" ".join(_cell_label(w, lam) for w, lam in cells.get((i, j), []))
+    row = [" ".join(format_term(1, enumerate(lam, start=1), w)
+                    for w, lam in cells.get((i, j), []))
            or "0" for j in range(7)]
     print("  " + " | ".join(f"{c:>14}" for c in row))
 

@@ -14,7 +14,8 @@ from .weyl import (WeylElt, enumerate_group, full_decomposition, identity,
                    inversion_set, longest_element, multiply,
                    parabolic_decompose, reduced_word, reflection,
                    simple_reflection, word_to_element)
-from .qchev import QClass, QuantumFlagRing, format_qclass, qclass_to_json
+from .qchev import (QClass, QuantumFlagRing, format_qclass, format_term,
+                    qclass_to_json)
 from .pwlift import (PWLift, minimal_representatives, psi_map, pw_lift,
                      qhp_product, qhp_structure_constant, quantum_degree)
 from .grading import (OrderedParabolic, ReducibleGrading, canonical_order,

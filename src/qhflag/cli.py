@@ -19,12 +19,12 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import InternalConsistencyError, InvalidInputError, QHError
 from . import pwlift, verify, weyl
 from .grading import OrderedParabolic, canonical_order
-from .qchev import QuantumFlagRing, format_qclass, qclass_to_json
+from .qchev import QuantumFlagRing, format_qclass, format_term, qclass_to_json
 from .rootsys import parse_system_id
 from .weyl import WeylElt
 
@@ -93,16 +93,18 @@ def _parse_lambda(text: str) -> Dict[int, int]:
             raise InvalidInputError(f"bad JSON curve class index in {text!r}")
         if any(type(v) is not int for v in out.values()):
             raise InvalidInputError("JSON curve class exponents must be integers")
-        return out
-    for part in text.split(","):
-        if ":" not in part:
-            raise InvalidInputError(
-                f"curve class entries look like 'index:exponent', got {part!r}")
-        k, _, v = part.partition(":")
-        try:
-            out[int(k)] = int(v)
-        except ValueError:
-            raise InvalidInputError(f"bad curve class entry {part!r}")
+    else:
+        for part in text.split(","):
+            if ":" not in part:
+                raise InvalidInputError(
+                    f"curve class entries look like 'index:exponent', got {part!r}")
+            k, _, v = part.partition(":")
+            try:
+                out[int(k)] = int(v)
+            except ValueError:
+                raise InvalidInputError(f"bad curve class entry {part!r}")
+    if any(e < 0 for e in out.values()):
+        raise InvalidInputError("curve class exponents must be nonnegative")
     return out
 
 
@@ -147,18 +149,6 @@ def _cmd_qprod(args) -> int:
     return EXIT_OK
 
 
-def _cell_label(w: WeylElt, lam: Sequence[int]) -> str:
-    parts = []
-    for j, e in enumerate(lam, start=1):
-        if e == 1:
-            parts.append(f"q{j}")
-        elif e:
-            parts.append(f"q{j}^{e}")
-    if w.length:
-        parts.append("s[%s]" % ",".join(map(str, w.word())))
-    return "*".join(parts) if parts else "1"
-
-
 def grading_table_cells(rs, op: OrderedParabolic, imin: int, imax: int,
                         jmin: int, jmax: int, max_weyl: int):
     """Basis elements graded (i, j, 0, ..., 0), indexed by cell."""
@@ -174,18 +164,9 @@ def grading_table_cells(rs, op: OrderedParabolic, imin: int, imax: int,
             f"grading-table box reaches degree {ssum}; the cap is 24")
     cells: Dict[Tuple[int, int], list] = {}
     elements = weyl.enumerate_group(rs, cap=max_weyl)
-    budget = ssum // 2
-
-    def lams(k: int, left: int):
-        if k == rs.n:
-            yield ()
-            return
-        for e in range(left + 1):
-            for rest in lams(k + 1, left - e):
-                yield (e,) + rest
-
+    lams = pwlift.bounded_compositions((1,) * rs.n, ssum // 2)
     for w in elements:
-        for lam in lams(0, budget):
+        for lam in lams:
             g = op.gr(w, lam)
             if any(g[2:]):
                 continue
@@ -218,8 +199,8 @@ def _cmd_grading_table(args) -> int:
         row = [str(i)]
         for j in range(args.jmin, args.jmax + 1):
             entries = cells.get((i, j), [])
-            row.append(" | ".join(_cell_label(w, lam) for w, lam in entries)
-                       if entries else "0")
+            row.append(" | ".join(format_term(1, enumerate(lam, start=1), w)
+                                  for w, lam in entries) if entries else "0")
         body.append(row)
     if args.format == "csv":
         lines = [";".join(header)] + [";".join(r) for r in body]
@@ -283,7 +264,7 @@ def _cmd_qhp(args) -> int:
     ring = QuantumFlagRing(rs, weyl_cap=args.max_weyl)
     u = _word_elt(ring, args.u, "u")
     v = _word_elt(ring, args.v, "v")
-    comp = tuple(j for j in range(1, rs.n + 1) if j not in par)
+    comp = rs.complement(par)
     prod = pwlift.qhp_product(ring, par, u, v)
     items = sorted(prod.items(),
                    key=lambda kv: (kv[0][0].length, kv[0][1], kv[0][0].word()))
@@ -295,16 +276,8 @@ def _cmd_qhp(args) -> int:
                           "u": list(u.word()), "v": list(v.word()),
                           "terms": data}, indent=2), args.out)
     else:
-        parts = []
-        for (w, exps), c in items:
-            factors = [] if c == 1 else [str(c)]
-            factors += [f"q{j}" if e == 1 else f"q{j}^{e}"
-                        for j, e in zip(comp, exps) if e]
-            if w.length or not factors:
-                factors.append("s[%s]" % ",".join(map(str, w.word()))
-                               if w.length else "1")
-            parts.append("*".join(factors))
-        _emit(" + ".join(parts) if parts else "0", args.out)
+        _emit(" + ".join(format_term(c, zip(comp, exps), w)
+                         for (w, exps), c in items) or "0", args.out)
     return EXIT_OK
 
 

@@ -40,8 +40,25 @@ def grading_add(a: Grading, b: Grading) -> Grading:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def grading_scale(c: int, a: Grading) -> Grading:
-    return tuple(c * x for x in a)
+def _add_q(g: Grading, lam: Iterable[Tuple[int, int]],
+           grq: Dict[int, Grading]) -> Grading:
+    """g + sum_k b_k gr(q_k), over (simple index k, exponent b_k) pairs."""
+    for k, b in lam:
+        if b:
+            g = tuple(x + b * y for x, y in zip(g, grq[k]))
+    return g
+
+
+def _q_grading(lift: "pwlift.PWLift", parabolic: Sequence[int], coord: int,
+               gr_weyl, grq: Dict[int, Grading]) -> Grading:
+    """gr(q_idx) from the lift of alpha_idx^vee over ``parabolic``:
+    (l(omega) + 2 + 2 sum a) e_coord - gr(omega) - sum_i a_i gr(q_i), with
+    a_i the parabolic coordinates of lambda_B and coord 0-based."""
+    a = [(i, lift.lambda_B[i - 1]) for i in parabolic]
+    head = lift.length + 2 + 2 * sum(ai for _, ai in a)
+    g = tuple((head if k == coord else 0) - x
+              for k, x in enumerate(gr_weyl(lift.omega_factor)))
+    return _add_q(g, ((i, -ai) for i, ai in a), grq)
 
 
 # ---------------------------------------------------------------------------
@@ -268,43 +285,27 @@ class OrderedParabolic:
 
     # -- construction of the q-grading table --------------------------------
 
-    def _zero(self) -> Grading:
-        return (0,) * (self.r + 1)
-
-    def _unit(self, j: int) -> Grading:
-        return tuple(1 if k == j - 1 else 0 for k in range(self.r + 1))
-
     def _build_q_table(self) -> None:
-        rs = self.rs
-        first = self.order[0]
-        self._grq[first] = grading_scale(2, self._unit(1))
+        self._grq[self.order[0]] = (2,) + (0,) * self.r
         for j in range(2, self.r + 1):
             idx = self.order[j - 1]
             self._grq[idx] = self._gr_q_recursive(idx, self.order[:j],
                                                   self.order[:j - 1], j)
-        outside = [i for i in range(1, rs.n + 1) if i not in self.position]
-        for idx in outside:
+        for idx in self.rs.complement(self.order):
             self._grq[idx] = self._gr_q_recursive(idx, None, self.order,
                                                   self.r + 1)
 
     def _gr_q_recursive(self, idx: int, ambient: Optional[Tuple[int, ...]],
                         parabolic: Tuple[int, ...], level: int) -> Grading:
         rs = self.rs
-        rep = rs.simple_coroot(idx)
-        lift = pwlift.pw_lift(rs, parabolic, rep, ambient=ambient)
+        lift = pwlift.pw_lift(rs, parabolic, rs.simple_coroot(idx),
+                              ambient=ambient)
         self._lift[idx] = lift
-        a = {i: lift.lambda_B[i - 1] for i in parabolic}
         if lift.lambda_B[idx - 1] != 1 or any(
-                lift.lambda_B[k] != a.get(k + 1, 0)
-                for k in range(rs.n) if k + 1 != idx and (k + 1) not in parabolic):
+                lift.lambda_B[k - 1] for k in rs.complement(parabolic)
+                if k != idx):
             raise InternalConsistencyError("comparison lift left the level")
-        head = lift.omega_factor.length + 2 + 2 * sum(a.values())
-        vec = grading_scale(head, self._unit(level))
-        vec = tuple(x - y for x, y in zip(vec, self.gr_weyl(lift.omega_factor)))
-        for i, ai in a.items():
-            if ai:
-                vec = tuple(x - ai * y for x, y in zip(vec, self._grq[i]))
-        return vec
+        return _q_grading(lift, parabolic, level - 1, self.gr_weyl, self._grq)
 
     # -- gradings ------------------------------------------------------------
 
@@ -343,18 +344,11 @@ class OrderedParabolic:
             return g
         if len(lam) != self.rs.n:
             raise InvalidInputError("lambda must have one entry per simple root")
-        for k, b in enumerate(lam):
-            if b:
-                g = tuple(x + b * y for x, y in zip(g, self._grq[k + 1]))
-        return g
+        return _add_q(g, enumerate(lam, start=1), self._grq)
 
     def gr_q_lambda(self, lam: Sequence[int]) -> Grading:
         """Grading of the monomial q^lam."""
-        g = self._zero()
-        for k, b in enumerate(lam):
-            if b:
-                g = tuple(x + b * y for x, y in zip(g, self._grq[k + 1]))
-        return g
+        return _add_q((0,) * (self.r + 1), enumerate(lam, start=1), self._grq)
 
     def gr_window(self, k: int, m: int, w: WeylElt,
                   lam: Optional[Sequence[int]] = None) -> Grading:
@@ -437,9 +431,6 @@ class ReducibleGrading:
         self._grw: Dict[WeylElt, Grading] = {}
         self._build()
 
-    def _zero(self) -> Grading:
-        return (0,) * (self.M + 1)
-
     def _embed(self, k: int, vec: Grading) -> Grading:
         """Embed the first r_k coordinates of a component grading."""
         rk = self.ranks[k]
@@ -455,21 +446,10 @@ class ReducibleGrading:
         for k, op in enumerate(self.components):
             for idx in op.order:
                 self._grq[idx] = self._embed(k, op.gr_q(idx))
-        for idx in range(1, rs.n + 1):
-            if idx in self.indices:
-                continue
-            rep = rs.simple_coroot(idx)
-            lift = pwlift.pw_lift(rs, self.indices, rep)
-            a = {i: lift.lambda_B[i - 1] for i in self.indices}
-            head = lift.omega_factor.length + 2 + 2 * sum(a.values())
-            vec = [0] * (self.M + 1)
-            vec[self.M] = head
-            vec = tuple(vec)
-            vec = tuple(x - y for x, y in zip(vec, self.gr_weyl(lift.omega_factor)))
-            for i, ai in a.items():
-                if ai:
-                    vec = tuple(x - ai * y for x, y in zip(vec, self._grq[i]))
-            self._grq[idx] = vec
+        for idx in rs.complement(self.indices):
+            lift = pwlift.pw_lift(rs, self.indices, rs.simple_coroot(idx))
+            self._grq[idx] = _q_grading(lift, self.indices, self.M,
+                                        self.gr_weyl, self._grq)
 
     def gr_q(self, idx: int) -> Grading:
         return self._grq[idx]
@@ -496,10 +476,7 @@ class ReducibleGrading:
         g = self.gr_weyl(w)
         if lam is None:
             return g
-        for k, b in enumerate(lam):
-            if b:
-                g = tuple(x + b * y for x, y in zip(g, self._grq[k + 1]))
-        return g
+        return _add_q(g, enumerate(lam, start=1), self._grq)
 
 
 def reducible_grading(rs: RootSystem, indices: Iterable[int]) -> ReducibleGrading:

@@ -8,10 +8,10 @@ omega_P omega_{P'}; together these translate G/P structure constants into
 G/B structure constants and induce the injective map psi sending
 q^{lambda_P} sigma^v to q^{lambda_B} sigma^{v omega_P omega_{P'}}.
 
-The solver enumerates the 2^r sign patterns for the simple-root pairings,
-solves the corresponding Cartan linear system exactly, keeps integer
-solutions, and filters by the full positive-root condition; exactly one
-survivor is required.  All operations are pure.
+The solver inverts the parabolic Cartan block once, applies the exact
+inverse to each of the 2^r sign patterns for the simple-root pairings,
+keeps integer solutions, and filters by the full positive-root condition;
+exactly one survivor is required.  All operations are pure.
 
 Curve classes serialize as a JSON map from non-parabolic simple index to a
 nonnegative integer exponent.
@@ -20,14 +20,13 @@ nonnegative integer exponent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import InternalConsistencyError, InvalidInputError
 from .rootsys import Coroot, RootSystem
 from . import weyl
-from .qchev import QuantumFlagRing
+from .qchev import QuantumFlagRing, invert_fraction_matrix
 from .weyl import WeylElt
 
 
@@ -91,18 +90,18 @@ def pw_lift(rs: RootSystem, parabolic: Iterable[int],
         if any(rep[k] and (k + 1) not in amb for k in range(rs.n)):
             raise InvalidInputError("representative leaves the ambient set")
     roots_p = rs.positive_roots_within(par)
-    r = len(par)
     solutions: List[Tuple[int, ...]] = []
-    if r == 0:
+    if not par:
         solutions.append(rep)
     else:
-        # M a = eps - base over the parabolic block of the Cartan pairing.
+        # a = M^{-1} (eps - base), M the parabolic block of the Cartan pairing.
         base = [rs.pairing(rs.simple_root(i), rep) for i in par]
-        mat = [[rs.cartan[j - 1][i - 1] for j in par] for i in par]
-        for eps in iproduct((0, -1), repeat=r):
-            rhs = [Fraction(e - b) for e, b in zip(eps, base)]
-            a = _solve_exact(mat, rhs)
-            if a is None or any(x.denominator != 1 for x in a):
+        inv = invert_fraction_matrix([[rs.cartan[j - 1][i - 1] for j in par]
+                                      for i in par])
+        for eps in iproduct((0, -1), repeat=len(par)):
+            rhs = [e - b for e, b in zip(eps, base)]
+            a = [sum(x * y for x, y in zip(row, rhs)) for row in inv]
+            if any(x.denominator != 1 for x in a):
                 continue
             lam = list(rep)
             for i, x in zip(par, a):
@@ -125,23 +124,6 @@ def pw_lift(rs: RootSystem, parabolic: Iterable[int],
         raise InternalConsistencyError(
             f"omega factor has length {omega.length}, expected {expected}")
     return PWLift(lam_B, dpp, omega)
-
-
-def _solve_exact(mat: List[List[int]], rhs: List[Fraction]) -> Optional[List[Fraction]]:
-    n = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(n)] + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return None  # finite-type Cartan blocks are invertible
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r2 in range(n):
-            if r2 != col and a[r2][col]:
-                f = a[r2][col]
-                a[r2] = [x - f * y for x, y in zip(a[r2], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 def pw_lift_bruteforce(rs: RootSystem, parabolic: Sequence[int],
@@ -190,16 +172,30 @@ def quantum_degree(rs: RootSystem, parabolic: Sequence[int], j: int) -> int:
     return lift.length + rs.two_rho_pairing(lift.lambda_B)
 
 
+def bounded_compositions(weights: Sequence[int],
+                         total: int) -> List[Tuple[int, ...]]:
+    """Every e >= 0 with sum(e_k * weights_k) <= total, lexicographically;
+    the weights must be positive."""
+    tails = [((), 0)]  # (suffix, its weighted sum), built right to left
+    for wt in reversed(weights):
+        tails = [((e,) + t, used + e * wt) for e in range(total // wt + 1)
+                 for t, used in tails if used + e * wt <= total]
+    return [t for t, _ in tails]
+
+
+def _check_representatives(par: Tuple[int, ...], *elements: WeylElt) -> None:
+    if not all(weyl.is_minimal_representative(x, par) for x in elements):
+        raise InvalidInputError(
+            "G/P constants are indexed by minimal coset representatives")
+
+
 def qhp_structure_constant(ring: QuantumFlagRing, parabolic: Sequence[int],
                            u: WeylElt, v: WeylElt, w: WeylElt,
                            lam_P: Union[Mapping[int, int], Sequence[int]]) -> int:
     """A G/P structure constant, evaluated through the comparison lift."""
     rs = ring.rs
     par = rs.check_parabolic(parabolic)
-    for x in (u, v, w):
-        if not weyl.is_minimal_representative(x, par):
-            raise InvalidInputError(
-                "G/P constants are indexed by minimal coset representatives")
+    _check_representatives(par, u, v, w)
     lift = pw_lift(rs, par, lam_P)
     return ring.structure_constant(u, v, weyl.multiply(w, lift.omega_factor),
                                    lift.lambda_B)
@@ -209,31 +205,26 @@ def qhp_product(ring: QuantumFlagRing, parabolic: Sequence[int],
                 u: WeylElt, v: WeylElt) -> Dict[Tuple[WeylElt, Tuple[int, ...]], int]:
     """sigma^u * sigma^v in the Schubert basis of QH*(G/P).
 
-    Keys are (w, exponent tuple over the sorted complement indices).
+    Keys are (w, exponent tuple over the sorted complement indices).  Each
+    curve-class box is lifted once, for all w of the matching length.
     """
     rs = ring.rs
     par = rs.check_parabolic(parabolic)
-    comp = tuple(i for i in range(1, rs.n + 1) if i not in par)
+    _check_representatives(par, u, v)
+    comp = rs.complement(par)
     degs = [quantum_degree(rs, par, j) for j in comp]
     reps = minimal_representatives(rs, par)
     total = u.length + v.length
     out: Dict[Tuple[WeylElt, Tuple[int, ...]], int] = {}
-
-    def boxes(k: int, remaining: int):
-        if k == len(comp):
-            yield ()
-            return
-        for e in range(remaining // degs[k] + 1):
-            for rest in boxes(k + 1, remaining - e * degs[k]):
-                yield (e,) + rest
-
-    for exps in boxes(0, total):
+    for exps in bounded_compositions(degs, total):
         wlen = total - sum(e * d for e, d in zip(exps, degs))
-        lam_p = {j: e for j, e in zip(comp, exps) if e}
-        for w in reps:
-            if w.length != wlen:
-                continue
-            c = qhp_structure_constant(ring, par, u, v, w, lam_p)
+        ws = [w for w in reps if w.length == wlen]
+        if not ws:
+            continue
+        lift = pw_lift(rs, par, {j: e for j, e in zip(comp, exps) if e})
+        for w in ws:
+            c = ring.structure_constant(
+                u, v, weyl.multiply(w, lift.omega_factor), lift.lambda_B)
             if c:
                 out[(w, exps)] = c
     return out

@@ -92,25 +92,24 @@ class QClass:
         return f"QClass({format_qclass(self)})"
 
 
+def format_term(coeff, q: Iterable[Tuple[int, int]], w: WeylElt) -> str:
+    """One basis term coeff*q^lambda*sigma^w, with q^lambda given as
+    (simple index, exponent) pairs: '2*q1*q3^2*s[1,2]'.  A unit coefficient
+    is omitted and sigma^1 prints only when nothing else does, as '1'."""
+    factors = [] if coeff == 1 else [str(coeff)]
+    factors += [f"q{j}" if e == 1 else f"q{j}^{e}" for j, e in q if e]
+    if w.length or not factors:
+        factors.append("s[%s]" % ",".join(map(str, w.word()))
+                       if w.length else "1")
+    return "*".join(factors)
+
+
 def format_qclass(qc: QClass) -> str:
     """Human format: 'q1*q2 + q1*s[1,2]'; the unit class prints as '1'."""
     if not qc.terms:
         return "0"
-    parts = []
-    for (w, lam), c in qc.sorted_terms():
-        factors = []
-        if c != 1:
-            factors.append(str(c))
-        for j, e in enumerate(lam, start=1):
-            if e == 1:
-                factors.append(f"q{j}")
-            elif e != 0:
-                factors.append(f"q{j}^{e}")
-        if w.length or not factors:
-            factors.append("s[%s]" % ",".join(map(str, w.word()))
-                           if w.length else "1")
-        parts.append("*".join(factors))
-    return " + ".join(parts)
+    return " + ".join(format_term(c, enumerate(lam, start=1), w)
+                      for (w, lam), c in qc.sorted_terms())
 
 
 def qclass_to_json(qc: QClass) -> List[dict]:
@@ -285,8 +284,8 @@ class QuantumFlagRing:
                 f"degree {d}: divisor classes fail to span "
                 f"({len(pivot_ids)} of {m})")
         # Invert P (columns = pivot products over the degree-d basis).
-        inv = _invert_fraction_matrix([[pivot_cols[k][r] for k in range(m)]
-                                       for r in range(m)])
+        inv = invert_fraction_matrix([[pivot_cols[k][r] for k in range(m)]
+                                      for r in range(m)])
         self._pivots[d] = pivot_ids
         for vpos, v in enumerate(basis):
             expr = [(pivot_ids[k][0], pivot_ids[k][1], inv[k][vpos])
@@ -417,7 +416,8 @@ class QuantumFlagRing:
                 yield u, v, self.quantum_product(u, v)
 
 
-def _invert_fraction_matrix(m: List[List[Fraction]]) -> List[List[Fraction]]:
+def invert_fraction_matrix(m: Sequence[Sequence]) -> List[List[Fraction]]:
+    """Exact inverse of a square rational matrix by Gauss-Jordan elimination."""
     n = len(m)
     a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0)
                                        for j in range(n)]
@@ -425,7 +425,7 @@ def _invert_fraction_matrix(m: List[List[Fraction]]) -> List[List[Fraction]]:
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
-            raise InternalConsistencyError("singular pivot matrix")
+            raise InternalConsistencyError("singular matrix in exact inversion")
         a[col], a[piv] = a[piv], a[col]
         inv = 1 / a[col][col]
         a[col] = [x * inv for x in a[col]]

@@ -277,6 +277,11 @@ class RootSystem:
             self._check_index(i)
         return ind
 
+    def complement(self, indices: Iterable[int]) -> Tuple[int, ...]:
+        """The simple indices outside the given subset, ascending."""
+        ind = set(self.check_parabolic(indices))
+        return tuple(i for i in range(1, self.n + 1) if i not in ind)
+
     def positive_roots_within(self, indices: Iterable[int]) -> Tuple[Root, ...]:
         """Positive roots supported on the given simple indices."""
         ind = set(self.check_parabolic(indices))

@@ -24,12 +24,13 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError
 from . import pwlift, weyl
 from .grading import OrderedParabolic, canonical_order, grading_add
-from .qchev import QClass, QuantumFlagRing, format_qclass
+from .qchev import QClass, QuantumFlagRing, format_qclass, format_term
 from .rootsys import RootSystem, parabolic_subsystem, parse_system_id
 from .weyl import WeylElt
 
@@ -52,6 +53,11 @@ class VerificationSetup:
     seed: int = 0
     assoc_samples: int = 200
     psi_samples: int = 100
+
+    def __post_init__(self):
+        if self.max_q < 0:
+            raise InvalidInputError(
+                f"max-q must be nonnegative, got {self.max_q}")
 
 
 @dataclass
@@ -121,10 +127,7 @@ class _Context:
         return "[%s]" % ",".join(map(str, w.word()))
 
     def term_str(self, w: WeylElt, lam: Sequence[int]) -> str:
-        qs = "*".join(f"q{j+1}^{e}" if e != 1 else f"q{j+1}"
-                      for j, e in enumerate(lam) if e)
-        ws = "s%s" % self.word(w) if w.length else "1"
-        return f"{qs}*{ws}" if qs else ws
+        return format_term(1, enumerate(lam, start=1), w)
 
 
 def _finish(report: Report, t0: float) -> Report:
@@ -282,20 +285,9 @@ def verify_psi_grading(setup: VerificationSetup,
             "psi-grading requires the parabolic subset to be a chain")
     rep = Report("psi-grading", setup.system, list(ctx.parabolic),
                  list(op.order))
-    comp = [j for j in range(1, rs.n + 1) if j not in op.position]
-
-    def boxes(k: int):
-        if k == len(comp):
-            yield {}
-            return
-        for e in range(setup.max_q + 1):
-            for rest in boxes(k + 1):
-                d = dict(rest)
-                if e:
-                    d[comp[k]] = e
-                yield d
-
-    for lam_p in boxes(0):
+    comp = rs.complement(op.order)
+    for exps in product(range(setup.max_q + 1), repeat=len(comp)):
+        lam_p = {j: e for j, e in zip(comp, exps) if e}
         case = "lamP=" + ",".join(f"{j}:{e}" for j, e in sorted(lam_p.items()))
         if not _want(only_case, case):
             continue
@@ -354,23 +346,12 @@ def verify_graded_iso(setup: VerificationSetup,
 
     # (a) uniqueness of graded representatives on the box, by brute search.
     reps_by_grading: Dict[tuple, list] = {}
-    lam_lo, lam_hi = -box, box + 3
-    wp_sigma = weyl.enumerate_group(rs, indices=op.order[:s],
-                                    cap=setup.max_weyl)
     all_w = weyl.enumerate_group(rs, cap=setup.max_weyl)
-
-    def lam_boxes(k: int):
-        if k == rs.n:
-            yield ()
-            return
-        for e in range(lam_lo, lam_hi + 1):
-            for rest in lam_boxes(k + 1):
-                yield (e,) + rest
-
+    lam_box = list(product(range(-box, box + 4), repeat=rs.n))
     in_box = {}
     for w in all_w:
         gw = op.gr_weyl(w)
-        for lam in lam_boxes(0):
+        for lam in lam_box:
             g = op.gr(w, lam) if any(lam) else gw
             if any(g[s:]):
                 continue
@@ -378,15 +359,7 @@ def verify_graded_iso(setup: VerificationSetup,
             if all(0 <= x <= box for x in head):
                 reps_by_grading.setdefault(head, []).append((w, lam))
 
-    def dvecs(k: int):
-        if k == s:
-            yield ()
-            return
-        for e in range(box + 1):
-            for rest in dvecs(k + 1):
-                yield (e,) + rest
-
-    for d in dvecs(0):
+    for d in product(range(box + 1), repeat=s):
         case = f"lemma41:d={d}"
         if _want(only_case, case):
             w, lam = op.unique_basis_element(d)
@@ -424,18 +397,10 @@ def verify_graded_iso(setup: VerificationSetup,
     # in ``extra`` without gating.
     reps = pwlift.minimal_representatives(rs, ctx.parabolic,
                                           cap=setup.max_weyl)
-    comp = tuple(j for j in range(1, rs.n + 1) if j not in op.position)
-
-    def qbox(k: int):
-        if k == len(comp):
-            yield ()
-            return
-        for e in range(setup.max_q + 1):
-            for rest in qbox(k + 1):
-                yield (e,) + rest
-
-    pairs = [(u, lp, v, mp) for u in reps for lp in qbox(0)
-             for v in reps for mp in qbox(0)]
+    comp = rs.complement(op.order)
+    qbox = list(product(range(setup.max_q + 1), repeat=len(comp)))
+    pairs = [(u, lp, v, mp) for u in reps for lp in qbox
+             for v in reps for mp in qbox]
     if len(pairs) > max(setup.psi_samples, 1) * 4:
         rng = random.Random(setup.seed)
         pairs = rng.sample(pairs, max(setup.psi_samples, 1))
@@ -529,7 +494,7 @@ def _projective_space_model(rs: RootSystem, parabolic, reps):
     complement a single end node of the chain."""
     if rs.series != "A":
         return None
-    comp = [j for j in range(1, rs.n + 1) if j not in parabolic]
+    comp = rs.complement(parabolic)
     if len(comp) != 1 or comp[0] not in (1, rs.n):
         return None
     if sorted(w.length for w in reps) != list(range(rs.n + 1)):

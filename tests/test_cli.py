@@ -144,6 +144,15 @@ def test_pw_bad_json_lambda_is_usage_error(capsys, lam):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("lam", ["2:-1", "2:0,2:-3", '{"2":-1}'])
+def test_pw_negative_lambda_is_usage_error(capsys, lam):
+    code, out, err = run(capsys, "pw", "--system", "A2", "--parabolic", "1",
+                         "--lambda", lam)
+    assert code == 2
+    assert out == ""
+    assert err == "error: curve class exponents must be nonnegative\n"
+
+
 def test_pw_json_lambda(capsys):
     code, out, _ = run(capsys, "pw", "--system", "A2", "--parabolic", "1",
                        "--lambda", '{"2": 1}', "--format", "json")
@@ -192,6 +201,20 @@ def test_verify_unknown_suite_exit_2(capsys):
                        "--suites", "no-such-suite")
     assert code == 2
     assert "unknown suite" in err
+
+
+def test_verify_negative_max_q_is_usage_error(tmp_path, capsys):
+    argv = ["verify", "A2", "--parabolic", "1", "--suites", "psi-grading"]
+    code, out, err = run(capsys, *argv, "--max-q", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: max-q must be nonnegative, got -1\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max-q=-2\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == "error: max-q must be nonnegative, got -2\n"
 
 
 def test_verify_all_small(capsys):

@@ -1,0 +1,92 @@
+"""Golden texts of every human-readable output that prints q^lambda sigma^w
+terms, and the shared term formatter behind them."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from qhflag import weyl
+from qhflag.cli import main
+from qhflag.qchev import format_term
+from qhflag.rootsys import build_root_system
+from qhflag.verify import VerificationSetup, _Context
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+A2_GRADING_TABLE = """\
+| i\\j | 0 | 1 | 2 | 3 | 4 | 5 | 6 |
+| --- | --- | --- | --- | --- | --- | --- | --- |
+| 4 | q1^2 | q1^2*s[2] | q1^2*s[1,2] | q1^2*q2*s[1] | q1^2*q2*s[2,1] | q1^2*q2*s[1,2,1] | q1^3*q2^2 |
+| 3 | q1*s[1] | q1*s[2,1] | q1*s[1,2,1] | q1^2*q2 | q1^2*q2*s[2] | q1^2*q2*s[1,2] | q1^2*q2^2*s[1] |
+| 2 | q1 | q1*s[2] | q1*s[1,2] | q1*q2*s[1] | q1*q2*s[2,1] | q1*q2*s[1,2,1] | q1^2*q2^2 |
+| 1 | s[1] | s[2,1] | s[1,2,1] | q1*q2 | q1*q2*s[2] | q1*q2*s[1,2] | q1*q2^2*s[1] |
+| 0 | 1 | s[2] | s[1,2] | q2*s[1] | q2*s[2,1] | q2*s[1,2,1] | q1*q2^2 |
+| -1 | 0 | 0 | 0 | q2 | q2*s[2] | q2*s[1,2] | q2^2*s[1] |
+| -2 | 0 | 0 | 0 | 0 | 0 | 0 | q2^2 |
+"""
+
+# Cells with several basis elements join them with " | ".
+G2_GRADING_TABLE_CSV = """\
+i\\j;0;1;2;3
+2;q1;q1*s[2];q1*s[1,2];q1*q2*s[1] | q1*s[2,1,2]
+1;s[1];s[2,1];s[1,2,1];q1*q2 | s[2,1,2,1]
+0;1;s[2];s[1,2];q2*s[1] | s[2,1,2]
+-1;0;0;0;q2
+"""
+
+GOLDEN = [
+    (["qprod", "G2", "--u", "2,1", "--v", "1,2,1"],
+     "q1*q2*s[1] + q1*q2*s[2] + 2*q1*s[2,1,2] + s[1,2,1,2,1]\n"),
+    (["qprod", "G2", "--u", "2,1", "--v", "1,2,1", "--format", "csv"],
+     "word;q;coeff\n1;1,1;1\n2;1,1;1\n2,1,2;1,0;2\n1,2,1,2,1;0,0;1\n"),
+    # A coefficient above 1 on a pure-q term and on Schubert terms.
+    (["qhp", "B3", "--parabolic", "1", "--u", "2,3,1,2", "--v", "2,3,1,2"],
+     "2*q2^2*q3 + 2*q2*s[2,3,1,2,3] + 2*q2*s[3,1,2,3,2]\n"),
+    (["qhp", "B3", "--parabolic", "1", "--u", "2", "--v", "1,2"],
+     "q2 + 2*s[3,1,2]\n"),
+    (["qhp", "A3", "--parabolic", "1,2", "--u", "3", "--v", "1,2,3"], "q3\n"),
+    (["grading-table", "A2", "--parabolic", "1"], A2_GRADING_TABLE),
+    (["grading-table", "G2", "--parabolic", "1", "--imin", "-1", "--imax",
+      "2", "--jmin", "0", "--jmax", "3", "--format", "csv"],
+     G2_GRADING_TABLE_CSV),
+]
+
+
+@pytest.mark.parametrize("argv,text", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_output(capsys, argv, text):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text
+
+
+def test_format_term():
+    rs = build_root_system("A", 3)
+    one = weyl.identity(rs)
+    w = weyl.word_to_element(rs, [1, 2])
+    assert format_term(1, [(1, 0), (2, 0)], one) == "1"
+    assert format_term(3, [], one) == "3"
+    assert format_term(1, [(1, 1)], one) == "q1"
+    assert format_term(2, [(1, 1), (3, 2)], w) == "2*q1*q3^2*s[1,2]"
+    assert format_term(1, enumerate((0, 1, 0), start=1), w) == "q2*s[1,2]"
+
+
+def test_failure_witness_terms_use_the_shared_formatter():
+    ctx = _Context(VerificationSetup(system="A2", parabolic=(1,)))
+    one = weyl.identity(ctx.rs)
+    s1 = weyl.simple_reflection(ctx.rs, 1)
+    # The identity class under a q-monomial prints without a trailing "*1".
+    assert ctx.term_str(one, (1, 0)) == "q1"
+    assert ctx.term_str(one, (0, 0)) == "1"
+    assert ctx.term_str(s1, (2, 1)) == "q1^2*q2*s[1]"
+
+
+@pytest.mark.parametrize("demo", ["fl3_walkthrough.py", "pw_lift_tour.py"])
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get(
+        "PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

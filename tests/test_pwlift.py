@@ -1,14 +1,14 @@
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import pytest
 
 from qhflag.errors import InvalidInputError
-from qhflag.pwlift import (minimal_representatives, psi_map, pw_lift,
-                           pw_lift_bruteforce, qhp_product,
+from qhflag.pwlift import (bounded_compositions, minimal_representatives,
+                           psi_map, pw_lift, pw_lift_bruteforce, qhp_product,
                            qhp_structure_constant, quantum_degree)
 from qhflag.qchev import QuantumFlagRing
 from qhflag.rootsys import build_root_system
-from qhflag import weyl
+from qhflag import pwlift, weyl
 
 
 @pytest.fixture(scope="module")
@@ -61,12 +61,18 @@ def test_b_type_end_node_lift(b3):
     assert lift.length == 2
 
 
+def _proper_parabolics(name):
+    rs = build_root_system(name[0], int(name[1:]))
+    for r in range(1, rs.n):
+        for par in combinations(range(1, rs.n + 1), r):
+            yield rs, par
+
+
 def test_lift_invariants_and_uniqueness_box():
-    for rs, par in [(build_root_system("A", 3), (1, 2)),
-                    (build_root_system("B", 3), (1, 2)),
-                    (build_root_system("B", 3), (2, 3)),
-                    (build_root_system("G", 2), (2,))]:
-        comp = [j for j in range(1, rs.n + 1) if j not in par]
+    # Every proper nonempty parabolic, connected or not.
+    for rs, par in [case for name in ("A3", "B3", "C3", "D4", "G2")
+                    for case in _proper_parabolics(name)]:
+        comp = rs.complement(par)
         roots_p = rs.positive_roots_within(par)
         for exps in iproduct(range(4), repeat=len(comp)):
             lam_p = {j: e for j, e in zip(comp, exps)}
@@ -80,6 +86,36 @@ def test_lift_invariants_and_uniqueness_box():
                                    len(rs.positive_roots_within(lift.delta_P_prime)))
             # Independent exhaustive search: exactly one candidate.
             assert pw_lift_bruteforce(rs, par, lam_p, bound=6) == [lift.lambda_B]
+
+
+@pytest.mark.parametrize("weights,total", [((), 3), ((1,), 0), ((1, 1, 1), 4),
+                                           ((3, 4), 11), ((2, 5, 1), 7),
+                                           ((4,), -1)])
+def test_bounded_compositions_match_filtered_product(weights, total):
+    expect = [e for e in iproduct(range(max(total, 0) + 1), repeat=len(weights))
+              if sum(a * b for a, b in zip(e, weights)) <= total]
+    assert bounded_compositions(weights, total) == expect
+
+
+def test_qhp_product_lifts_each_box_once(b3, monkeypatch):
+    ring = QuantumFlagRing(b3)
+    par = (1,)
+    calls = []
+    real = pwlift.pw_lift
+
+    def counting(rs, parabolic, lam_P, ambient=None):
+        calls.append(tuple(sorted(lam_P.items())))
+        return real(rs, parabolic, lam_P, ambient)
+
+    monkeypatch.setattr(pwlift, "pw_lift", counting)
+    u = weyl.word_to_element(b3, [2, 3, 1, 2])
+    prod = qhp_product(ring, par, u, u)
+    # The first lifts give the quantum degrees of q2 and q3.
+    assert calls[:2] == [((2, 1),), ((3, 1),)]
+    boxes = calls[2:]
+    assert len(boxes) == len(set(boxes)) > 1
+    assert {exps for _, exps in prod} <= {
+        tuple(dict(box).get(j, 0) for j in (2, 3)) for box in boxes}
 
 
 def test_psi_injective_on_box(a3):
@@ -182,6 +218,10 @@ def test_rejects_non_representative_inputs(a3):
     s1 = weyl.simple_reflection(a3, 1)
     with pytest.raises(InvalidInputError, match="minimal"):
         qhp_structure_constant(ring, (1, 2), s1, s1, s1, {})
+    one = weyl.identity(a3)
+    for u, v in ((s1, one), (one, s1)):
+        with pytest.raises(InvalidInputError, match="minimal"):
+            qhp_product(ring, (1, 2), u, v)
 
 
 def test_lambda_encoding_validation(a3):

@@ -148,6 +148,16 @@ def test_pairing_dimension_mismatch():
         rs.coroot_of((2, 0))
 
 
+def test_complement():
+    d4 = build_root_system("D", 4)
+    assert d4.complement((1, 3, 4)) == (2,)
+    assert d4.complement([4, 2, 2]) == (1, 3)
+    assert d4.complement(()) == (1, 2, 3, 4)
+    assert d4.complement((1, 2, 3, 4)) == ()
+    with pytest.raises(InvalidInputError, match="out of range"):
+        d4.complement((5,))
+
+
 def test_parabolic_subsystem_matches_standard():
     b3 = build_root_system("B", 3)
     sub, index_map = parabolic_subsystem(b3, (1, 2))

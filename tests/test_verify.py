@@ -92,6 +92,12 @@ def test_explicit_order_must_permute():
         run_suite("filtration", setup_for("A2", (1,), order=(2,)))
 
 
+def test_negative_max_q_rejected():
+    with pytest.raises(InvalidInputError, match="max-q"):
+        setup_for("A2", (1,), max_q=-1)
+    assert run_suite("psi-grading", setup_for("A2", (1,), max_q=0)).total == 1
+
+
 def test_report_json_schema():
     rep = run_suite("key-lemma", setup_for("A2", (1,)))
     obj = rep.to_json_obj()
