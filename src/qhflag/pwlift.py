@@ -48,7 +48,9 @@ def lambda_rep(rs: RootSystem, parabolic: Sequence[int],
     """Normalize a curve-class encoding to a full coroot-coordinate tuple.
 
     Mappings are keyed by non-parabolic 1-based simple indices; sequences
-    must already have full length n.
+    must already have full length n.  Exponents at non-parabolic indices
+    must be nonnegative; the parabolic coordinates of a sequence are free,
+    since Q^vee_P absorbs them.
     """
     par = set(rs.check_parabolic(parabolic))
     if isinstance(lam_P, Mapping):
@@ -61,10 +63,14 @@ def lambda_rep(rs: RootSystem, parabolic: Sequence[int],
                     f"index {i} lies in the parabolic subset; curve classes "
                     "are indexed by the complement")
             rep[i - 1] = int(val)
-        return tuple(rep)
-    rep = tuple(int(x) for x in lam_P)
-    if len(rep) != rs.n:
-        raise InvalidInputError("curve-class vector must have length n")
+        rep = tuple(rep)
+    else:
+        rep = tuple(int(x) for x in lam_P)
+        if len(rep) != rs.n:
+            raise InvalidInputError("curve-class vector must have length n")
+    for i, e in enumerate(rep, 1):
+        if e < 0 and i not in par:
+            raise InvalidInputError("curve class exponents must be nonnegative")
     return rep
 
 

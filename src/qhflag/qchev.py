@@ -12,10 +12,15 @@ The full quantum product is computed in two stages:
 2.  sigma^u * sigma^v is evaluated by induction on l(v): replay the
     degree-(l(v)) pivot products quantum-mechanically on top of sigma^u and
     subtract the recursively computed q-carrying corrections, which involve
-    strictly shorter Weyl elements by degree homogeneity.
+    strictly shorter Weyl elements by degree homogeneity.  The product is
+    commutative, so the factors are first ordered with l(u) >= l(v) (ties
+    by element index) and the recursion runs on the shorter factor; the
+    memo holds one entry per unordered pair.
 
-All coefficients are exact; the final structure constants are asserted to
-be nonnegative integers (they are genus-zero Gromov-Witten invariants).
+Each expression is also kept over a common denominator, as integers, so
+the recursion adds and scales integers only.  All coefficients are exact;
+the final structure constants are asserted to be nonnegative integers
+(they are genus-zero Gromov-Witten invariants) and degree-homogeneous.
 Product computation is pure; the memo caches make repeated all-pairs
 verification cheap.  Results are bit-identical regardless of call order.
 
@@ -35,6 +40,11 @@ from . import weyl
 from .weyl import WeylElt
 
 QDIGIT = 32  # per-coordinate cap on q exponents in the packed key
+
+
+def _term_order(kv) -> tuple:
+    (w, lam), _ = kv
+    return (w.length, sum(lam), lam, w.word())
 
 
 class QClass:
@@ -84,9 +94,8 @@ class QClass:
                                 if k[1] == zero})
 
     def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: (kv[0][0].length, sum(kv[0][1]),
-                                      kv[0][1], kv[0][0].word()))
+        """Terms ordered by (length, |lambda|, lambda, reduced word)."""
+        return sorted(self.terms.items(), key=_term_order)
 
     def __repr__(self):
         return f"QClass({format_qclass(self)})"
@@ -143,10 +152,14 @@ class QuantumFlagRing:
         self._chev_rows: Dict[Tuple[int, int], tuple] = {}
         self._expr: Dict[int, list] = {}      # v index -> [(i, x idx, Fraction)]
         self._corr: Dict[int, list] = {}      # v index -> [(x' idx, qshift, Fraction)]
+        # v index -> (den, [(pivot k, den*coeff)], [(x' idx, qshift, den*coeff)])
+        self._int_expr: Dict[int, tuple] = {}
         self._pivots: Dict[int, list] = {}    # degree -> [(i, x idx)]
         self._expr_built_upto = 1
         self._prod: Dict[Tuple[int, int], Dict[int, int]] = {}
         self._pivot_apps: Dict[Tuple[int, int], list] = {}
+        self._qbase = QDIGIT ** self.n
+        self._qkeys: Dict[int, Tuple[Tuple[int, ...], int]] = {}
 
     # -- packed term keys ----------------------------------------------------
 
@@ -159,25 +172,27 @@ class QuantumFlagRing:
             key = key * QDIGIT + e
         return key
 
-    def _unpack(self, key: int) -> Tuple[int, ...]:
-        out = []
-        for _ in range(self.n):
-            key, e = divmod(key, QDIGIT)
-            out.append(e)
-        return tuple(out)
-
-    @property
-    def _qbase(self) -> int:
-        return QDIGIT ** self.n
+    def _q_of(self, qkey: int) -> Tuple[Tuple[int, ...], int]:
+        """The exponents lambda of a packed q-key, and its degree 2|lambda|."""
+        hit = self._qkeys.get(qkey)
+        if hit is None:
+            lam, key = [], qkey
+            for _ in range(self.n):
+                key, e = divmod(key, QDIGIT)
+                lam.append(e)
+            hit = self._qkeys[qkey] = (tuple(lam), 2 * sum(lam))
+        return hit
 
     def _term_key(self, widx: int, qkey: int) -> int:
         return widx * self._qbase + qkey
 
     def _from_packed(self, d: Dict[int, int]) -> QClass:
-        qb = self._qbase
-        return QClass(self.rs, {
-            (self.elements[k // qb], self._unpack(k % qb)): v
-            for k, v in d.items()})
+        """The QClass of a packed class, which must hold no zero terms."""
+        qb, elements, q_of = self._qbase, self.elements, self._q_of
+        qc = QClass.__new__(QClass)
+        qc.rs = self.rs
+        qc.terms = {(elements[k // qb], q_of(k % qb)[0]): v for k, v in d.items()}
+        return qc
 
     # -- element helpers -----------------------------------------------------
 
@@ -288,17 +303,21 @@ class QuantumFlagRing:
                                       for r in range(m)])
         self._pivots[d] = pivot_ids
         for vpos, v in enumerate(basis):
-            expr = [(pivot_ids[k][0], pivot_ids[k][1], inv[k][vpos])
-                    for k in range(m) if inv[k][vpos]]
-            self._expr[v] = expr
+            expr = [(k, inv[k][vpos]) for k in range(m) if inv[k][vpos]]
+            self._expr[v] = [(*pivot_ids[k], t) for k, t in expr]
             corr: Dict[Tuple[int, int], Fraction] = {}
-            for i, x, t in expr:
-                for widx2, qshift, c in self._chev_row(i, x):
+            for k, t in expr:
+                for widx2, qshift, c in self._chev_row(*pivot_ids[k]):
                     if qshift:
                         key = (widx2, qshift)
                         corr[key] = corr.get(key, Fraction(0)) + t * c
             self._corr[v] = [(w2, qs, t) for (w2, qs), t in sorted(corr.items())
                              if t]
+            den = lcm(*[t.denominator for _, t in expr],
+                      *[t.denominator for _, _, t in self._corr[v]])
+            self._int_expr[v] = (den, [(k, int(t * den)) for k, t in expr],
+                                 [(w2, qs, int(t * den))
+                                  for w2, qs, t in self._corr[v]])
 
     def _pivot_applications(self, ui: int, d: int) -> list:
         key = (ui, d)
@@ -313,10 +332,10 @@ class QuantumFlagRing:
 
     def _product(self, ui: int, vi: int) -> Dict[int, int]:
         lu, lv = self.lengths[ui], self.lengths[vi]
+        if (lu, ui) < (lv, vi):  # commutative: recurse on the shorter factor
+            ui, vi, lu, lv = vi, ui, lv, lu
         if lv == 0:
             return {self._term_key(ui, 0): 1}
-        if lu == 0:
-            return {self._term_key(vi, 0): 1}
         key = (ui, vi)
         res = self._prod.get(key)
         if res is not None:
@@ -330,27 +349,17 @@ class QuantumFlagRing:
             res = out
         else:
             self._build_expressions_upto(lv)
-            expr = self._expr[vi]
-            corr = self._corr[vi]
-            den = lcm(*[t.denominator for _, _, t in expr],
-                      *[t.denominator for _, _, t in corr]) if expr else 1
+            den, expr, corr = self._int_expr[vi]
             acc: Dict[int, int] = {}
+            get = acc.get
             apps = self._pivot_applications(ui, lv)
-            pivots = self._pivots[lv]
-            coeff_of = {(i, x): t for i, x, t in expr}
-            for k, (i, x) in enumerate(pivots):
-                t = coeff_of.get((i, x))
-                if not t:
-                    continue
-                ct = int(t * den)
+            for k, ct in expr:
                 for kk, vv in apps[k].items():
-                    acc[kk] = acc.get(kk, 0) + ct * vv
-            for x2, qshift, t in corr:
-                ct = int(t * den)
-                sub = self._product(ui, x2)
-                for kk, vv in sub.items():
+                    acc[kk] = get(kk, 0) + ct * vv
+            for x2, qshift, ct in corr:
+                for kk, vv in self._product(ui, x2).items():
                     k2 = kk + qshift
-                    acc[k2] = acc.get(k2, 0) - ct * vv
+                    acc[k2] = get(k2, 0) - ct * vv
             res = {}
             for kk, vv in acc.items():
                 if vv == 0:
@@ -371,7 +380,7 @@ class QuantumFlagRing:
         qb = self._qbase
         for key in cls:
             widx, qkey = divmod(key, qb)
-            if self.lengths[widx] + 2 * sum(self._unpack(qkey)) != degree:
+            if self.lengths[widx] + self._q_of(qkey)[1] != degree:
                 raise InternalConsistencyError(
                     "quantum product term violates degree homogeneity")
 

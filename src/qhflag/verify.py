@@ -55,9 +55,11 @@ class VerificationSetup:
     psi_samples: int = 100
 
     def __post_init__(self):
-        if self.max_q < 0:
-            raise InvalidInputError(
-                f"max-q must be nonnegative, got {self.max_q}")
+        for name in ("max_q", "grading_box", "assoc_samples", "psi_samples"):
+            if getattr(self, name) < 0:
+                raise InvalidInputError(
+                    f"{name.replace('_', '-')} must be nonnegative, "
+                    f"got {getattr(self, name)}")
 
 
 @dataclass
@@ -506,7 +508,12 @@ def verify_basics(setup: VerificationSetup,
                   only_case: Optional[str] = None) -> Report:
     """Reflection-length bound, leading-term shape of parabolic Chevalley
     products, the classical filtration after q -> 0, and ring sanity
-    (commutativity, sampled associativity, homogeneity, positivity)."""
+    (commutativity, sampled associativity, homogeneity, positivity).
+
+    The ring stores one product per unordered pair, so the commutativity
+    cases are structural: both sides read the same memo entry.  The real
+    commutativity check is the ordered-pair recursion in
+    tests/test_qchev.py, which multiplies each pair in both orders."""
     t0 = time.monotonic()
     ctx = _Context(setup)
     rs, op, ring = ctx.rs, ctx.op, ctx.ring

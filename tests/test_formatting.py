@@ -1,6 +1,7 @@
 """Golden texts of every human-readable output that prints q^lambda sigma^w
 terms, and the shared term formatter behind them."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -58,6 +59,24 @@ GOLDEN = [
 def test_golden_output(capsys, argv, text):
     assert main(argv) == 0
     assert capsys.readouterr().out == text
+
+
+# Whole product tables, digested at the commit before products were stored
+# once per unordered pair.
+MULT_TABLE_SHA256 = [
+    (["mult-table", "A3", "--format", "json"],
+     "9e1289980adeadb8e15b8927ea684e84f2c3b9e69e36186f297e09c07a7b74aa"),
+    (["mult-table", "B3", "--format", "markdown"],
+     "dfb11577b878986b9826c7f17537475d769ff56be31ee60b570a392d60d5c579"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", MULT_TABLE_SHA256,
+                         ids=[" ".join(a) for a, _ in MULT_TABLE_SHA256])
+def test_mult_table_digest(capsys, argv, digest):
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_format_term():

@@ -229,3 +229,17 @@ def test_lambda_encoding_validation(a3):
         pw_lift(a3, (1, 2), {1: 1})
     with pytest.raises(InvalidInputError, match="length"):
         pw_lift(a3, (1, 2), (1, 0))
+
+
+@pytest.mark.parametrize("lam", [{2: -1}, (0, -1)], ids=["mapping", "sequence"])
+def test_negative_curve_class_exponent_rejected(a2, lam):
+    with pytest.raises(InvalidInputError, match="nonnegative"):
+        pw_lift(a2, (1,), lam)
+    with pytest.raises(InvalidInputError, match="nonnegative"):
+        pw_lift_bruteforce(a2, (1,), lam)
+
+
+def test_parabolic_coordinates_of_a_sequence_are_free(a2):
+    # Q^vee_P absorbs the parabolic coordinates, so their sign is free.
+    assert pw_lift(a2, (1,), (-3, 1)) == pw_lift(a2, (1,), {2: 1})
+    assert pw_lift_bruteforce(a2, (1,), (-3, 1)) == [(0, 1)]

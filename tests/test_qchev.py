@@ -1,10 +1,12 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from qhflag.errors import InvalidInputError
-from qhflag.qchev import QClass, QuantumFlagRing, format_qclass, qclass_to_json
+from qhflag.qchev import (QDIGIT, QClass, QuantumFlagRing, format_qclass,
+                          qclass_to_json)
 from qhflag.rootsys import build_root_system
 from qhflag import weyl
 
@@ -125,6 +127,123 @@ def test_commutativity_exhaustive(series, rank):
     for i, u in enumerate(ring.elements):
         for v in ring.elements[i + 1:]:
             assert ring.quantum_product(u, v) == ring.quantum_product(v, u)
+
+
+class OrderedPairOracle:
+    """sigma^u * sigma^v by the recursion on the second factor as given,
+    memoized per ordered pair.
+
+    It reads only the ring's divisor expressions (``_expr``, ``_corr``,
+    ``_pivots``) and ``chevalley_product``, and sums QClass terms with
+    Fraction coefficients, so it shares neither the canonical factor order
+    nor the packed integer arithmetic of ``QuantumFlagRing._product``.
+    Computing u*v and v*u here really multiplies in both orders.
+    """
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.zero = (0,) * ring.n
+        self.memo = {}
+
+    def _unpack(self, qkey):
+        lam = []
+        for _ in range(self.ring.n):
+            qkey, e = divmod(qkey, QDIGIT)
+            lam.append(e)
+        return lam
+
+    @staticmethod
+    def _add(acc, qc, scale, shift):
+        for (w, mu), c in qc.terms.items():
+            k = (w, tuple(a + b for a, b in zip(mu, shift)))
+            acc[k] = acc.get(k, 0) + scale * c
+
+    def __call__(self, u, v):
+        key = (u, v)
+        if key in self.memo:
+            return self.memo[key]
+        ring = self.ring
+        if v.length == 0 or u.length == 0:
+            res = QClass(ring.rs, {(u if v.length == 0 else v, self.zero): 1})
+        elif v.length == 1:
+            res = ring.chevalley_product(u, v.word()[0])
+        else:
+            ring._build_expressions_upto(v.length)
+            vi = ring.index[v]
+            coeff_of = {(i, x): t for i, x, t in ring._expr[vi]}
+            acc = {}
+            for i, x in ring._pivots[v.length]:
+                t = coeff_of.get((i, x))
+                if not t:
+                    continue
+                for (w, mu), c in self(u, ring.elements[x]).terms.items():
+                    self._add(acc, ring.chevalley_product(w, i), t * c, mu)
+            for x2, qshift, t in ring._corr[vi]:
+                self._add(acc, self(u, ring.elements[x2]), -t,
+                          self._unpack(qshift))
+            res = QClass(ring.rs, acc)
+        self.memo[key] = res
+        return res
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2),
+                                         ("A", 3), ("B", 3), ("C", 3)])
+def test_products_match_the_ordered_pair_oracle(series, rank):
+    ring = QuantumFlagRing(build_root_system(series, rank))
+    oracle = OrderedPairOracle(ring)
+    for u in ring.elements:
+        for v in ring.elements:
+            assert oracle(u, v) == oracle(v, u) == ring.quantum_product(u, v)
+
+
+def all_pairs(ring):
+    return [(u, v) for u in ring.elements for v in ring.elements]
+
+
+@pytest.mark.parametrize("series,rank,entries", [("A", 3, 276),
+                                                 ("B", 3, 1128)])
+def test_memo_holds_one_entry_per_unordered_pair(series, rank, entries):
+    ring = QuantumFlagRing(build_root_system(series, rank))
+    for u, v in all_pairs(ring):
+        ring.quantum_product(u, v)
+    size = len(ring.elements)
+    # Products with the identity are not stored; every other unordered
+    # pair, squares included, is stored once.
+    assert len(ring._prod) == (size - 1) * size // 2 == entries
+    assert all(ring.lengths[ui] >= ring.lengths[vi]
+               for ui, vi in ring._prod)
+    assert all(d <= ring.lengths[ui] for ui, d in ring._pivot_apps)
+
+
+def test_products_hold_no_zero_coefficients():
+    ring = QuantumFlagRing(build_root_system("B", 3))
+    rng = random.Random(7)
+    for u, v in all_pairs(ring):
+        for qc in (ring.quantum_product(u, v), ring.classical_product(u, v),
+                   ring.chevalley_product(u, rng.randint(1, 3))):
+            assert 0 not in qc.terms.values()
+    for u, v in rng.sample(all_pairs(ring), 100):
+        w = ring.elements[rng.randrange(len(ring.elements))]
+        qc = ring.product_with_class(ring.quantum_product(u, v), w)
+        assert 0 not in qc.terms.values()
+    assert all(0 not in res.values() for res in ring._prod.values())
+
+
+def test_products_do_not_depend_on_call_order():
+    rs = build_root_system("B", 3)
+    tables = []
+    for seed, reads in ((11, 0), (12, 25)):
+        ring = QuantumFlagRing(rs)
+        pairs = all_pairs(ring)
+        rng = random.Random(seed)
+        for _ in range(reads):  # sparse reads first fill part of the memo
+            u, v, w = (rng.choice(ring.elements) for _ in range(3))
+            ring.structure_constant(u, v, w, (rng.randint(0, 1), 0, 1))
+        rng.shuffle(pairs)
+        tables.append({(u.word(), v.word()): json.dumps(
+            qclass_to_json(ring.quantum_product(u, v))) for u, v in pairs})
+    assert tables[0] == tables[1]
+    assert len(tables[0]) == 48 * 48
 
 
 @pytest.mark.parametrize("series,rank,samples",

@@ -98,6 +98,16 @@ def test_negative_max_q_rejected():
     assert run_suite("psi-grading", setup_for("A2", (1,), max_q=0)).total == 1
 
 
+@pytest.mark.parametrize("field", ["grading_box", "assoc_samples",
+                                   "psi_samples"])
+def test_negative_sample_counts_rejected(field):
+    # A negative count used to skip its cases silently.
+    with pytest.raises(InvalidInputError,
+                       match=f"{field.replace('_', '-')} must be nonnegative"):
+        setup_for("A2", (1,), **{field: -1})
+    setup_for("A2", (1,), **{field: 0})
+
+
 def test_report_json_schema():
     rep = run_suite("key-lemma", setup_for("A2", (1,)))
     obj = rep.to_json_obj()
