@@ -407,8 +407,7 @@ def _apply_config(args) -> None:
     for key, val in cfg.values.items():
         attr = _CONFIG_TO_ARG.get(key, key)
         if hasattr(args, attr) and getattr(args, attr) in (None, ""):
-            if attr in ("max_q", "max_weyl", "seed", "imin", "imax",
-                        "jmin", "jmax", "max_len"):
+            if isinstance(_DEFAULTS.get(attr), int):
                 try:
                     setattr(args, attr, int(val))
                 except ValueError:

@@ -8,10 +8,12 @@ omega_P omega_{P'}; together these translate G/P structure constants into
 G/B structure constants and induce the injective map psi sending
 q^{lambda_P} sigma^v to q^{lambda_B} sigma^{v omega_P omega_{P'}}.
 
-The solver inverts the parabolic Cartan block once, applies the exact
-inverse to each of the 2^r sign patterns for the simple-root pairings,
-keeps integer solutions, and filters by the full positive-root condition;
-exactly one survivor is required.  All operations are pure.
+The solver inverts the parabolic Cartan block once, with the exact
+elimination that also writes Schubert classes over divisors
+(``qchev.independent_inverse``), applies the inverse to each of the 2^r
+sign patterns for the simple-root pairings, keeps integer solutions, and
+filters by the full positive-root condition; exactly one survivor is
+required.  All operations are pure.
 
 Curve classes serialize as a JSON map from non-parabolic simple index to a
 nonnegative integer exponent.
@@ -26,7 +28,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 from .errors import InternalConsistencyError, InvalidInputError
 from .rootsys import Coroot, RootSystem
 from . import weyl
-from .qchev import QuantumFlagRing, invert_fraction_matrix
+from .qchev import QuantumFlagRing, independent_inverse
 from .weyl import WeylElt
 
 
@@ -102,8 +104,8 @@ def pw_lift(rs: RootSystem, parabolic: Iterable[int],
     else:
         # a = M^{-1} (eps - base), M the parabolic block of the Cartan pairing.
         base = [rs.pairing(rs.simple_root(i), rep) for i in par]
-        inv = invert_fraction_matrix([[rs.cartan[j - 1][i - 1] for j in par]
-                                      for i in par])
+        _, inv = independent_inverse(
+            ([rs.cartan[j - 1][i - 1] for i in par] for j in par), len(par))
         for eps in iproduct((0, -1), repeat=len(par)):
             rhs = [e - b for e, b in zip(eps, base)]
             a = [sum(x * y for x, y in zip(row, rhs)) for row in inv]

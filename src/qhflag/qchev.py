@@ -7,8 +7,11 @@ lambda recorded over all simple-root positions.
 The full quantum product is computed in two stages:
 
 1.  The classical (q = 0) ring is divisor-generated, so each sigma^v is
-    expressed, degree by degree, as an exact-rational polynomial in the
-    degree-one classes via Gaussian elimination over classical products.
+    expressed, degree by degree, over the classical Chevalley products
+    sigma^x * sigma^{s_i} with l(x) = l(v) - 1: ``independent_inverse``
+    picks the first independent ones and inverts them in one exact
+    Gauss-Jordan pass.  Each expression, with its q-corrections, is
+    stored once, as integers over a common denominator.
 2.  sigma^u * sigma^v is evaluated by induction on l(v): replay the
     degree-(l(v)) pivot products quantum-mechanically on top of sigma^u and
     subtract the recursively computed q-carrying corrections, which involve
@@ -17,8 +20,7 @@ The full quantum product is computed in two stages:
     by element index) and the recursion runs on the shorter factor; the
     memo holds one entry per unordered pair.
 
-Each expression is also kept over a common denominator, as integers, so
-the recursion adds and scales integers only.  All coefficients are exact;
+The recursion adds and scales integers only.  All coefficients are exact;
 the final structure constants are asserted to be nonnegative integers
 (they are genus-zero Gromov-Witten invariants) and degree-homogeneous.
 Product computation is pure; the memo caches make repeated all-pairs
@@ -150,8 +152,6 @@ class QuantumFlagRing:
             self._chev_data.append((weyl.reflection(rs, g), gv,
                                     rs.two_rho_pairing(gv), self._pack(gv)))
         self._chev_rows: Dict[Tuple[int, int], tuple] = {}
-        self._expr: Dict[int, list] = {}      # v index -> [(i, x idx, Fraction)]
-        self._corr: Dict[int, list] = {}      # v index -> [(x' idx, qshift, Fraction)]
         # v index -> (den, [(pivot k, den*coeff)], [(x' idx, qshift, den*coeff)])
         self._int_expr: Dict[int, tuple] = {}
         self._pivots: Dict[int, list] = {}    # degree -> [(i, x idx)]
@@ -232,12 +232,8 @@ class QuantumFlagRing:
     def chevalley_product(self, u: WeylElt, i: int) -> QClass:
         """sigma^u * sigma^{s_i}: the two Chevalley sums, nothing else."""
         self.rs._check_index(i)
-        ui = self._idx(u)
-        out: Dict[int, int] = {}
-        for widx2, qkey, c in self._chev_row(i, ui):
-            k = self._term_key(widx2, qkey)
-            out[k] = out.get(k, 0) + c
-        return self._from_packed(out)
+        return self._from_packed(
+            self._chev_apply(i, {self._term_key(self._idx(u), 0): 1}))
 
     def _chev_apply(self, i: int, cls: Dict[int, int]) -> Dict[int, int]:
         """Right-multiply a packed class by sigma^{s_i} (quantum)."""
@@ -264,60 +260,35 @@ class QuantumFlagRing:
         basis = self.by_length[d]
         pos = {widx: row for row, widx in enumerate(basis)}
         m = len(basis)
-        qb = self._qbase
-        # Greedily collect m independent classical products sigma^{s_i} * sigma^x.
-        pivot_cols: List[List[Fraction]] = []
-        pivot_ids: List[Tuple[int, int]] = []
-        reduced: List[List[Fraction]] = []  # row-echelon copies of pivot cols
-        pivot_rows: List[int] = []
-        for x in self.by_length[d - 1]:
-            for i in range(1, self.n + 1):
-                col = [Fraction(0)] * m
+        candidates = [(i, x) for x in self.by_length[d - 1]
+                      for i in range(1, self.n + 1)]
+
+        def columns():  # classical sigma^x * sigma^{s_i} over the degree-d basis
+            for i, x in candidates:
+                col = [0] * m
                 for widx2, qshift, c in self._chev_row(i, x):
                     if qshift == 0:
                         col[pos[widx2]] += c
-                vec = list(col)
-                for prow, pvec in zip(pivot_rows, reduced):
-                    f = vec[prow]
-                    if f:
-                        vec = [a - f * b for a, b in zip(vec, pvec)]
-                lead = next((r for r in range(m) if vec[r]), None)
-                if lead is None:
-                    continue
-                inv = 1 / vec[lead]
-                vec = [a * inv for a in vec]
-                pivot_cols.append(col)
-                pivot_ids.append((i, x))
-                reduced.append(vec)
-                pivot_rows.append(lead)
-                if len(pivot_ids) == m:
-                    break
-            if len(pivot_ids) == m:
-                break
-        if len(pivot_ids) != m:
+                yield col
+
+        picked, inv = independent_inverse(columns(), m)
+        if inv is None:
             raise InternalConsistencyError(
                 f"degree {d}: divisor classes fail to span "
-                f"({len(pivot_ids)} of {m})")
-        # Invert P (columns = pivot products over the degree-d basis).
-        inv = invert_fraction_matrix([[pivot_cols[k][r] for k in range(m)]
-                                      for r in range(m)])
-        self._pivots[d] = pivot_ids
+                f"({len(picked)} of {m})")
+        pivots = self._pivots[d] = [candidates[k] for k in picked]
         for vpos, v in enumerate(basis):
             expr = [(k, inv[k][vpos]) for k in range(m) if inv[k][vpos]]
-            self._expr[v] = [(*pivot_ids[k], t) for k, t in expr]
-            corr: Dict[Tuple[int, int], Fraction] = {}
-            for k, t in expr:
-                for widx2, qshift, c in self._chev_row(*pivot_ids[k]):
+            den = lcm(*[t.denominator for _, t in expr])
+            expr = [(k, t.numerator * (den // t.denominator)) for k, t in expr]
+            corr: Dict[Tuple[int, int], int] = {}
+            for k, a in expr:
+                for widx2, qshift, c in self._chev_row(*pivots[k]):
                     if qshift:
                         key = (widx2, qshift)
-                        corr[key] = corr.get(key, Fraction(0)) + t * c
-            self._corr[v] = [(w2, qs, t) for (w2, qs), t in sorted(corr.items())
-                             if t]
-            den = lcm(*[t.denominator for _, t in expr],
-                      *[t.denominator for _, _, t in self._corr[v]])
-            self._int_expr[v] = (den, [(k, int(t * den)) for k, t in expr],
-                                 [(w2, qs, int(t * den))
-                                  for w2, qs, t in self._corr[v]])
+                        corr[key] = corr.get(key, 0) + a * c
+            self._int_expr[v] = (den, expr, [(w2, qs, a) for (w2, qs), a
+                                             in sorted(corr.items()) if a])
 
     def _pivot_applications(self, ui: int, d: int) -> list:
         key = (ui, d)
@@ -342,11 +313,7 @@ class QuantumFlagRing:
             return res
         if lv == 1:
             i = self.elements[vi].word()[0]
-            out: Dict[int, int] = {}
-            for widx2, qshift, c in self._chev_row(i, ui):
-                k = self._term_key(widx2, qshift)
-                out[k] = out.get(k, 0) + c
-            res = out
+            res = self._chev_apply(i, {self._term_key(ui, 0): 1})
         else:
             self._build_expressions_upto(lv)
             den, expr, corr = self._int_expr[vi]
@@ -425,21 +392,48 @@ class QuantumFlagRing:
                 yield u, v, self.quantum_product(u, v)
 
 
-def invert_fraction_matrix(m: Sequence[Sequence]) -> List[List[Fraction]]:
-    """Exact inverse of a square rational matrix by Gauss-Jordan elimination."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0)
-                                       for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise InternalConsistencyError("singular matrix in exact inversion")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+def independent_inverse(columns: Iterable[Sequence], m: int
+                        ) -> Tuple[List[int], Optional[List[List[Fraction]]]]:
+    """Keep the first m linearly independent vectors of ``columns`` (each
+    of length m, read in order and only as far as needed) and invert them.
+
+    Returns (picked positions, inv) with e_r = sum_k inv[k][r] * (k-th
+    picked column), or inv = None when fewer than m columns are
+    independent.  One exact Gauss-Jordan pass: each kept row is reduced to
+    a unit vector and carries the combination of picked columns it equals.
+    """
+    picked: List[int] = []
+    rows: List[list] = []  # [lead, reduced vector, combination]
+    for pos, col in enumerate(columns):
+        vec = list(col)
+        steps = []
+        for j, (lead, rvec, _) in enumerate(rows):
+            f = vec[lead]
+            if f:
+                vec = [a - f * b if b else a for a, b in zip(vec, rvec)]
+                steps.append((j, f))
+        lead = next((r for r, a in enumerate(vec) if a), None)
+        if lead is None:
+            continue
+        # Independent: vec = col - sum f_j row_j, so its combination is
+        # e_k - sum f_j comb_j, scaled to make the lead 1.
+        comb = [0] * m
+        comb[len(picked)] = 1
+        for j, f in steps:
+            comb = [a - f * b if b else a for a, b in zip(comb, rows[j][2])]
+        scale = 1 / Fraction(vec[lead])
+        vec = [a * scale for a in vec]
+        comb = [a * scale for a in comb]
+        for row in rows:
+            g = row[1][lead]
+            if g:
+                row[1] = [a - g * b if b else a for a, b in zip(row[1], vec)]
+                row[2] = [a - g * b if b else a for a, b in zip(row[2], comb)]
+        rows.append([lead, vec, comb])
+        picked.append(pos)
+        if len(picked) == m:
+            break
+    if len(picked) < m:
+        return picked, None
+    rows.sort(key=lambda row: row[0])  # the leads are now 0..m-1
+    return picked, [list(c) for c in zip(*(comb for _, _, comb in rows))]

@@ -132,11 +132,6 @@ class _Context:
         return format_term(1, enumerate(lam, start=1), w)
 
 
-def _finish(report: Report, t0: float) -> Report:
-    report.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return report
-
-
 def _want(only_case: Optional[str], case: str) -> bool:
     return only_case is None or only_case == case
 
@@ -145,14 +140,9 @@ def _want(only_case: Optional[str], case: str) -> bool:
 # individual suites
 # ---------------------------------------------------------------------------
 
-def verify_filtration(setup: VerificationSetup,
-                      only_case: Optional[str] = None) -> Report:
+def _filtration(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
     """Every term of every Schubert product respects the grading bound."""
-    t0 = time.monotonic()
-    ctx = _Context(setup)
     op, ring = ctx.op, ctx.ring
-    rep = Report("filtration", setup.system, list(ctx.parabolic),
-                 list(op.order))
     for u in ring.elements:
         gu = op.gr_weyl(u)
         for v in ring.elements:
@@ -169,20 +159,15 @@ def verify_filtration(setup: VerificationSetup,
                        lhs="; ".join(f"gr({t})={g}" for t, g in bad),
                        rhs=f"bound={bound}")
     rep.extra["pairs"] = rep.total
-    return _finish(rep, t0)
 
 
-def verify_key_lemma(setup: VerificationSetup,
-                     only_case: Optional[str] = None) -> Report:
+def _key_lemma(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
     """Dominance of Chevalley terms: for every u, positive root gamma and
     index i pairing nontrivially with gamma^vee, whichever length hypothesis
     applies forces gr(u s_gamma) (resp. gr(q^{gamma^vee} u s_gamma)) to stay
     <= gr(u) + gr(s_i)."""
-    t0 = time.monotonic()
-    ctx = _Context(setup)
     rs, op = ctx.rs, ctx.op
-    rep = Report("key-lemma", setup.system, list(ctx.parabolic), list(op.order))
-    elements = weyl.enumerate_group(rs, cap=setup.max_weyl)
+    elements = weyl.enumerate_group(rs, cap=ctx.setup.max_weyl)
     roots = []  # (gamma, s_gamma, gamma^vee, <2 rho, gamma^vee>)
     for gamma in rs.positive_roots:
         gv = rs.coroot_of(gamma)
@@ -218,21 +203,17 @@ def verify_key_lemma(setup: VerificationSetup,
                                    lhs=f"gr(q^gv*u*s_gamma)={g}",
                                    rhs=f"bound={bound}")
     rep.extra["vacuous"] = vacuous
-    return _finish(rep, t0)
 
 
-def verify_ideal_and_quotient(setup: VerificationSetup,
-                              only_case: Optional[str] = None) -> Report:
+def _ideal_and_quotient(ctx: _Context, rep: Report,
+                        only_case: Optional[str]) -> None:
     """(a) The span of positively-graded basis elements is an ideal.
     (b) Quotient structure constants equal those of the flag ring built
     directly on the parabolic subsystem."""
-    t0 = time.monotonic()
-    ctx = _Context(setup)
     rs, op, ring = ctx.rs, ctx.op, ctx.ring
     par = ctx.parabolic
-    rep = Report("ideal-quotient", setup.system, list(par), list(op.order))
     rtop = op.r  # index of the quotient coordinate in gr, 0-based
-    wp = set(weyl.enumerate_group(rs, indices=par, cap=setup.max_weyl))
+    wp = set(weyl.enumerate_group(rs, indices=par, cap=ctx.setup.max_weyl))
 
     for u in ring.elements:
         if u in wp:
@@ -272,23 +253,17 @@ def verify_ideal_and_quotient(setup: VerificationSetup,
             rep.record(case, retained == dict(direct),
                        lhs=format_qclass(QClass(sub, retained)),
                        rhs=format_qclass(QClass(sub, dict(direct))))
-    return _finish(rep, t0)
 
 
-def verify_psi_grading(setup: VerificationSetup,
-                       only_case: Optional[str] = None) -> Report:
+def _psi_grading(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
     """Lifts of pure quantum classes have zero grading below the top
     coordinate and nonnegative lifted exponents."""
-    t0 = time.monotonic()
-    ctx = _Context(setup)
     rs, op = ctx.rs, ctx.op
     if not op.is_a_type:
         raise InvalidInputError(
             "psi-grading requires the parabolic subset to be a chain")
-    rep = Report("psi-grading", setup.system, list(ctx.parabolic),
-                 list(op.order))
     comp = rs.complement(op.order)
-    for exps in product(range(setup.max_q + 1), repeat=len(comp)):
+    for exps in product(range(ctx.setup.max_q + 1), repeat=len(comp)):
         lam_p = {j: e for j, e in zip(comp, exps) if e}
         case = "lamP=" + ",".join(f"{j}:{e}" for j, e in sorted(lam_p.items()))
         if not _want(only_case, case):
@@ -299,18 +274,13 @@ def verify_psi_grading(setup: VerificationSetup,
         rep.record(case, ok,
                    lhs=f"gr_r={window}; lambda_B={lam_b}",
                    rhs="gr_r=0 and lambda_B >= 0")
-    return _finish(rep, t0)
 
 
-def verify_referee_conjecture(setup: VerificationSetup,
-                              only_case: Optional[str] = None) -> Report:
+def _referee_conjecture(ctx: _Context, rep: Report,
+                        only_case: Optional[str]) -> None:
     """Instance check of the conjectured inversion-layer formula for the
     grading of quantum variables.  Informational: never gates a build."""
-    t0 = time.monotonic()
-    ctx = _Context(setup)
     rs, op = ctx.rs, ctx.op
-    rep = Report("referee-conjecture", setup.system, list(ctx.parabolic),
-                 list(op.order), informational=True)
     verdicts = []
     layer_sums = []
     for layer in op.layers:
@@ -330,25 +300,19 @@ def verify_referee_conjecture(setup: VerificationSetup,
             rep.record(case, agree, lhs=f"gr(q^gv)={lhs}",
                        rhs=f"layer formula={rhs}")
     rep.extra["verdicts"] = verdicts
-    return _finish(rep, t0)
 
 
-def verify_graded_iso(setup: VerificationSetup,
-                      only_case: Optional[str] = None) -> Report:
+def _graded_iso(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
     """Graded-piece structure: unique graded representatives, their
     multiplicative normalization, lift multiplicativity into the top graded
     piece, and agreement of the subquotient with QH*(G/P)."""
-    t0 = time.monotonic()
-    ctx = _Context(setup)
     rs, op = ctx.rs, ctx.op
-    rep = Report("graded-iso", setup.system, list(ctx.parabolic),
-                 list(op.order))
     s = op.sigma
-    box = setup.grading_box
+    box = ctx.setup.grading_box
 
     # (a) uniqueness of graded representatives on the box, by brute search.
     reps_by_grading: Dict[tuple, list] = {}
-    all_w = weyl.enumerate_group(rs, cap=setup.max_weyl)
+    all_w = weyl.enumerate_group(rs, cap=ctx.setup.max_weyl)
     lam_box = list(product(range(-box, box + 4), repeat=rs.n))
     in_box = {}
     for w in all_w:
@@ -398,14 +362,14 @@ def verify_graded_iso(setup: VerificationSetup,
     # comparison is the conjectural subalgebra statement and is reported
     # in ``extra`` without gating.
     reps = pwlift.minimal_representatives(rs, ctx.parabolic,
-                                          cap=setup.max_weyl)
+                                          cap=ctx.setup.max_weyl)
     comp = rs.complement(op.order)
-    qbox = list(product(range(setup.max_q + 1), repeat=len(comp)))
+    qbox = list(product(range(ctx.setup.max_q + 1), repeat=len(comp)))
     pairs = [(u, lp, v, mp) for u in reps for lp in qbox
              for v in reps for mp in qbox]
-    if len(pairs) > max(setup.psi_samples, 1) * 4:
-        rng = random.Random(setup.seed)
-        pairs = rng.sample(pairs, max(setup.psi_samples, 1))
+    if len(pairs) > max(ctx.setup.psi_samples, 1) * 4:
+        rng = random.Random(ctx.setup.seed)
+        pairs = rng.sample(pairs, max(ctx.setup.psi_samples, 1))
         rep.extra["psi_regime"] = f"sampled:{len(pairs)}"
     else:
         rep.extra["psi_regime"] = f"exhaustive:{len(pairs)}"
@@ -488,7 +452,6 @@ def verify_graded_iso(setup: VerificationSetup,
         rep.extra["subalgebra_conjecture"] = {
             "agree": agree, "disagree": len(mismatches),
             "mismatches": mismatches[:20]}
-    return _finish(rep, t0)
 
 
 def _projective_space_model(rs: RootSystem, parabolic, reps):
@@ -504,8 +467,7 @@ def _projective_space_model(rs: RootSystem, parabolic, reps):
     return rs.n, comp[0]
 
 
-def verify_basics(setup: VerificationSetup,
-                  only_case: Optional[str] = None) -> Report:
+def _basics(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
     """Reflection-length bound, leading-term shape of parabolic Chevalley
     products, the classical filtration after q -> 0, and ring sanity
     (commutativity, sampled associativity, homogeneity, positivity).
@@ -514,10 +476,7 @@ def verify_basics(setup: VerificationSetup,
     cases are structural: both sides read the same memo entry.  The real
     commutativity check is the ordered-pair recursion in
     tests/test_qchev.py, which multiplies each pair in both orders."""
-    t0 = time.monotonic()
-    ctx = _Context(setup)
     rs, op, ring = ctx.rs, ctx.op, ctx.ring
-    rep = Report("basics", setup.system, list(ctx.parabolic), list(op.order))
 
     for gamma in rs.positive_roots:
         case = f"lengthbound:gamma={gamma}"
@@ -528,7 +487,7 @@ def verify_basics(setup: VerificationSetup,
         rep.record(case, l <= bound, lhs=f"l(s_gamma)={l}", rhs=f"<= {bound}")
 
     reps = pwlift.minimal_representatives(rs, ctx.parabolic,
-                                          cap=setup.max_weyl)
+                                          cap=ctx.setup.max_weyl)
     for u in reps:
         for j in range(1, op.r + 1):
             idx = op.order[j - 1]
@@ -578,8 +537,8 @@ def verify_basics(setup: VerificationSetup,
             rep.record(case, not bad, lhs="; ".join(bad),
                        rhs="integer, positive, homogeneous")
 
-    rng = random.Random(setup.seed)
-    for t in range(setup.assoc_samples):
+    rng = random.Random(ctx.setup.seed)
+    for t in range(ctx.setup.assoc_samples):
         u, v, w = (elements[rng.randrange(len(elements))] for _ in range(3))
         case = (f"associativity:{t}:u={ctx.word(u)};v={ctx.word(v)};"
                 f"w={ctx.word(w)}")
@@ -588,17 +547,17 @@ def verify_basics(setup: VerificationSetup,
         left = ring.product_with_class(ring.quantum_product(u, v), w)
         right = ring.product_with_class(ring.quantum_product(v, w), u)
         rep.record(case, left == right, lhs="(u*v)*w", rhs="u*(v*w)")
-    return _finish(rep, t0)
 
 
-SUITES: Dict[str, Callable[..., Report]] = {
-    "filtration": verify_filtration,
-    "key-lemma": verify_key_lemma,
-    "ideal-quotient": verify_ideal_and_quotient,
-    "graded-iso": verify_graded_iso,
-    "psi-grading": verify_psi_grading,
-    "referee-conjecture": verify_referee_conjecture,
-    "basics": verify_basics,
+# Suite bodies record their cases into a Report that run_suite prepares.
+SUITES: Dict[str, Callable[[_Context, Report, Optional[str]], None]] = {
+    "filtration": _filtration,
+    "key-lemma": _key_lemma,
+    "ideal-quotient": _ideal_and_quotient,
+    "graded-iso": _graded_iso,
+    "psi-grading": _psi_grading,
+    "referee-conjecture": _referee_conjecture,
+    "basics": _basics,
 }
 
 
@@ -607,7 +566,13 @@ def run_suite(name: str, setup: VerificationSetup,
     if name not in SUITES:
         raise InvalidInputError(
             f"unknown suite {name!r}; valid: {', '.join(ALL_SUITES)}")
-    return SUITES[name](setup, only_case=only_case)
+    t0 = time.monotonic()
+    ctx = _Context(setup)
+    rep = Report(name, setup.system, list(ctx.parabolic), list(ctx.op.order),
+                 informational=name in CONJECTURE_SUITES)
+    SUITES[name](ctx, rep, only_case)
+    rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
+    return rep
 
 
 def replay_case(name: str, setup: VerificationSetup, case: str) -> Report:

@@ -233,11 +233,8 @@ def test_usage_error_missing_subcommand(capsys):
 def test_verify_failure_exit_1(capsys, monkeypatch):
     from qhflag import verify as vmod
 
-    def failing_suite(setup, only_case=None):
-        rep = vmod.Report("filtration", setup.system, list(setup.parabolic),
-                          list(setup.parabolic))
+    def failing_suite(ctx, rep, only_case):
         rep.record("u=[1];v=[1]", False, lhs="gr=(9,9)", rhs="bound=(0,0)")
-        return rep
 
     monkeypatch.setitem(vmod.SUITES, "filtration", failing_suite)
     code, out, _ = run(capsys, "verify", "--system", "A2", "--parabolic", "1",
@@ -319,3 +316,13 @@ def test_config_non_integer_value_is_usage_error(tmp_path, capsys, line):
     assert code == 2
     assert out == ""
     assert err.startswith("error: config key") and err.count("\n") == 1
+
+
+def test_config_key_without_a_flag_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("system=A2\nparabolic=1\nimin=0\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfg),
+                         "--suites", "key-lemma")
+    assert code == 2
+    assert out == ""
+    assert err == "error: config line 3: unknown key 'imin'\n"

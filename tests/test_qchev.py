@@ -1,12 +1,14 @@
 import json
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from qhflag.errors import InvalidInputError
 from qhflag.qchev import (QDIGIT, QClass, QuantumFlagRing, format_qclass,
-                          qclass_to_json)
+                          independent_inverse, qclass_to_json)
 from qhflag.rootsys import build_root_system
 from qhflag import weyl
 
@@ -133,10 +135,11 @@ class OrderedPairOracle:
     """sigma^u * sigma^v by the recursion on the second factor as given,
     memoized per ordered pair.
 
-    It reads only the ring's divisor expressions (``_expr``, ``_corr``,
-    ``_pivots``) and ``chevalley_product``, and sums QClass terms with
-    Fraction coefficients, so it shares neither the canonical factor order
-    nor the packed integer arithmetic of ``QuantumFlagRing._product``.
+    It reads only the ring's divisor expressions (``_int_expr``, turned
+    back into Fractions a/den, and ``_pivots``) and ``chevalley_product``,
+    and sums QClass terms with Fraction coefficients, so it shares neither
+    the canonical factor order nor the packed integer arithmetic of
+    ``QuantumFlagRing._product``.
     Computing u*v and v*u here really multiplies in both orders.
     """
 
@@ -169,17 +172,16 @@ class OrderedPairOracle:
             res = ring.chevalley_product(u, v.word()[0])
         else:
             ring._build_expressions_upto(v.length)
-            vi = ring.index[v]
-            coeff_of = {(i, x): t for i, x, t in ring._expr[vi]}
+            den, expr, corr = ring._int_expr[ring.index[v]]
+            pivots = ring._pivots[v.length]
             acc = {}
-            for i, x in ring._pivots[v.length]:
-                t = coeff_of.get((i, x))
-                if not t:
-                    continue
+            for k, a in expr:
+                i, x = pivots[k]
                 for (w, mu), c in self(u, ring.elements[x]).terms.items():
-                    self._add(acc, ring.chevalley_product(w, i), t * c, mu)
-            for x2, qshift, t in ring._corr[vi]:
-                self._add(acc, self(u, ring.elements[x2]), -t,
+                    self._add(acc, ring.chevalley_product(w, i),
+                              Fraction(a, den) * c, mu)
+            for x2, qshift, a in corr:
+                self._add(acc, self(u, ring.elements[x2]), -Fraction(a, den),
                           self._unpack(qshift))
             res = QClass(ring.rs, acc)
         self.memo[key] = res
@@ -198,6 +200,12 @@ def test_products_match_the_ordered_pair_oracle(series, rank):
 
 def all_pairs(ring):
     return [(u, v) for u in ring.elements for v in ring.elements]
+
+
+def json_table(ring, pairs):
+    """The JSON text of each product, keyed by the reduced words."""
+    return {(u.word(), v.word()): json.dumps(
+        qclass_to_json(ring.quantum_product(u, v))) for u, v in pairs}
 
 
 @pytest.mark.parametrize("series,rank,entries", [("A", 3, 276),
@@ -240,8 +248,7 @@ def test_products_do_not_depend_on_call_order():
             u, v, w = (rng.choice(ring.elements) for _ in range(3))
             ring.structure_constant(u, v, w, (rng.randint(0, 1), 0, 1))
         rng.shuffle(pairs)
-        tables.append({(u.word(), v.word()): json.dumps(
-            qclass_to_json(ring.quantum_product(u, v))) for u, v in pairs})
+        tables.append(json_table(ring, pairs))
     assert tables[0] == tables[1]
     assert len(tables[0]) == 48 * 48
 
@@ -258,6 +265,133 @@ def test_associativity_sampled(series, rank, samples):
         left = ring.product_with_class(ring.quantum_product(u, v), w)
         right = ring.product_with_class(ring.quantum_product(v, w), u)
         assert left == right
+
+
+def rank(vectors):
+    """Rank by plain Fraction row reduction (test-only reference)."""
+    rows = [[Fraction(a) for a in v] for v in vectors]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] / rows[r][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def random_columns(rng, m, count, spanning):
+    """Integer columns with zero, repeated and dependent ones mixed in; a
+    non-spanning set keeps the last coordinate zero."""
+    cols = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.15:
+            col = [0] * m
+        elif kind < 0.3 and cols:
+            col = list(rng.choice(cols))
+        elif kind < 0.45 and len(cols) >= 2:
+            a, b = rng.sample(cols, 2)
+            x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+            col = [x * p + y * q for p, q in zip(a, b)]
+        else:
+            col = [rng.choice((0, 0, 1, -1, 2, -3, 5)) for _ in range(m)]
+        if not spanning:
+            col[-1] = 0
+        cols.append(col)
+    return cols
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_independent_inverse_matches_a_rank_scan(seed):
+    rng = random.Random(seed)
+    m = rng.randint(1, 6)
+    spanning = seed % 4 != 0
+    cols = random_columns(rng, m, rng.randint(m, 4 * m + 4), spanning)
+    expected = []
+    for pos, col in enumerate(cols):
+        chosen = [cols[p] for p in expected]
+        if len(expected) < m and rank(chosen + [col]) > len(expected):
+            expected.append(pos)
+    stream = iter(cols)
+    picked, inv = independent_inverse(stream, m)
+    assert picked == expected
+    if not spanning:
+        assert len(picked) < m
+    if len(picked) < m:
+        assert inv is None
+        return
+    # Columns after the m-th pick are never read.
+    assert len(list(stream)) == len(cols) - 1 - picked[-1]
+    for r in range(m):
+        for r2 in range(m):
+            got = sum(inv[k][r] * cols[p][r2] for k, p in enumerate(picked))
+            assert got == (r == r2)
+    assert all(isinstance(x, Fraction) for row in inv for x in row)
+
+
+@pytest.mark.parametrize("series,rank_", [("A", 3), ("B", 3), ("C", 3),
+                                          ("G", 2)])
+def test_divisor_expressions_reproduce_each_class(series, rank_):
+    # sum_k (a_k/den) sigma^{x_k} * sigma^{s_i_k} is sigma^v plus the stored
+    # q-corrections.
+    ring = QuantumFlagRing(build_root_system(series, rank_))
+    ring._build_expressions_upto(ring.max_length)
+    zero = (0,) * ring.n
+    checked = 0
+    for vi, v in enumerate(ring.elements):
+        if v.length < 2:
+            continue
+        den, expr, corr = ring._int_expr[vi]
+        pivots = ring._pivots[v.length]
+        total = QClass(ring.rs, {})
+        for k, a in expr:
+            i, x = pivots[k]
+            total = total + ring.chevalley_product(ring.elements[x], i).scale(
+                Fraction(a, den))
+        assert total.classical_part().terms == {(v, zero): 1}
+        assert (total - total.classical_part()).terms == {
+            (ring.elements[x2], ring._q_of(qs)[0]): Fraction(a, den)
+            for x2, qs, a in corr}
+        checked += 1
+    assert checked == sum(len(ring.by_length[d])
+                          for d in range(2, ring.max_length + 1))
+
+
+def test_threads_sharing_a_fresh_ring_agree_with_one_thread():
+    rs = build_root_system("B", 3)
+    single = QuantumFlagRing(rs)
+    expected = json_table(single, all_pairs(single))
+    shared = QuantumFlagRing(rs)
+    results, errors = {}, []
+
+    def work(seed):
+        try:
+            pairs = all_pairs(shared)
+            random.Random(seed).shuffle(pairs)
+            results[seed] = json_table(shared, pairs)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sorted(results) == [0, 1, 2, 3]
+    assert all(res == expected for res in results.values())
+    assert len(expected) == 48 * 48
 
 
 def test_classical_ring_matches_borel_dimensions():
