@@ -12,8 +12,8 @@ from .errors import (CapExceededError, InternalConsistencyError,
 from .rootsys import RootSystem, build_root_system, parabolic_subsystem, parse_system_id
 from .weyl import (WeylElt, enumerate_group, full_decomposition, identity,
                    inversion_set, longest_element, multiply,
-                   parabolic_decompose, reduced_word, reflection,
-                   simple_reflection, word_to_element)
+                   parabolic_decompose, reflection, simple_reflection,
+                   word_to_element)
 from .qchev import (QClass, QuantumFlagRing, format_qclass, format_term,
                     qclass_to_json)
 from .pwlift import (PWLift, minimal_representatives, psi_map, pw_lift,

@@ -413,6 +413,10 @@ def _apply_config(args) -> None:
                 except ValueError:
                     raise InvalidInputError(
                         f"config key {key!r} needs an integer, got {val!r}")
+            elif key == "format" and val not in FORMATS:
+                raise InvalidInputError(
+                    f"config key 'format' must be one of "
+                    f"{', '.join(FORMATS)}, got {val!r}")
             else:
                 setattr(args, attr, val)
     for attr, val in _DEFAULTS.items():

@@ -280,7 +280,6 @@ class OrderedParabolic:
         self.layers.append(frozenset(rs.positive_roots) - prev)
         self._grw: Dict[WeylElt, Grading] = {}
         self._grq: Dict[int, Grading] = {}
-        self._lift: Dict[int, pwlift.PWLift] = {}
         self._build_q_table()
 
     # -- construction of the q-grading table --------------------------------
@@ -300,7 +299,6 @@ class OrderedParabolic:
         rs = self.rs
         lift = pwlift.pw_lift(rs, parabolic, rs.simple_coroot(idx),
                               ambient=ambient)
-        self._lift[idx] = lift
         if lift.lambda_B[idx - 1] != 1 or any(
                 lift.lambda_B[k - 1] for k in rs.complement(parabolic)
                 if k != idx):
@@ -313,14 +311,6 @@ class OrderedParabolic:
         """Grading of the quantum variable q_idx (1-based simple index)."""
         self.rs._check_index(idx)
         return self._grq[idx]
-
-    def lift_of_simple(self, idx: int) -> "pwlift.PWLift":
-        """The comparison lift used to grade q_idx (identity level for the
-        first ordered root)."""
-        if idx == self.order[0]:
-            return pwlift.pw_lift(self.rs, (), self.rs.simple_coroot(idx),
-                                  ambient=(idx,))
-        return self._lift[idx]
 
     def gr_weyl(self, w: WeylElt) -> Grading:
         """Grading of a Weyl element, computed two independent ways."""
@@ -349,13 +339,6 @@ class OrderedParabolic:
     def gr_q_lambda(self, lam: Sequence[int]) -> Grading:
         """Grading of the monomial q^lam."""
         return _add_q((0,) * (self.r + 1), enumerate(lam, start=1), self._grq)
-
-    def gr_window(self, k: int, m: int, w: WeylElt,
-                  lam: Optional[Sequence[int]] = None) -> Grading:
-        """Coordinates k..m (1-based, inclusive) of gr."""
-        if not 1 <= k <= m <= self.r + 1:
-            raise InvalidInputError(f"bad grading window [{k}, {m}]")
-        return self.gr(w, lam)[k - 1:m]
 
     # -- chain elements and graded representatives ---------------------------
 

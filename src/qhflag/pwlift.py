@@ -13,7 +13,15 @@ elimination that also writes Schubert classes over divisors
 (``qchev.independent_inverse``), applies the inverse to each of the 2^r
 sign patterns for the simple-root pairings, keeps integer solutions, and
 filters by the full positive-root condition; exactly one survivor is
-required.  All operations are pure.
+required.
+
+A lift depends only on the system, the parabolic, the coset of the curve
+class and the ambient level, and W^P only on the system and the
+parabolic, so each is solved once and kept in the root system's lazy
+table (``rs._cache``, beside the Weyl table).  Input is validated on
+every call.  The entries are immutable (frozen ``PWLift``s and tuples)
+and written only through ``dict.setdefault``, so threads sharing a
+system share them too.
 
 Curve classes serialize as a JSON map from non-parabolic simple index to a
 nonnegative integer exponent.
@@ -80,6 +88,10 @@ def _pairing_condition(rs: RootSystem, roots, lam: Coroot) -> bool:
     return all(rs.pairing(beta, lam) in (0, -1) for beta in roots)
 
 
+def _system_table(rs: RootSystem, name: str) -> dict:
+    return rs._cache.get(name) or rs._cache.setdefault(name, {})
+
+
 def pw_lift(rs: RootSystem, parabolic: Iterable[int],
             lam_P: Union[Mapping[int, int], Sequence[int]],
             ambient: Optional[Iterable[int]] = None) -> PWLift:
@@ -92,11 +104,20 @@ def pw_lift(rs: RootSystem, parabolic: Iterable[int],
     par = rs.check_parabolic(parabolic)
     rep = lambda_rep(rs, par, lam_P)
     if ambient is not None:
-        amb = set(rs.check_parabolic(ambient))
-        if not set(par) <= amb:
+        ambient = rs.check_parabolic(ambient)
+        if not set(par) <= set(ambient):
             raise InvalidInputError("parabolic must lie inside the ambient set")
-        if any(rep[k] and (k + 1) not in amb for k in range(rs.n)):
+        if any(rep[k] and (k + 1) not in ambient for k in range(rs.n)):
             raise InvalidInputError("representative leaves the ambient set")
+    # One entry per coset: its representative with the parabolic part zeroed.
+    rep = tuple(0 if i in par else e for i, e in enumerate(rep, 1))
+    lifts = _system_table(rs, "pw_lift")
+    key = (par, rep, ambient)
+    return lifts.get(key) or lifts.setdefault(key, _solve_lift(rs, par, rep))
+
+
+def _solve_lift(rs: RootSystem, par: Tuple[int, ...],
+                rep: Tuple[int, ...]) -> PWLift:
     roots_p = rs.positive_roots_within(par)
     solutions: List[Tuple[int, ...]] = []
     if not par:
@@ -156,8 +177,10 @@ def minimal_representatives(rs: RootSystem, parabolic: Sequence[int],
                             cap: int = weyl.WEYL_CAP) -> Tuple[WeylElt, ...]:
     """The minimal coset representatives W^P, sorted by (length, word)."""
     par = rs.check_parabolic(parabolic)
-    return tuple(w for w in weyl.enumerate_group(rs, cap=cap)
-                 if weyl.is_minimal_representative(w, par))
+    group = weyl.enumerate_group(rs, cap=cap)  # raises on the cap every call
+    reps = _system_table(rs, "minimal_representatives")
+    return reps.get(par) or reps.setdefault(par, tuple(
+        w for w in group if weyl.is_minimal_representative(w, par)))
 
 
 def psi_map(rs: RootSystem, parabolic: Sequence[int], v: WeylElt,
@@ -204,9 +227,7 @@ def qhp_structure_constant(ring: QuantumFlagRing, parabolic: Sequence[int],
     rs = ring.rs
     par = rs.check_parabolic(parabolic)
     _check_representatives(par, u, v, w)
-    lift = pw_lift(rs, par, lam_P)
-    return ring.structure_constant(u, v, weyl.multiply(w, lift.omega_factor),
-                                   lift.lambda_B)
+    return ring.structure_constant(u, v, *psi_map(rs, par, w, lam_P))
 
 
 def qhp_product(ring: QuantumFlagRing, parabolic: Sequence[int],

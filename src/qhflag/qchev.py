@@ -360,16 +360,16 @@ class QuantumFlagRing:
         return self.quantum_product(u, v).classical_part()
 
     def product_with_class(self, qc: QClass, v: WeylElt) -> QClass:
-        """Linear extension (sum c q^mu sigma^x) * sigma^v."""
+        """Linear extension (sum c q^mu sigma^x) * sigma^v; mu may be any
+        integer vector, since it shifts exponents, not packed keys."""
         vi = self._idx(v)
-        qb = self._qbase
-        acc: Dict[int, object] = {}
+        acc: Dict[Tuple[WeylElt, Tuple[int, ...]], object] = {}
         for (x, mu), c in qc.terms.items():
-            shift = self._pack(mu)
-            for kk, vv in self._product(self._idx(x), vi).items():
-                k2 = kk + shift
-                acc[k2] = acc.get(k2, 0) + c * vv
-        return self._from_packed({k: v2 for k, v2 in acc.items() if v2})
+            for (w, lam), vv in self._from_packed(
+                    self._product(self._idx(x), vi)).terms.items():
+                key = (w, tuple(a + b for a, b in zip(lam, mu)))
+                acc[key] = acc.get(key, 0) + c * vv
+        return QClass(self.rs, acc)
 
     def structure_constant(self, u: WeylElt, v: WeylElt, w: WeylElt,
                            lam: Sequence[int]) -> int:
@@ -377,8 +377,10 @@ class QuantumFlagRing:
         lam = tuple(lam)
         if len(lam) != self.n or any(e < 0 for e in lam):
             raise InvalidInputError("q-multidegree must be nonnegative, length n")
-        key = self._term_key(self._idx(w), self._pack(lam))
-        return self._product(self._idx(u), self._idx(v)).get(key, 0)
+        ui, vi, wi = self._idx(u), self._idx(v), self._idx(w)
+        if max(lam) >= QDIGIT:  # homogeneity: no exponent exceeds l(w0) < QDIGIT
+            return 0
+        return self._product(ui, vi).get(self._term_key(wi, self._pack(lam)), 0)
 
     def multiplication_table(self, max_length: Optional[int] = None):
         """All pairwise products, deterministically ordered."""

@@ -10,7 +10,8 @@ storage).  The symmetrizer ``d`` satisfies ``d[i] * cartan[i][j] ==
 d[j] * cartan[j][i]`` and is normalized so short roots get 1.
 
 Instances are immutable after construction apart from the lazily filled
-Weyl table in ``_cache``, and safe for unrestricted concurrent reads.
+tables in ``_cache`` (the Weyl table, and the comparison lifts and W^P of
+``pwlift``), and safe for unrestricted concurrent reads.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class RootSystem:
                     f"{series}{rank}: generated {len(self.positive_roots)} "
                     f"positive roots, tables say {expected}")
         self._key = (self.series, self.rank, self.cartan)
-        self._cache: Dict = {}  # lazy per-system caches (the Weyl table)
+        self._cache: Dict = {}  # lazy per-system tables (Weyl, lifts, W^P)
 
     # -- construction ------------------------------------------------------
 
@@ -199,10 +200,6 @@ class RootSystem:
         v = tuple(v)
         return v in self._posset or tuple(-c for c in v) in self._posset
 
-    @property
-    def highest_root(self) -> Root:
-        return self.positive_roots[-1]
-
     # -- reflections and pairings ------------------------------------------
 
     def root_coroot_pairing_simple(self, beta: Root, i: int) -> int:
@@ -261,13 +258,6 @@ class RootSystem:
     def two_rho_pairing(self, lam: Coroot) -> int:
         """<2 rho, lam>; equals 2 * sum of coroot coordinates."""
         return 2 * sum(lam)
-
-    def fundamental_weight_pairing(self, i: int, lam: Coroot) -> int:
-        """<chi_i, lam>: the i-th simple-coroot coordinate of lam."""
-        self._check_index(i)
-        if len(lam) != self.n:
-            raise InvalidInputError("coroot vector has wrong length")
-        return lam[i - 1]
 
     # -- subsets -----------------------------------------------------------
 

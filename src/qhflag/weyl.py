@@ -103,10 +103,6 @@ class WeylElt:
         return "W[%s]" % ",".join(map(str, self.word()))
 
     @property
-    def is_identity(self) -> bool:
-        return self.length == 0
-
-    @property
     def rmat(self) -> Matrix:
         """Action on the root lattice; column j is w(alpha_j)."""
         return tuple(zip(*map(self._table.roots.__getitem__, self.key)))
@@ -173,10 +169,6 @@ def word_to_element(rs: RootSystem, word: Iterable[int]) -> WeylElt:
     for i in word:
         w = multiply(w, simple_reflection(rs, i))
     return w
-
-
-def reduced_word(w: WeylElt) -> Tuple[int, ...]:
-    return w.word()
 
 
 def reflection(rs: RootSystem, gamma: Root) -> WeylElt:

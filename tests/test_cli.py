@@ -307,8 +307,8 @@ def test_out_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["max-q=abc", "max-weyl=1.5", "seed=",
-                                  "seed=x"])
-def test_config_non_integer_value_is_usage_error(tmp_path, capsys, line):
+                                  "seed=x", "format=xml"])
+def test_config_bad_value_is_usage_error(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"system=A2\nparabolic=1\n{line}\n")
     code, out, err = run(capsys, "verify", "--config", str(cfg),

@@ -6,7 +6,7 @@ from qhflag.errors import InvalidInputError
 from qhflag.grading import (OrderedParabolic, canonical_order,
                             connected_components, is_a_chain,
                             reducible_grading)
-from qhflag.pwlift import minimal_representatives
+from qhflag.pwlift import minimal_representatives, pw_lift
 from qhflag.rootsys import build_root_system
 from qhflag import weyl
 from qhflag.weyl import identity, word_to_element
@@ -143,13 +143,14 @@ def test_chain_interior_closed_form():
     assert op.gr_q(2) == (-1, 3, 0, 0)
     assert op.gr_q(3) == (0, -2, 4, 0)
     # the lift behind gr(q_j) inside the chain: (u_{j-1}^{(j-1)}, alpha_j)
-    lift = op.lift_of_simple(2)
+    lift = pw_lift(a4, (1,), a4.simple_coroot(2), ambient=(1, 2))
     assert lift.lambda_B == (0, 1, 0, 0)
     assert lift.omega_factor == word_to_element(a4, (1,))
-    lift = op.lift_of_simple(3)
+    lift = pw_lift(a4, (1, 2), a4.simple_coroot(3), ambient=(1, 2, 3))
     assert lift.lambda_B == (0, 0, 1, 0)
     assert lift.omega_factor == word_to_element(a4, (1, 2))
-    assert op.lift_of_simple(1).omega_factor == identity(a4)
+    lift = pw_lift(a4, (), a4.simple_coroot(1), ambient=(1,))
+    assert lift.omega_factor == identity(a4)
 
 
 def test_attached_node_closed_forms():
@@ -216,22 +217,6 @@ def test_total_degree_identity():
             assert sum(op.gr(w, lam)) == w.length + b3.two_rho_pairing(lam)
 
 
-def test_gr_window(a2_op):
-    rs = a2_op.rs
-    s1 = word_to_element(rs, (1,))
-    assert a2_op.gr_window(2, 2, s1, (0, 1)) == (3,)
-    assert a2_op.gr_window(1, 1, identity(rs), (1, 0)) == (2,)
-    assert a2_op.gr_window(1, 2, s1) == (1, 0)
-    with pytest.raises(InvalidInputError):
-        a2_op.gr_window(2, 1, s1)
-    # the window [r+1, r+1] vanishes on the parabolic block
-    b3 = build_root_system("B", 3)
-    op = canonical_order(b3, (1, 2))
-    for w in weyl.enumerate_group(b3, indices=(1, 2)):
-        for lam in iproduct(range(3), range(3), (0,)):
-            assert op.gr_window(3, 3, w, lam) == (0,)
-
-
 def test_top_window_nonnegative():
     # gr_{[r+1, r+1]}(q^lam w) >= 0 for every polynomial basis element.
     a3 = build_root_system("A", 3)
@@ -239,6 +224,12 @@ def test_top_window_nonnegative():
     for w in weyl.enumerate_group(a3):
         for lam in iproduct(range(3), repeat=3):
             assert op.gr(w, lam)[op.r] >= 0
+    # ... and it vanishes on the parabolic block W_P x Z^P
+    b3 = build_root_system("B", 3)
+    op = canonical_order(b3, (1, 2))
+    for w in weyl.enumerate_group(b3, indices=(1, 2)):
+        for lam in iproduct(range(3), range(3), (0,)):
+            assert op.gr(w, lam)[op.r] == 0
 
 
 # --- unique graded representatives ------------------------------------------

@@ -2,12 +2,13 @@ from itertools import combinations, product as iproduct
 
 import pytest
 
-from qhflag.errors import InvalidInputError
+from qhflag.errors import CapExceededError, InvalidInputError
 from qhflag.pwlift import (bounded_compositions, minimal_representatives,
                            psi_map, pw_lift, pw_lift_bruteforce, qhp_product,
                            qhp_structure_constant, quantum_degree)
 from qhflag.qchev import QuantumFlagRing
 from qhflag.rootsys import build_root_system
+from qhflag.verify import VerificationSetup, run_suite
 from qhflag import pwlift, weyl
 
 
@@ -243,3 +244,68 @@ def test_parabolic_coordinates_of_a_sequence_are_free(a2):
     # Q^vee_P absorbs the parabolic coordinates, so their sign is free.
     assert pw_lift(a2, (1,), (-3, 1)) == pw_lift(a2, (1,), {2: 1})
     assert pw_lift_bruteforce(a2, (1,), (-3, 1)) == [(0, 1)]
+
+
+def count_solves(monkeypatch):
+    """Record the (parabolic, coset) of every lift actually solved."""
+    solves = []
+    real = pwlift._solve_lift
+
+    def counting(rs, par, rep):
+        solves.append((par, rep))
+        return real(rs, par, rep)
+
+    monkeypatch.setattr(pwlift, "_solve_lift", counting)
+    return solves
+
+
+def test_all_qhp_pairs_solve_each_lift_and_w_p_once(monkeypatch):
+    b4 = build_root_system("B", 4)  # fresh, so its tables start empty
+    ring = QuantumFlagRing(b4)
+    par = (1, 2, 3)
+    solves = count_solves(monkeypatch)
+    served = []
+    real_reps = pwlift.minimal_representatives
+
+    def recording(rs, parabolic, cap=weyl.WEYL_CAP):
+        served.append(real_reps(rs, parabolic, cap))
+        return served[-1]
+
+    monkeypatch.setattr(pwlift, "minimal_representatives", recording)
+    reps = pwlift.minimal_representatives(b4, par)
+    assert len(reps) == 16
+    for u in reps:
+        for v in reps:
+            qhp_product(ring, par, u, v)
+    assert len(served) == 1 + 256
+    assert all(r is served[0] for r in served)  # filtered once, then shared
+    assert list(b4._cache["minimal_representatives"]) == [par]
+    assert len(solves) == len(set(solves)) == len(b4._cache["pw_lift"]) == 3
+
+
+def test_lift_cache_keys_the_coset_not_its_representative(monkeypatch):
+    a2 = build_root_system("A", 2)
+    solves = count_solves(monkeypatch)
+    first = pw_lift(a2, (1,), (-3, 1))
+    assert pw_lift(a2, (1,), {2: 1}) is first
+    assert solves == [((1,), (0, 1))]
+    assert len(a2._cache["pw_lift"]) == 1
+    # validation still runs on a cached coset
+    with pytest.raises(InvalidInputError, match="nonnegative"):
+        pw_lift(a2, (1,), (-3, -1))
+
+
+def test_cached_w_p_keeps_the_cap_check():
+    a3 = build_root_system("A", 3)
+    reps = minimal_representatives(a3, (1, 2))
+    assert minimal_representatives(a3, (1, 2)) is reps
+    with pytest.raises(CapExceededError):
+        minimal_representatives(a3, (1, 2), cap=10)
+
+
+def test_graded_iso_solves_each_distinct_lift_once(monkeypatch):
+    # The suite asks for over a thousand lifts on A3/(1,2), 9 of them distinct.
+    solves = count_solves(monkeypatch)
+    rep = run_suite("graded-iso", VerificationSetup("A3", (1, 2)))
+    assert rep.passes == rep.total
+    assert len(solves) == len(set(solves)) == 9

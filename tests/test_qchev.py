@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qhflag.errors import InvalidInputError
+from qhflag.pwlift import minimal_representatives, qhp_product
 from qhflag.qchev import (QDIGIT, QClass, QuantumFlagRing, format_qclass,
                           independent_inverse, qclass_to_json)
 from qhflag.rootsys import build_root_system
@@ -361,18 +362,34 @@ def test_divisor_expressions_reproduce_each_class(series, rank_):
                           for d in range(2, ring.max_length + 1))
 
 
+def qhp_table(ring, par, pairs):
+    return {(u.word(), v.word()): sorted(
+        (w.word(), exps, c)
+        for (w, exps), c in qhp_product(ring, par, u, v).items())
+        for u, v in pairs}
+
+
 def test_threads_sharing_a_fresh_ring_agree_with_one_thread():
-    rs = build_root_system("B", 3)
-    single = QuantumFlagRing(rs)
+    # The shared ring sits on its own fresh system, so the threads also race
+    # on its lift and W^P tables.
+    par = (1, 2)
+    single = QuantumFlagRing(build_root_system("B", 3))
     expected = json_table(single, all_pairs(single))
-    shared = QuantumFlagRing(rs)
-    results, errors = {}, []
+    reps = minimal_representatives(single.rs, par)
+    expected_qhp = qhp_table(single, par, [(u, v) for u in reps for v in reps])
+    shared = QuantumFlagRing(build_root_system("B", 3))
+    results, qhp_results, errors = {}, {}, []
 
     def work(seed):
         try:
+            rng = random.Random(seed)
             pairs = all_pairs(shared)
-            random.Random(seed).shuffle(pairs)
+            rng.shuffle(pairs)
             results[seed] = json_table(shared, pairs)
+            own = minimal_representatives(shared.rs, par)
+            qpairs = [(u, v) for u in own for v in own]
+            rng.shuffle(qpairs)
+            qhp_results[seed] = qhp_table(shared, par, qpairs)
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -389,9 +406,33 @@ def test_threads_sharing_a_fresh_ring_agree_with_one_thread():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert sorted(results) == [0, 1, 2, 3]
+    assert sorted(results) == sorted(qhp_results) == [0, 1, 2, 3]
     assert all(res == expected for res in results.values())
     assert len(expected) == 48 * 48
+    assert all(res == expected_qhp for res in qhp_results.values())
+    assert len(expected_qhp) == 8 * 8
+    assert (shared.rs._cache["pw_lift"].keys()
+            == single.rs._cache["pw_lift"].keys())
+
+
+def test_product_with_class_shifts_exponents_not_packed_keys(a2_ring):
+    s1 = a2_ring.element_from_word([1])
+    square = a2_ring.quantum_product(s1, s1)
+    # an exponent sum of QDIGIT must not carry into q2
+    high = cls(a2_ring, ((1,), (QDIGIT - 1, 0), 1))
+    got = a2_ring.product_with_class(high, s1)
+    assert format_qclass(got) == "q1^32 + q1^31*s[2,1]"
+    assert got == square.q_shift((QDIGIT - 1, 0))
+    # a negative exponent is a plain shift, not a packing error
+    low = cls(a2_ring, ((1,), (-1, 0), 1))
+    assert a2_ring.product_with_class(low, s1) == square.q_shift((-1, 0))
+
+
+def test_structure_constant_beyond_the_packing_range_is_zero(a2_ring):
+    s1 = a2_ring.element_from_word([1])
+    one = weyl.identity(a2_ring.rs)
+    assert a2_ring.structure_constant(s1, s1, one, (40, 0)) == 0
+    assert a2_ring.structure_constant(s1, s1, one, (1, 0)) == 1
 
 
 def test_classical_ring_matches_borel_dimensions():
