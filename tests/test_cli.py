@@ -307,8 +307,8 @@ def test_out_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["max-q=abc", "max-weyl=1.5", "seed=",
-                                  "seed=x", "format=xml"])
-def test_config_bad_value_is_usage_error(tmp_path, capsys, line):
+                                  "seed=x"])
+def test_config_non_integer_value_is_usage_error(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"system=A2\nparabolic=1\n{line}\n")
     code, out, err = run(capsys, "verify", "--config", str(cfg),
@@ -316,6 +316,17 @@ def test_config_bad_value_is_usage_error(tmp_path, capsys, line):
     assert code == 2
     assert out == ""
     assert err.startswith("error: config key") and err.count("\n") == 1
+
+
+def test_config_unknown_format_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("system=A2\nparabolic=1\nformat=xml\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfg),
+                         "--suites", "key-lemma")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: config key 'format' must be one of markdown, "
+                   "json, csv, got 'xml'\n")
 
 
 def test_config_key_without_a_flag_is_usage_error(tmp_path, capsys):
