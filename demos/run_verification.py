@@ -7,7 +7,8 @@ Defaults to B3 with parabolic 1,2.
 import json
 import sys
 
-from qhflag.verify import ALL_SUITES, VerificationSetup, run_suite
+from qhflag.rootsys import parse_system_id
+from qhflag.verify import VerificationSetup, run_suite, select_suites
 
 system = sys.argv[1] if len(sys.argv) > 1 else "B3"
 parabolic = tuple(int(x) for x in (sys.argv[2] if len(sys.argv) > 2
@@ -15,12 +16,8 @@ parabolic = tuple(int(x) for x in (sys.argv[2] if len(sys.argv) > 2
 
 setup = VerificationSetup(system=system, parabolic=parabolic)
 reports = []
-for name in ALL_SUITES:
-    try:
-        rep = run_suite(name, setup)
-    except Exception as exc:  # e.g. psi-grading on a non-chain subset
-        print(f"skip {name}: {exc}")
-        continue
+for name in select_suites("all", parse_system_id(system), parabolic):
+    rep = run_suite(name, setup)
     tag = "INFO" if rep.informational else ("PASS" if rep.ok else "FAIL")
     print(f"{tag} {rep.suite}: {rep.passes}/{rep.total} ({rep.elapsed_ms} ms)")
     reports.append(rep.to_json_obj())

@@ -288,17 +288,14 @@ class OrderedParabolic:
         self._grq[self.order[0]] = (2,) + (0,) * self.r
         for j in range(2, self.r + 1):
             idx = self.order[j - 1]
-            self._grq[idx] = self._gr_q_recursive(idx, self.order[:j],
-                                                  self.order[:j - 1], j)
+            self._grq[idx] = self._gr_q_recursive(idx, self.order[:j - 1], j)
         for idx in self.rs.complement(self.order):
-            self._grq[idx] = self._gr_q_recursive(idx, None, self.order,
-                                                  self.r + 1)
+            self._grq[idx] = self._gr_q_recursive(idx, self.order, self.r + 1)
 
-    def _gr_q_recursive(self, idx: int, ambient: Optional[Tuple[int, ...]],
-                        parabolic: Tuple[int, ...], level: int) -> Grading:
+    def _gr_q_recursive(self, idx: int, parabolic: Tuple[int, ...],
+                        level: int) -> Grading:
         rs = self.rs
-        lift = pwlift.pw_lift(rs, parabolic, rs.simple_coroot(idx),
-                              ambient=ambient)
+        lift = pwlift.pw_lift(rs, parabolic, rs.simple_coroot(idx))
         if lift.lambda_B[idx - 1] != 1 or any(
                 lift.lambda_B[k - 1] for k in rs.complement(parabolic)
                 if k != idx):

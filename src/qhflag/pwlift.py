@@ -6,7 +6,9 @@ the parabolic subsystem lies in {0, -1}.  The lift also produces the
 parabolic subset Delta_P' of roots pairing to zero and the Weyl factor
 omega_P omega_{P'}; together these translate G/P structure constants into
 G/B structure constants and induce the injective map psi sending
-q^{lambda_P} sigma^v to q^{lambda_B} sigma^{v omega_P omega_{P'}}.
+q^{lambda_P} sigma^v to q^{lambda_B} sigma^{v omega_P omega_{P'}}.  By
+Peterson's comparison formula, a G/P product is the part of the G/B
+product that lies in the image of psi, read back through psi^{-1}.
 
 The solver inverts the parabolic Cartan block once, with the exact
 elimination that also writes Schubert classes over divisors
@@ -15,13 +17,12 @@ sign patterns for the simple-root pairings, keeps integer solutions, and
 filters by the full positive-root condition; exactly one survivor is
 required.
 
-A lift depends only on the system, the parabolic, the coset of the curve
-class and the ambient level, and W^P only on the system and the
-parabolic, so each is solved once and kept in the root system's lazy
-table (``rs._cache``, beside the Weyl table).  Input is validated on
-every call.  The entries are immutable (frozen ``PWLift``s and tuples)
-and written only through ``dict.setdefault``, so threads sharing a
-system share them too.
+A lift depends only on the system, the parabolic and the coset of the
+curve class, and W^P only on the system and the parabolic, so each is
+solved once and kept in the root system's lazy table (``rs._cache``,
+beside the Weyl table).  Input is validated on every call.  The entries
+are immutable (frozen ``PWLift``s and tuples) and written only through
+``dict.setdefault``, so threads sharing a system share them too.
 
 Curve classes serialize as a JSON map from non-parabolic simple index to a
 nonnegative integer exponent.
@@ -36,7 +37,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 from .errors import InternalConsistencyError, InvalidInputError
 from .rootsys import Coroot, RootSystem
 from . import weyl
-from .qchev import QuantumFlagRing, independent_inverse
+from .qchev import QuantumFlagRing, independent_inverse, int_exponents
 from .weyl import WeylElt
 
 
@@ -63,6 +64,7 @@ def lambda_rep(rs: RootSystem, parabolic: Sequence[int],
     since Q^vee_P absorbs them.
     """
     par = set(rs.check_parabolic(parabolic))
+    rep = lam_P
     if isinstance(lam_P, Mapping):
         rep = [0] * rs.n
         for key, val in lam_P.items():
@@ -72,12 +74,10 @@ def lambda_rep(rs: RootSystem, parabolic: Sequence[int],
                 raise InvalidInputError(
                     f"index {i} lies in the parabolic subset; curve classes "
                     "are indexed by the complement")
-            rep[i - 1] = int(val)
-        rep = tuple(rep)
-    else:
-        rep = tuple(int(x) for x in lam_P)
-        if len(rep) != rs.n:
-            raise InvalidInputError("curve-class vector must have length n")
+            rep[i - 1] = val
+    rep = int_exponents(rep)
+    if len(rep) != rs.n:
+        raise InvalidInputError("curve-class vector must have length n")
     for i, e in enumerate(rep, 1):
         if e < 0 and i not in par:
             raise InvalidInputError("curve class exponents must be nonnegative")
@@ -93,26 +93,18 @@ def _system_table(rs: RootSystem, name: str) -> dict:
 
 
 def pw_lift(rs: RootSystem, parabolic: Iterable[int],
-            lam_P: Union[Mapping[int, int], Sequence[int]],
-            ambient: Optional[Iterable[int]] = None) -> PWLift:
+            lam_P: Union[Mapping[int, int], Sequence[int]]) -> PWLift:
     """The unique lift of lam_P + Q^vee_P with pairings in {0, -1}.
 
-    ``ambient`` restricts the construction to a chain level: the lift is
-    computed inside the sub-root-system on those indices (defaults to the
-    whole system).  The representative may be any member of the coset.
+    The representative may be any member of the coset; the lift is solved
+    once per (parabolic, coset) and kept in the system's lift table.
     """
     par = rs.check_parabolic(parabolic)
     rep = lambda_rep(rs, par, lam_P)
-    if ambient is not None:
-        ambient = rs.check_parabolic(ambient)
-        if not set(par) <= set(ambient):
-            raise InvalidInputError("parabolic must lie inside the ambient set")
-        if any(rep[k] and (k + 1) not in ambient for k in range(rs.n)):
-            raise InvalidInputError("representative leaves the ambient set")
     # One entry per coset: its representative with the parabolic part zeroed.
     rep = tuple(0 if i in par else e for i, e in enumerate(rep, 1))
     lifts = _system_table(rs, "pw_lift")
-    key = (par, rep, ambient)
+    key = (par, rep)
     return lifts.get(key) or lifts.setdefault(key, _solve_lift(rs, par, rep))
 
 
@@ -187,9 +179,7 @@ def psi_map(rs: RootSystem, parabolic: Sequence[int], v: WeylElt,
             lam_P: Union[Mapping[int, int], Sequence[int]]) -> Tuple[WeylElt, Tuple[int, ...]]:
     """The injective lift of q^{lam_P} sigma^v into the G/B basis."""
     par = rs.check_parabolic(parabolic)
-    if not weyl.is_minimal_representative(v, par):
-        raise InvalidInputError(
-            "psi is defined on minimal coset representatives only")
+    _check_representatives(par, v)
     lift = pw_lift(rs, par, lam_P)
     return weyl.multiply(v, lift.omega_factor), lift.lambda_B
 
@@ -226,7 +216,7 @@ def qhp_structure_constant(ring: QuantumFlagRing, parabolic: Sequence[int],
     """A G/P structure constant, evaluated through the comparison lift."""
     rs = ring.rs
     par = rs.check_parabolic(parabolic)
-    _check_representatives(par, u, v, w)
+    _check_representatives(par, u, v)  # psi_map checks w
     return ring.structure_constant(u, v, *psi_map(rs, par, w, lam_P))
 
 
@@ -234,26 +224,24 @@ def qhp_product(ring: QuantumFlagRing, parabolic: Sequence[int],
                 u: WeylElt, v: WeylElt) -> Dict[Tuple[WeylElt, Tuple[int, ...]], int]:
     """sigma^u * sigma^v in the Schubert basis of QH*(G/P).
 
-    Keys are (w, exponent tuple over the sorted complement indices).  Each
-    curve-class box is lifted once, for all w of the matching length.
+    Keys are (w, exponent tuple over the sorted complement indices).  The
+    G/B product is walked once: a term q^lam sigma^x is psi(w, lam_P)
+    exactly when lam is the lift of its own coset and x = w omega with w
+    minimal in x W_P, omega the lift's Weyl factor.
     """
     rs = ring.rs
     par = rs.check_parabolic(parabolic)
     _check_representatives(par, u, v)
     comp = rs.complement(par)
-    degs = [quantum_degree(rs, par, j) for j in comp]
-    reps = minimal_representatives(rs, par)
-    total = u.length + v.length
+    undo: Dict[Tuple[int, ...], Optional[WeylElt]] = {}  # lam -> omega^{-1}
     out: Dict[Tuple[WeylElt, Tuple[int, ...]], int] = {}
-    for exps in bounded_compositions(degs, total):
-        wlen = total - sum(e * d for e, d in zip(exps, degs))
-        ws = [w for w in reps if w.length == wlen]
-        if not ws:
-            continue
-        lift = pw_lift(rs, par, {j: e for j, e in zip(comp, exps) if e})
-        for w in ws:
-            c = ring.structure_constant(
-                u, v, weyl.multiply(w, lift.omega_factor), lift.lambda_B)
-            if c:
-                out[(w, exps)] = c
+    for (x, lam), c in ring.quantum_product(u, v).terms.items():
+        if lam not in undo:
+            lift = pw_lift(rs, par, lam)
+            undo[lam] = (lift.omega_factor.inverse()
+                         if lift.lambda_B == lam else None)
+        if undo[lam] is not None:
+            w = weyl.multiply(x, undo[lam])
+            if weyl.is_minimal_representative(w, par):
+                out[(w, tuple(lam[j - 1] for j in comp))] = c
     return out

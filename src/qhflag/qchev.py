@@ -44,6 +44,14 @@ from .weyl import WeylElt
 QDIGIT = 32  # per-coordinate cap on q exponents in the packed key
 
 
+def int_exponents(lam: Iterable) -> Tuple[int, ...]:
+    """Curve-class or q-multidegree exponents as a tuple of ints (no bools)."""
+    lam = tuple(lam)
+    if any(type(e) is not int for e in lam):
+        raise InvalidInputError(f"exponents must be integers, got {lam}")
+    return lam
+
+
 def _term_order(kv) -> tuple:
     (w, lam), _ = kv
     return (w.length, sum(lam), lam, w.word())
@@ -374,7 +382,7 @@ class QuantumFlagRing:
     def structure_constant(self, u: WeylElt, v: WeylElt, w: WeylElt,
                            lam: Sequence[int]) -> int:
         """The coefficient of q^lam sigma^w in sigma^u * sigma^v."""
-        lam = tuple(lam)
+        lam = int_exponents(lam)
         if len(lam) != self.n or any(e < 0 for e in lam):
             raise InvalidInputError("q-multidegree must be nonnegative, length n")
         ui, vi, wi = self._idx(u), self._idx(v), self._idx(w)

@@ -226,8 +226,52 @@ def test_verify_all_small(capsys):
     assert len(data["reports"]) == 7
 
 
+def test_verify_all_omits_psi_grading_off_a_chain(capsys):
+    code, out, err = run(capsys, "verify", "B3", "--parabolic", "2,3",
+                         "--format", "json")
+    assert code == 1  # the known lemma41 failures of graded-iso
+    suites = [r["suite"] for r in json.loads(out)["reports"]]
+    assert len(suites) == 6 and "psi-grading" not in suites
+    assert [s for s in suites if s != "graded-iso"] == [
+        "filtration", "key-lemma", "ideal-quotient", "basics",
+        "referee-conjecture"]
+
+
+def test_verify_checks_every_suite_before_running_any(capsys):
+    code, out, err = run(capsys, "verify", "B3", "--parabolic", "2,3",
+                         "--suites", "filtration,psi-grading")
+    assert (code, out) == (2, "")
+    assert err == "error: psi-grading requires the parabolic subset to be a chain\n"
+
+
 def test_usage_error_missing_subcommand(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["verify", "A2", "--parabolic", "1", "--max-q", "x"],
+     "error: argument --max-q: invalid int value: 'x'\n"),
+    (["qprod", "A2", "--format", "xml"],
+     "error: argument --format: invalid choice: 'xml' "
+     "(choose from 'markdown', 'json', 'csv')\n"),
+    (["qprod", "A2", "--no-such-flag"],
+     "error: unrecognized arguments: --no-such-flag\n"),
+    ([], "error: the following arguments are required: command\n"),
+], ids=["bad-int", "bad-choice", "unknown-flag", "no-subcommand"])
+def test_bad_command_line_is_one_usage_line(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(capsys, "qhp", "--help")
+    assert code == 0
+    assert out.startswith("usage: qhflag qhp")
+
+
+def test_qhp_respects_the_raised_weyl_cap(capsys):
+    code, out, err = run(capsys, "qhp", "B5", "--parabolic", "1,2,3,4",
+                         "--u", "5", "--v", "5", "--max-weyl", "4000")
+    assert (code, out, err) == (0, "s[4,5]\n", "")
 
 
 def test_verify_failure_exit_1(capsys, monkeypatch):

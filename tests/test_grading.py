@@ -143,13 +143,13 @@ def test_chain_interior_closed_form():
     assert op.gr_q(2) == (-1, 3, 0, 0)
     assert op.gr_q(3) == (0, -2, 4, 0)
     # the lift behind gr(q_j) inside the chain: (u_{j-1}^{(j-1)}, alpha_j)
-    lift = pw_lift(a4, (1,), a4.simple_coroot(2), ambient=(1, 2))
+    lift = pw_lift(a4, (1,), a4.simple_coroot(2))
     assert lift.lambda_B == (0, 1, 0, 0)
     assert lift.omega_factor == word_to_element(a4, (1,))
-    lift = pw_lift(a4, (1, 2), a4.simple_coroot(3), ambient=(1, 2, 3))
+    lift = pw_lift(a4, (1, 2), a4.simple_coroot(3))
     assert lift.lambda_B == (0, 0, 1, 0)
     assert lift.omega_factor == word_to_element(a4, (1, 2))
-    lift = pw_lift(a4, (), a4.simple_coroot(1), ambient=(1,))
+    lift = pw_lift(a4, (), a4.simple_coroot(1))
     assert lift.omega_factor == identity(a4)
 
 

@@ -44,7 +44,7 @@ def test_a2_end_node_lift(a2):
 def test_chain_interior_lift_matches_closed_form(a3):
     # Inside the chain: psi_{Delta_j, Delta_{j-1}}(1, alpha_j) is
     # (u_{j-1}^{(j-1)}, alpha_j^vee).
-    lift = pw_lift(a3, (1,), {2: 1}, ambient=(1, 2))
+    lift = pw_lift(a3, (1,), {2: 1})
     assert lift.lambda_B == (0, 1, 0)
     assert lift.omega_factor == weyl.simple_reflection(a3, 1)
     lift = pw_lift(a3, (1, 2), {3: 1})
@@ -98,25 +98,62 @@ def test_bounded_compositions_match_filtered_product(weights, total):
     assert bounded_compositions(weights, total) == expect
 
 
-def test_qhp_product_lifts_each_box_once(b3, monkeypatch):
-    ring = QuantumFlagRing(b3)
-    par = (1,)
-    calls = []
-    real = pwlift.pw_lift
+def _box_candidates(rs, par, reps):
+    """Per total degree, every (w, box, lam_P) of that degree: boxes from
+    the quantum degrees, w of the matching length."""
+    comp = rs.complement(par)
+    degs = [quantum_degree(rs, par, j) for j in comp]
+    by_len = {}
+    for w in reps:
+        by_len.setdefault(w.length, []).append(w)
+    return {total: [(w, exps, dict(zip(comp, exps)))
+                    for exps in bounded_compositions(degs, total)
+                    for w in by_len.get(
+                        total - sum(e * d for e, d in zip(exps, degs)), ())]
+            for total in range(2 * reps[-1].length + 1)}
 
-    def counting(rs, parabolic, lam_P, ambient=None):
-        calls.append(tuple(sorted(lam_P.items())))
-        return real(rs, parabolic, lam_P, ambient)
 
-    monkeypatch.setattr(pwlift, "pw_lift", counting)
-    u = weyl.word_to_element(b3, [2, 3, 1, 2])
-    prod = qhp_product(ring, par, u, u)
-    # The first lifts give the quantum degrees of q2 and q3.
-    assert calls[:2] == [((2, 1),), ((3, 1),)]
-    boxes = calls[2:]
-    assert len(boxes) == len(set(boxes)) > 1
-    assert {exps for _, exps in prod} <= {
-        tuple(dict(box).get(j, 0) for j in (2, 3)) for box in boxes}
+# (ordered pairs u, v over every proper parabolic, terms in all products)
+BOX_ORACLE = {"A2": (54, 63), "A3": (1076, 1848), "B3": (4276, 13282),
+              "C3": (4276, 13275), "G2": (216, 401)}
+
+
+@pytest.mark.parametrize("name", sorted(BOX_ORACLE))
+def test_qhp_product_matches_box_enumeration(name):
+    # Oracle: one qhp_structure_constant per (box, w) of the right degree.
+    # The G/B product memo keeps one entry per unordered pair, so the oracle
+    # of (v, u) would reread the numbers of (u, v); it runs once per pair.
+    rs = build_root_system(name[0], int(name[1:]))
+    ring = QuantumFlagRing(rs)
+    pairs = terms = 0
+    for r in range(rs.n):  # the empty parabolic too
+        for par in combinations(range(1, rs.n + 1), r):
+            reps = minimal_representatives(rs, par)
+            candidates = _box_candidates(rs, par, reps)
+            for k, u in enumerate(reps):
+                for v in reps[k:]:
+                    expect = {}
+                    for w, exps, lam_p in candidates[u.length + v.length]:
+                        c = qhp_structure_constant(ring, par, u, v, w, lam_p)
+                        if c:
+                            expect[(w, exps)] = c
+                    assert qhp_product(ring, par, u, v) == expect
+                    assert qhp_product(ring, par, v, u) == expect
+                    copies = 1 if u == v else 2
+                    pairs += copies
+                    terms += copies * len(expect)
+    assert (pairs, terms) == BOX_ORACLE[name]
+
+
+def test_qhp_product_uses_the_rings_weyl_cap():
+    # |W(B5)| = 3840 exceeds the default cap; the ring's raised cap is enough.
+    b5 = build_root_system("B", 5)
+    ring = QuantumFlagRing(b5, weyl_cap=4000)
+    par = (1, 2, 3, 4)
+    s5 = weyl.simple_reflection(b5, 5)
+    s45 = weyl.word_to_element(b5, [4, 5])
+    assert qhp_product(ring, par, s5, s5) == {(s45, (0,)): 1}
+    assert qhp_structure_constant(ring, par, s5, s5, s45, {}) == 1
 
 
 def test_psi_injective_on_box(a3):
@@ -232,6 +269,15 @@ def test_lambda_encoding_validation(a3):
         pw_lift(a3, (1, 2), (1, 0))
 
 
+@pytest.mark.parametrize("lam", [{2: 1.5}, {2: True}, {2: "1"}, {2: None},
+                                 (0, 1.0), (0, True), (1.5, 1)])
+def test_non_integer_curve_class_exponent_rejected(a2, lam):
+    # One message for every non-int exponent, parabolic coordinates included.
+    for lift in (pw_lift, pw_lift_bruteforce):
+        with pytest.raises(InvalidInputError, match="must be integers"):
+            lift(a2, (1,), lam)
+
+
 @pytest.mark.parametrize("lam", [{2: -1}, (0, -1)], ids=["mapping", "sequence"])
 def test_negative_curve_class_exponent_rejected(a2, lam):
     with pytest.raises(InvalidInputError, match="nonnegative"):
@@ -259,27 +305,24 @@ def count_solves(monkeypatch):
     return solves
 
 
-def test_all_qhp_pairs_solve_each_lift_and_w_p_once(monkeypatch):
+def test_all_qhp_pairs_read_off_the_g_b_product(monkeypatch):
     b4 = build_root_system("B", 4)  # fresh, so its tables start empty
     ring = QuantumFlagRing(b4)
     par = (1, 2, 3)
-    solves = count_solves(monkeypatch)
-    served = []
-    real_reps = pwlift.minimal_representatives
-
-    def recording(rs, parabolic, cap=weyl.WEYL_CAP):
-        served.append(real_reps(rs, parabolic, cap))
-        return served[-1]
-
-    monkeypatch.setattr(pwlift, "minimal_representatives", recording)
-    reps = pwlift.minimal_representatives(b4, par)
+    reps = minimal_representatives(b4, par)
     assert len(reps) == 16
+    solves = count_solves(monkeypatch)
+
+    def rederived(*args, **kwargs):
+        raise AssertionError("qhp_product re-derived what the G/B product holds")
+
+    for name in ("quantum_degree", "minimal_representatives",
+                 "bounded_compositions"):
+        monkeypatch.setattr(pwlift, name, rederived)
+    monkeypatch.setattr(QuantumFlagRing, "structure_constant", rederived)
     for u in reps:
         for v in reps:
             qhp_product(ring, par, u, v)
-    assert len(served) == 1 + 256
-    assert all(r is served[0] for r in served)  # filtered once, then shared
-    assert list(b4._cache["minimal_representatives"]) == [par]
     assert len(solves) == len(set(solves)) == len(b4._cache["pw_lift"]) == 3
 
 

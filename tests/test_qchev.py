@@ -435,6 +435,15 @@ def test_structure_constant_beyond_the_packing_range_is_zero(a2_ring):
     assert a2_ring.structure_constant(s1, s1, one, (1, 0)) == 1
 
 
+@pytest.mark.parametrize("lam", [(1.5, 0), (True, 0), (1.0, 0), (0, None)])
+def test_structure_constant_rejects_non_integer_multidegree(a2_ring, lam):
+    # (1.5, 0) used to read as a zero constant instead of an error.
+    s1 = a2_ring.element_from_word([1])
+    one = weyl.identity(a2_ring.rs)
+    with pytest.raises(InvalidInputError, match="must be integers"):
+        a2_ring.structure_constant(s1, s1, one, lam)
+
+
 def test_classical_ring_matches_borel_dimensions():
     # q -> 0: the degree-d graded piece has one divisor-monomial expression
     # per length-d Weyl element (the elimination must reach full rank).

@@ -4,8 +4,10 @@ import json
 import pytest
 
 from qhflag.errors import InvalidInputError
+from qhflag.rootsys import parse_system_id
 from qhflag.verify import (ALL_SUITES, Report, THEOREM_SUITES,
-                           VerificationSetup, replay_case, run_suite)
+                           VerificationSetup, replay_case, run_suite,
+                           select_suites)
 
 
 def setup_for(system, parabolic, **kw):
@@ -85,6 +87,19 @@ def test_unknown_suite_rejected():
 def test_psi_grading_requires_chain():
     with pytest.raises(InvalidInputError, match="chain"):
         run_suite("psi-grading", setup_for("B3", (2, 3)))
+
+
+def test_select_suites_expands_all_to_the_applicable_suites():
+    a2, b3 = parse_system_id("A2"), parse_system_id("B3")
+    assert select_suites("all", a2, (1,)) == list(ALL_SUITES)
+    assert select_suites("all", b3, (2, 3)) == [
+        s for s in ALL_SUITES if s != "psi-grading"]
+    assert select_suites(" basics,filtration", b3, (2, 3)) == [
+        "basics", "filtration"]
+    with pytest.raises(InvalidInputError, match="chain"):
+        select_suites("basics,psi-grading", b3, (2, 3))
+    with pytest.raises(InvalidInputError, match="unknown suite"):
+        select_suites("basics,nope", a2, (1,))
 
 
 def test_explicit_order_must_permute():
