@@ -187,7 +187,6 @@ def _cmd_grading_table(args) -> int:
         _emit(json.dumps({"system": rs.name, "order": list(op.order),
                           "cells": rows}, indent=2), args.out)
         return EXIT_OK
-    lines = []
     header = ["i\\j"] + [str(j) for j in range(args.jmin, args.jmax + 1)]
     sep = ["---"] * len(header)
     body = []

@@ -26,6 +26,7 @@ here is pure and safe for concurrent reads.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalConsistencyError, InvalidInputError
@@ -70,9 +71,8 @@ def connected_components(rs: RootSystem, indices: Iterable[int]) -> List[Tuple[i
     todo = set(rs.check_parabolic(indices))
     comps = []
     while todo:
-        seed = min(todo)
-        comp = {seed}
-        frontier = [seed]
+        frontier = [min(todo)]
+        comp = set(frontier)
         while frontier:
             i = frontier.pop()
             for j in list(todo - comp):
@@ -91,9 +91,7 @@ def is_connected(rs: RootSystem, indices: Iterable[int]) -> bool:
 def is_a_chain(rs: RootSystem, indices: Iterable[int]) -> bool:
     """True iff the sub-diagram is a connected single-bond path."""
     ind = rs.check_parabolic(indices)
-    if not ind:
-        return False
-    if not is_connected(rs, ind):
+    if not ind or not is_connected(rs, ind):
         return False
     degs = []
     for i in ind:
@@ -124,9 +122,7 @@ def _presentations(rs: RootSystem):
     n = rs.n
     s = rs.series
     if s == "A":
-        ident = tuple(range(1, n + 1))
-        rev = tuple(range(n, 0, -1))
-        for beta in (ident, rev):
+        for beta in (tuple(range(1, n + 1)), tuple(range(n, 0, -1))):
             yield 1, beta, frozenset(range(1, n + 1)), \
                 lambda o, r, k: k <= n - 1
     elif s in ("B", "C"):
@@ -176,13 +172,10 @@ def _placements(rs: RootSystem, target: FrozenSet[int], width: int):
         if not all(i in positions for i in target):
             continue
         pos = sorted(positions[i] for i in target)
-        if pos[-1] - pos[0] + 1 != width or len(pos) != width:
-            continue
-        o = pos[0] - 1
-        kappa = pos[-1]
-        if not all(p in circles for p in pos):
-            continue
-        if not cond(o, width, kappa):
+        o, kappa = pos[0] - 1, pos[-1]
+        if (kappa - o != width or len(pos) != width
+                or not all(p in circles for p in pos)
+                or not cond(o, width, kappa)):
             continue
         order = tuple(beta[p - 1] for p in range(o + 1, kappa + 1))
         extra = beta[kappa] if kappa < len(beta) and beta[kappa] <= n_nodes else None
@@ -210,8 +203,7 @@ def canonical_order(rs: RootSystem, indices: Iterable[int]) -> "OrderedParabolic
         if not cands:
             raise InternalConsistencyError(
                 f"no presentation covers the A-chain {ind} in {rs.name}")
-        cands.sort(key=lambda co: (co[0], co[1]))
-        return OrderedParabolic(rs, cands[0][1])
+        return OrderedParabolic(rs, min(cands)[1])
     # Not an A-chain: order the unique A-chain part first, removed node last.
     if r == 2:
         if rs.series in ("B", "C"):
@@ -235,8 +227,7 @@ def canonical_order(rs: RootSystem, indices: Iterable[int]) -> "OrderedParabolic
     if not cands:
         raise InternalConsistencyError(
             f"no presentation covers the subset {ind} in {rs.name}")
-    cands.sort(key=lambda c: (c[0], c[1], c[2]))
-    return OrderedParabolic(rs, cands[0][2])
+    return OrderedParabolic(rs, min(cands)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +311,7 @@ class OrderedParabolic:
             if via_dec != via_inv:
                 raise InternalConsistencyError(
                     f"decomposition and inversion gradings disagree on {w!r}")
-            g = via_dec
-            self._grw[w] = g
+            g = self._grw[w] = via_dec
         return g
 
     def gr(self, w: WeylElt, lam: Optional[Sequence[int]] = None) -> Grading:
@@ -402,11 +392,7 @@ class ReducibleGrading:
         self.m = len(self.components)
         self.ranks = tuple(op.r for op in self.components)
         self.M = sum(self.ranks)
-        self.offsets = []
-        off = 0
-        for rk in self.ranks:
-            self.offsets.append(off)
-            off += rk
+        self.offsets = list(accumulate(self.ranks[:-1], initial=0))
         self._grq: Dict[int, Grading] = {}
         self._grw: Dict[WeylElt, Grading] = {}
         self._build()
@@ -416,10 +402,8 @@ class ReducibleGrading:
         rk = self.ranks[k]
         if any(vec[rk:]):
             raise InternalConsistencyError("component grading leaks upward")
-        out = [0] * (self.M + 1)
-        for i in range(rk):
-            out[self.offsets[k] + i] = vec[i]
-        return tuple(out)
+        off = self.offsets[k]
+        return (0,) * off + tuple(vec[:rk]) + (0,) * (self.M + 1 - off - rk)
 
     def _build(self) -> None:
         rs = self.rs
@@ -440,9 +424,7 @@ class ReducibleGrading:
             return g
         rs = self.rs
         v_top, u = weyl.parabolic_decompose(w, self.indices)
-        vec = [0] * (self.M + 1)
-        vec[self.M] = v_top.length
-        vec = tuple(vec)
+        vec = (0,) * self.M + (v_top.length,)
         # Split u over the commuting component subgroups via its word.
         letters = u.word()
         for k, op in enumerate(self.components):

@@ -10,19 +10,19 @@ q^{lambda_P} sigma^v to q^{lambda_B} sigma^{v omega_P omega_{P'}}.  By
 Peterson's comparison formula, a G/P product is the part of the G/B
 product that lies in the image of psi, read back through psi^{-1}.
 
-The solver inverts the parabolic Cartan block once, with the exact
-elimination that also writes Schubert classes over divisors
-(``qchev.independent_inverse``), applies the inverse to each of the 2^r
-sign patterns for the simple-root pairings, keeps integer solutions, and
-filters by the full positive-root condition; exactly one survivor is
-required.
+The solver inverts the parabolic Cartan block once, as integers over one
+denominator, with the fraction-free elimination that also writes Schubert
+classes over divisors (``qchev.independent_inverse``).  It applies that to
+each of the 2^r sign patterns for the simple-root pairings, keeps the
+solutions the denominator divides, and filters by the full positive-root
+condition; exactly one survivor is required.
 
 A lift depends only on the system, the parabolic and the coset of the
 curve class, and W^P only on the system and the parabolic, so each is
 solved once and kept in the root system's lazy table (``rs._cache``,
-beside the Weyl table).  Input is validated on every call.  The entries
-are immutable (frozen ``PWLift``s and tuples) and written only through
-``dict.setdefault``, so threads sharing a system share them too.
+beside the Weyl table).  Input is validated once per public call.  The
+entries are immutable (frozen ``PWLift``s and tuples) and written only
+through ``dict.setdefault``, so threads sharing a system share them too.
 
 Curve classes serialize as a JSON map from non-parabolic simple index to a
 nonnegative integer exponent.
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from math import prod
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import InternalConsistencyError, InvalidInputError
@@ -54,21 +55,23 @@ class PWLift:
         return self.omega_factor.length
 
 
-def lambda_rep(rs: RootSystem, parabolic: Sequence[int],
+def lambda_rep(rs: RootSystem, par: Tuple[int, ...],
                lam_P: Union[Mapping[int, int], Sequence[int]]) -> Tuple[int, ...]:
-    """Normalize a curve-class encoding to a full coroot-coordinate tuple.
+    """Normalize a curve-class encoding to a full coroot-coordinate tuple,
+    over a parabolic already checked by ``rs.check_parabolic``.
 
-    Mappings are keyed by non-parabolic 1-based simple indices; sequences
-    must already have full length n.  Exponents at non-parabolic indices
-    must be nonnegative; the parabolic coordinates of a sequence are free,
-    since Q^vee_P absorbs them.
+    Mappings are keyed by non-parabolic 1-based simple indices (ints);
+    sequences must already have full length n.  Exponents at non-parabolic
+    indices must be nonnegative; the parabolic coordinates of a sequence
+    are free, since Q^vee_P absorbs them.
     """
-    par = set(rs.check_parabolic(parabolic))
     rep = lam_P
     if isinstance(lam_P, Mapping):
         rep = [0] * rs.n
-        for key, val in lam_P.items():
-            i = int(key)
+        for i, val in lam_P.items():
+            if type(i) is not int:
+                raise InvalidInputError(
+                    f"curve-class indices must be integers, got {i!r}")
             rs._check_index(i)
             if i in par:
                 raise InvalidInputError(
@@ -99,10 +102,15 @@ def pw_lift(rs: RootSystem, parabolic: Iterable[int],
     The representative may be any member of the coset; the lift is solved
     once per (parabolic, coset) and kept in the system's lift table.
     """
-    par = rs.check_parabolic(parabolic)
-    rep = lambda_rep(rs, par, lam_P)
+    return _lift(rs, rs.check_parabolic(parabolic), lam_P)
+
+
+def _lift(rs: RootSystem, par: Tuple[int, ...],
+          lam_P: Union[Mapping[int, int], Sequence[int]]) -> PWLift:
+    """``pw_lift`` over a checked parabolic."""
     # One entry per coset: its representative with the parabolic part zeroed.
-    rep = tuple(0 if i in par else e for i, e in enumerate(rep, 1))
+    rep = tuple(0 if i in par else e
+                for i, e in enumerate(lambda_rep(rs, par, lam_P), 1))
     lifts = _system_table(rs, "pw_lift")
     key = (par, rep)
     return lifts.get(key) or lifts.setdefault(key, _solve_lift(rs, par, rep))
@@ -115,18 +123,22 @@ def _solve_lift(rs: RootSystem, par: Tuple[int, ...],
     if not par:
         solutions.append(rep)
     else:
-        # a = M^{-1} (eps - base), M the parabolic block of the Cartan pairing.
+        # a = M^{-1} (eps - base), M the parabolic block of the Cartan
+        # pairing; inv = den * M^{-1} is integral, and a is iff den | den * a.
         base = [rs.pairing(rs.simple_root(i), rep) for i in par]
-        _, inv = independent_inverse(
+        _, rows = independent_inverse(
             ([rs.cartan[j - 1][i - 1] for i in par] for j in par), len(par))
+        den = prod(d for d, _ in rows)
+        inv = [[comb[k] * (den // d) for d, comb in rows]
+               for k in range(len(par))]
         for eps in iproduct((0, -1), repeat=len(par)):
             rhs = [e - b for e, b in zip(eps, base)]
             a = [sum(x * y for x, y in zip(row, rhs)) for row in inv]
-            if any(x.denominator != 1 for x in a):
+            if any(x % den for x in a):
                 continue
             lam = list(rep)
             for i, x in zip(par, a):
-                lam[i - 1] += int(x)
+                lam[i - 1] += x // den
             lam_t = tuple(lam)
             if _pairing_condition(rs, roots_p, lam_t):
                 solutions.append(lam_t)
@@ -180,7 +192,7 @@ def psi_map(rs: RootSystem, parabolic: Sequence[int], v: WeylElt,
     """The injective lift of q^{lam_P} sigma^v into the G/B basis."""
     par = rs.check_parabolic(parabolic)
     _check_representatives(par, v)
-    lift = pw_lift(rs, par, lam_P)
+    lift = _lift(rs, par, lam_P)
     return weyl.multiply(v, lift.omega_factor), lift.lambda_B
 
 
@@ -205,7 +217,8 @@ def bounded_compositions(weights: Sequence[int],
 
 
 def _check_representatives(par: Tuple[int, ...], *elements: WeylElt) -> None:
-    if not all(weyl.is_minimal_representative(x, par) for x in elements):
+    """Each element must be minimal in its coset x W_P (par is checked)."""
+    if any(x.descends_right(i) for x in elements for i in par):
         raise InvalidInputError(
             "G/P constants are indexed by minimal coset representatives")
 
@@ -216,8 +229,10 @@ def qhp_structure_constant(ring: QuantumFlagRing, parabolic: Sequence[int],
     """A G/P structure constant, evaluated through the comparison lift."""
     rs = ring.rs
     par = rs.check_parabolic(parabolic)
-    _check_representatives(par, u, v)  # psi_map checks w
-    return ring.structure_constant(u, v, *psi_map(rs, par, w, lam_P))
+    _check_representatives(par, u, v, w)
+    lift = _lift(rs, par, lam_P)
+    return ring.structure_constant(u, v, weyl.multiply(w, lift.omega_factor),
+                                   lift.lambda_B)
 
 
 def qhp_product(ring: QuantumFlagRing, parabolic: Sequence[int],

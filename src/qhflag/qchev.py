@@ -9,9 +9,9 @@ The full quantum product is computed in two stages:
 1.  The classical (q = 0) ring is divisor-generated, so each sigma^v is
     expressed, degree by degree, over the classical Chevalley products
     sigma^x * sigma^{s_i} with l(x) = l(v) - 1: ``independent_inverse``
-    picks the first independent ones and inverts them in one exact
-    Gauss-Jordan pass.  Each expression, with its q-corrections, is
-    stored once, as integers over a common denominator.
+    picks the first independent ones and inverts them in one fraction-free
+    integer Gauss-Jordan pass.  Each expression, with its q-corrections,
+    is stored once, as integers over its least common denominator.
 2.  sigma^u * sigma^v is evaluated by induction on l(v): replay the
     degree-(l(v)) pivot products quantum-mechanically on top of sigma^u and
     subtract the recursively computed q-carrying corrections, which involve
@@ -20,11 +20,11 @@ The full quantum product is computed in two stages:
     by element index) and the recursion runs on the shorter factor; the
     memo holds one entry per unordered pair.
 
-The recursion adds and scales integers only.  All coefficients are exact;
-the final structure constants are asserted to be nonnegative integers
-(they are genus-zero Gromov-Witten invariants) and degree-homogeneous.
-Product computation is pure; the memo caches make repeated all-pairs
-verification cheap.  Results are bit-identical regardless of call order.
+The elimination and the recursion work in the integers.  All coefficients
+are exact; the final structure constants are asserted to be nonnegative
+integers (they are genus-zero Gromov-Witten invariants) and degree-
+homogeneous.  Product computation is pure; the memo caches make repeated
+all-pairs verification cheap.  Results are bit-identical in any call order.
 
 JSON form of a QClass: a list of {"word": [...], "q": [...], "coeff": "c"}
 objects, with Weyl elements serialized as reduced words.
@@ -32,8 +32,7 @@ objects, with Weyl elements serialized as reduced words.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapExceededError, InternalConsistencyError, InvalidInputError
@@ -279,16 +278,14 @@ class QuantumFlagRing:
                         col[pos[widx2]] += c
                 yield col
 
-        picked, inv = independent_inverse(columns(), m)
-        if inv is None:
+        picked, rows = independent_inverse(columns(), m)
+        if rows is None:
             raise InternalConsistencyError(
                 f"degree {d}: divisor classes fail to span "
                 f"({len(picked)} of {m})")
         pivots = self._pivots[d] = [candidates[k] for k in picked]
-        for vpos, v in enumerate(basis):
-            expr = [(k, inv[k][vpos]) for k in range(m) if inv[k][vpos]]
-            den = lcm(*[t.denominator for _, t in expr])
-            expr = [(k, t.numerator * (den // t.denominator)) for k, t in expr]
+        for v, (den, comb) in zip(basis, rows):
+            expr = [(k, a) for k, a in enumerate(comb) if a]
             corr: Dict[Tuple[int, int], int] = {}
             for k, a in expr:
                 for widx2, qshift, c in self._chev_row(*pivots[k]):
@@ -402,15 +399,19 @@ class QuantumFlagRing:
                 yield u, v, self.quantum_product(u, v)
 
 
-def independent_inverse(columns: Iterable[Sequence], m: int
-                        ) -> Tuple[List[int], Optional[List[List[Fraction]]]]:
-    """Keep the first m linearly independent vectors of ``columns`` (each
-    of length m, read in order and only as far as needed) and invert them.
+def independent_inverse(columns: Iterable[Sequence[int]], m: int
+                        ) -> Tuple[List[int], Optional[List[tuple]]]:
+    """Keep the first m linearly independent integer vectors of ``columns``
+    (each of length m, read in order and only as far as needed) and invert
+    them without leaving the integers.
 
-    Returns (picked positions, inv) with e_r = sum_k inv[k][r] * (k-th
-    picked column), or inv = None when fewer than m columns are
-    independent.  One exact Gauss-Jordan pass: each kept row is reduced to
-    a unit vector and carries the combination of picked columns it equals.
+    Returns (picked positions, rows) with den_r * e_r = sum_k comb_r[k] *
+    (k-th picked column) for rows[r] = (den_r, comb_r), den_r > 0 and
+    gcd(den_r, comb_r) = 1, or rows = None when fewer than m columns are
+    independent.  One fraction-free Gauss-Jordan pass (Bareiss): each kept
+    row is an integer reduced vector with the combination of picked columns
+    it equals; eliminating against a row cross-multiplies, and every updated
+    row is divided by its content and given a positive lead.
     """
     picked: List[int] = []
     rows: List[list] = []  # [lead, reduced vector, combination]
@@ -420,30 +421,38 @@ def independent_inverse(columns: Iterable[Sequence], m: int
         for j, (lead, rvec, _) in enumerate(rows):
             f = vec[lead]
             if f:
-                vec = [a - f * b if b else a for a, b in zip(vec, rvec)]
-                steps.append((j, f))
+                p = rvec[lead]
+                vec = [p * a - f * b for a, b in zip(vec, rvec)]
+                steps.append((j, p, f))
         lead = next((r for r, a in enumerate(vec) if a), None)
         if lead is None:
             continue
-        # Independent: vec = col - sum f_j row_j, so its combination is
-        # e_k - sum f_j comb_j, scaled to make the lead 1.
-        comb = [0] * m
-        comb[len(picked)] = 1
-        for j, f in steps:
-            comb = [a - f * b if b else a for a, b in zip(comb, rows[j][2])]
-        scale = 1 / Fraction(vec[lead])
-        vec = [a * scale for a in vec]
-        comb = [a * scale for a in comb]
+        # Independent: replay the steps on e_k to get the combination.
+        comb = [int(k == len(picked)) for k in range(m)]
+        for j, p, f in steps:
+            comb = [p * a - f * b for a, b in zip(comb, rows[j][2])]
+        new = _primitive(lead, vec, comb)
+        _, vec, comb = new
         for row in rows:
             g = row[1][lead]
             if g:
-                row[1] = [a - g * b if b else a for a, b in zip(row[1], vec)]
-                row[2] = [a - g * b if b else a for a, b in zip(row[2], comb)]
-        rows.append([lead, vec, comb])
+                p = vec[lead]
+                row[:] = _primitive(
+                    row[0], [p * a - g * b for a, b in zip(row[1], vec)],
+                    [p * a - g * b for a, b in zip(row[2], comb)])
+        rows.append(new)
         picked.append(pos)
         if len(picked) == m:
             break
     if len(picked) < m:
         return picked, None
     rows.sort(key=lambda row: row[0])  # the leads are now 0..m-1
-    return picked, [list(c) for c in zip(*(comb for _, _, comb in rows))]
+    return picked, [(vec[r], comb) for r, (_, vec, comb) in enumerate(rows)]
+
+
+def _primitive(lead: int, vec: List[int], comb: List[int]) -> list:
+    """The row divided by the gcd of all its entries, with a positive lead."""
+    g = gcd(*vec, *comb) if vec[lead] > 0 else -gcd(*vec, *comb)
+    if g != 1:
+        vec, comb = [a // g for a in vec], [a // g for a in comb]
+    return [lead, vec, comb]

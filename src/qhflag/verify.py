@@ -268,12 +268,8 @@ def _referee_conjecture(ctx: _Context, rep: Report,
     grading of quantum variables.  Informational: never gates a build."""
     rs, op = ctx.rs, ctx.op
     verdicts = []
-    layer_sums = []
-    for layer in op.layers:
-        tot = [0] * rs.n
-        for beta in layer:
-            tot = [a + b for a, b in zip(tot, beta)]
-        layer_sums.append(tuple(tot))
+    layer_sums = [tuple(map(sum, zip((0,) * rs.n, *layer)))
+                  for layer in op.layers]
     for gamma in rs.positive_roots:
         case = f"gamma={gamma}"
         gv = rs.coroot_of(gamma)
@@ -316,8 +312,7 @@ def _graded_iso(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
         if _want(only_case, case):
             w, lam = op.unique_basis_element(d)
             hits = reps_by_grading.get(d, [])
-            ok = (w, lam) in hits and len(hits) == 1 and (
-                all(x >= 0 for x in lam))
+            ok = hits == [(w, lam)] and all(x >= 0 for x in lam)
             rep.record(case, ok,
                        lhs=f"representatives={[(ctx.word(x), m) for x, m in hits]}",
                        rhs=f"exactly ({ctx.word(w)}, {lam})")

@@ -352,3 +352,23 @@ def test_graded_iso_solves_each_distinct_lift_once(monkeypatch):
     rep = run_suite("graded-iso", VerificationSetup("A3", (1, 2)))
     assert rep.passes == rep.total
     assert len(solves) == len(set(solves)) == 9
+
+
+@pytest.mark.parametrize("key", [2.7, True, "x"])
+def test_non_integer_curve_class_index_rejected(a2, key):
+    # 2.7 used to lift as index 2, and "x" raised a bare ValueError.
+    for lift in (pw_lift, pw_lift_bruteforce):
+        with pytest.raises(InvalidInputError,
+                           match="curve-class indices must be integers"):
+            lift(a2, (1,), {key: 1})
+
+
+def test_structure_constant_checks_w_and_the_curve_class(a3):
+    ring = QuantumFlagRing(a3)
+    one, s1 = weyl.identity(a3), weyl.simple_reflection(a3, 1)
+    with pytest.raises(InvalidInputError, match="minimal"):
+        qhp_structure_constant(ring, (1, 2), one, one, s1, {})
+    with pytest.raises(InvalidInputError, match="complement"):
+        qhp_structure_constant(ring, (1, 2), one, one, one, {1: 1})
+    with pytest.raises(InvalidInputError, match="index"):
+        qhp_structure_constant(ring, (1, 5), one, one, one, {})

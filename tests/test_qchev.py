@@ -1,8 +1,11 @@
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -13,6 +16,7 @@ from qhflag.qchev import (QDIGIT, QClass, QuantumFlagRing, format_qclass,
 from qhflag.rootsys import build_root_system
 from qhflag import weyl
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.fixture(scope="module")
 def a2_ring():
@@ -318,20 +322,94 @@ def test_independent_inverse_matches_a_rank_scan(seed):
         if len(expected) < m and rank(chosen + [col]) > len(expected):
             expected.append(pos)
     stream = iter(cols)
-    picked, inv = independent_inverse(stream, m)
+    picked, rows = independent_inverse(stream, m)
     assert picked == expected
     if not spanning:
         assert len(picked) < m
     if len(picked) < m:
-        assert inv is None
+        assert rows is None
         return
     # Columns after the m-th pick are never read.
     assert len(list(stream)) == len(cols) - 1 - picked[-1]
-    for r in range(m):
+    assert len(rows) == m
+    for r, (den, comb) in enumerate(rows):
+        # den_r * e_r = sum_k comb_r[k] * (k-th picked column), exactly,
+        # in lowest terms with a positive denominator.
+        assert all(type(x) is int for x in (den, *comb)) and len(comb) == m
+        assert den > 0 and gcd(den, *comb) == 1
         for r2 in range(m):
-            got = sum(inv[k][r] * cols[p][r2] for k, p in enumerate(picked))
-            assert got == (r == r2)
-    assert all(isinstance(x, Fraction) for row in inv for x in row)
+            got = sum(a * cols[p][r2] for a, p in zip(comb, picked))
+            assert got == (den if r2 == r else 0)
+
+
+def fraction_expressions(ring, d):
+    """Oracle for ``_pivots[d]`` and ``_int_expr`` over the length-d basis,
+    by Fraction row reduction on the classical Chevalley products.
+
+    Candidates sigma^x * sigma^{s_i} (x of length d-1, then i) are kept
+    while they raise the rank; the kept ones are inverted by Gauss-Jordan on
+    [M | I], and each sigma^v's coefficients are put over their lcm.
+    """
+    basis = [ring.elements[i] for i in ring.by_length[d]]
+    m = len(basis)
+    zero = (0,) * ring.n
+    echelon = {}  # pivot coordinate -> row with a 1 there
+    pivots, cols, quantum = [], [], []
+    for x in ring.by_length[d - 1]:
+        for i in range(1, ring.n + 1):
+            if len(pivots) == m:
+                break
+            qc = ring.chevalley_product(ring.elements[x], i)
+            col = [Fraction(qc.coefficient(v, zero)) for v in basis]
+            vec = list(col)
+            for c, row in echelon.items():
+                if vec[c]:
+                    vec = [a - vec[c] * b for a, b in zip(vec, row)]
+            lead = next((c for c, a in enumerate(vec) if a), None)
+            if lead is None:
+                continue
+            echelon[lead] = [a / vec[lead] for a in vec]
+            pivots.append((i, x))
+            cols.append(col)
+            quantum.append({k: c for k, c in qc.terms.items() if k[1] != zero})
+    assert len(pivots) == m
+    aug = [[cols[k][r] for k in range(m)]
+           + [Fraction(r == c) for c in range(m)] for r in range(m)]
+    for c in range(m):
+        piv = next(r for r in range(c, m) if aug[r][c])
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [a / aug[c][c] for a in aug[c]]
+        for r in range(m):
+            if r != c and aug[r][c]:
+                aug[r] = [a - aug[r][c] * b for a, b in zip(aug[r], aug[c])]
+    exprs = {}
+    for r, v in enumerate(basis):
+        coeffs = [aug[k][m + r] for k in range(m)]  # e_r = sum_k coeffs[k] col_k
+        den = lcm(*(a.denominator for a in coeffs))
+        expr = [(k, int(a * den)) for k, a in enumerate(coeffs) if a]
+        corr = {}
+        for k, a in expr:
+            for key, c in quantum[k].items():
+                corr[key] = corr.get(key, 0) + a * c
+        exprs[v] = (den, expr, {k: c for k, c in corr.items() if c})
+    return pivots, exprs
+
+
+@pytest.mark.parametrize("series,rank_", [("B", 3), ("C", 3), ("D", 4),
+                                          ("B", 4)])
+def test_integer_expressions_match_a_fraction_oracle(series, rank_):
+    ring = QuantumFlagRing(build_root_system(series, rank_))
+    ring._build_expressions_upto(ring.max_length)
+    for d in range(2, ring.max_length + 1):
+        pivots, exprs = fraction_expressions(ring, d)
+        assert ring._pivots[d] == pivots
+        for v, (den, expr, corr) in exprs.items():
+            got_den, got_expr, got_corr = ring._int_expr[ring.index[v]]
+            assert (got_den, got_expr) == (den, expr)
+            assert [(x2, qs) for x2, qs, _ in got_corr] == sorted(
+                (x2, qs) for x2, qs, _ in got_corr)
+            assert {(ring.elements[x2], ring._q_of(qs)[0]): a
+                    for x2, qs, a in got_corr} == corr
 
 
 @pytest.mark.parametrize("series,rank_", [("A", 3), ("B", 3), ("C", 3),
@@ -492,3 +570,17 @@ def test_qclass_algebra(a2_ring):
     assert (two - qc) == qc
     shifted = qc.q_shift((0, 2))
     assert shifted.coefficient(a2_ring.element_from_word([2, 1]), (0, 2)) == 1
+
+
+def test_import_loads_no_fraction_arithmetic():
+    # The benchmark's setup_s times a fresh `import qhflag`; the exact
+    # elimination works in the integers, so neither module is needed.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get(
+        "PYTHONPATH", "")
+    code = ("import sys, qhflag; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
