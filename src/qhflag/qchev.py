@@ -27,7 +27,10 @@ homogeneous.  Product computation is pure; the memo caches make repeated
 all-pairs verification cheap.  Results are bit-identical in any call order.
 
 JSON form of a QClass: a list of {"word": [...], "q": [...], "coeff": "c"}
-objects, with Weyl elements serialized as reduced words.
+objects, with Weyl elements serialized as reduced words.  The "word" and
+"q" arrays are the ring's own shared, immutable tuples (the memoised
+reduced word and the lambda key), not copies; ``json.dumps`` writes them
+exactly as it would write lists.
 """
 
 from __future__ import annotations
@@ -57,13 +60,18 @@ def _term_order(kv) -> tuple:
 
 
 class QClass:
-    """Finite combination of basis elements q^lambda sigma^w."""
+    """Finite combination of basis elements q^lambda sigma^w.
 
-    __slots__ = ("rs", "terms")
+    ``ordered`` is true when ``terms`` is already in canonical order (the
+    ring's products are); the class must then not be changed in place.
+    """
+
+    __slots__ = ("rs", "terms", "ordered")
 
     def __init__(self, rs: RootSystem, terms: Dict[Tuple[WeylElt, Tuple[int, ...]], object]):
         self.rs = rs
         self.terms = {k: v for k, v in terms.items() if v != 0}
+        self.ordered = False
 
     def __eq__(self, other):
         return (isinstance(other, QClass) and self.rs == other.rs
@@ -104,6 +112,8 @@ class QClass:
 
     def sorted_terms(self):
         """Terms ordered by (length, |lambda|, lambda, reduced word)."""
+        if self.ordered:
+            return list(self.terms.items())
         return sorted(self.terms.items(), key=_term_order)
 
     def __repr__(self):
@@ -131,7 +141,15 @@ def format_qclass(qc: QClass) -> str:
 
 
 def qclass_to_json(qc: QClass) -> List[dict]:
-    return [{"word": list(w.word()), "q": list(lam), "coeff": str(c)}
+    """The JSON form of a class, one object per term in canonical order.
+
+    "word" is the element's memoised ``w.word()`` and "q" the class's own
+    lambda key: shared tuples, not copies, so they must not be mutated.
+    """
+    # Tuples of ints drop out of the cyclic GC's tracking, and a dict that
+    # holds only untracked values is never tracked, so a large product
+    # table leaves nothing behind for the collector to walk.
+    return [{"word": w.word(), "q": lam, "coeff": str(c)}
             for (w, lam), c in qc.sorted_terms()]
 
 
@@ -167,6 +185,9 @@ class QuantumFlagRing:
         self._pivot_apps: Dict[Tuple[int, int], list] = {}
         self._qbase = QDIGIT ** self.n
         self._qkeys: Dict[int, Tuple[Tuple[int, ...], int]] = {}
+        # packed term key -> (w, lambda) and its canonical sort rank
+        self._terms: Dict[int, Tuple[WeylElt, Tuple[int, ...]]] = {}
+        self._ranks: Dict[int, int] = {}
 
     # -- packed term keys ----------------------------------------------------
 
@@ -193,12 +214,32 @@ class QuantumFlagRing:
     def _term_key(self, widx: int, qkey: int) -> int:
         return widx * self._qbase + qkey
 
+    def _add_term(self, key: int) -> None:
+        """Tabulate the term of a packed key and its canonical sort rank:
+        length, then |lambda|, then lambda (first coordinate most
+        significant), then the element index, which orders equal lengths by
+        reduced word."""
+        widx, qkey = divmod(key, self._qbase)
+        lam, deg = self._q_of(qkey)
+        lamkey = 0
+        for e in lam:
+            lamkey = lamkey * QDIGIT + e
+        rank = self.lengths[widx] * self.n * QDIGIT + deg // 2
+        rank = rank * self._qbase + lamkey
+        self._terms.setdefault(key, (self.elements[widx], lam))
+        self._ranks.setdefault(key, rank * len(self.elements) + widx)
+
     def _from_packed(self, d: Dict[int, int]) -> QClass:
-        """The QClass of a packed class, which must hold no zero terms."""
-        qb, elements, q_of = self._qbase, self.elements, self._q_of
+        """The QClass of a packed class, which must hold no zero terms,
+        with its terms in canonical order."""
+        terms, ranks = self._terms, self._ranks
+        for k in d:
+            if k not in ranks:
+                self._add_term(k)
         qc = QClass.__new__(QClass)
         qc.rs = self.rs
-        qc.terms = {(elements[k // qb], q_of(k % qb)[0]): v for k, v in d.items()}
+        qc.terms = {terms[k]: d[k] for k in sorted(d, key=ranks.__getitem__)}
+        qc.ordered = True
         return qc
 
     # -- element helpers -----------------------------------------------------
@@ -368,11 +409,13 @@ class QuantumFlagRing:
         """Linear extension (sum c q^mu sigma^x) * sigma^v; mu may be any
         integer vector, since it shifts exponents, not packed keys."""
         vi = self._idx(v)
+        qb, elements, q_of = self._qbase, self.elements, self._q_of
         acc: Dict[Tuple[WeylElt, Tuple[int, ...]], object] = {}
         for (x, mu), c in qc.terms.items():
-            for (w, lam), vv in self._from_packed(
-                    self._product(self._idx(x), vi)).terms.items():
-                key = (w, tuple(a + b for a, b in zip(lam, mu)))
+            for k, vv in self._product(self._idx(x), vi).items():
+                widx, qkey = divmod(k, qb)
+                key = (elements[widx],
+                       tuple(a + b for a, b in zip(q_of(qkey)[0], mu)))
                 acc[key] = acc.get(key, 0) + c * vv
         return QClass(self.rs, acc)
 
@@ -389,14 +432,12 @@ class QuantumFlagRing:
 
     def multiplication_table(self, max_length: Optional[int] = None):
         """All pairwise products, deterministically ordered."""
+        if max_length is not None and max_length < 0:
+            raise InvalidInputError(
+                f"max length must be nonnegative, got {max_length}")
         cap = self.max_length if max_length is None else max_length
-        for u in self.elements:
-            if u.length > cap:
-                continue
-            for v in self.elements:
-                if v.length > cap:
-                    continue
-                yield u, v, self.quantum_product(u, v)
+        short = [u for u in self.elements if u.length <= cap]
+        return ((u, v, self.quantum_product(u, v)) for u in short for v in short)
 
 
 def independent_inverse(columns: Iterable[Sequence[int]], m: int

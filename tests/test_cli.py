@@ -115,6 +115,14 @@ def test_mult_table_a2_row_count(capsys):
     assert lines[0] == "u;v;product"
 
 
+def test_mult_table_negative_max_len_is_usage_error(capsys):
+    code, out, err = run(capsys, "mult-table", "--system", "A2",
+                         "--max-len", "-3", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err == "error: max length must be nonnegative, got -3\n"
+
+
 def test_pw_cli(capsys):
     code, out, _ = run(capsys, "pw", "--system", "A2", "--parabolic", "1",
                        "--lambda", "2:1", "--format", "json")

@@ -61,13 +61,18 @@ def test_golden_output(capsys, argv, text):
     assert capsys.readouterr().out == text
 
 
-# Whole product tables, digested at the commit before products were stored
-# once per unordered pair.
+# Whole product tables.  The A3 and B3 markdown digests were taken before
+# products were stored once per unordered pair; the B3 json and G2 csv ones
+# before products were serialised from shared tuples in packed order.
 MULT_TABLE_SHA256 = [
     (["mult-table", "A3", "--format", "json"],
      "9e1289980adeadb8e15b8927ea684e84f2c3b9e69e36186f297e09c07a7b74aa"),
     (["mult-table", "B3", "--format", "markdown"],
      "dfb11577b878986b9826c7f17537475d769ff56be31ee60b570a392d60d5c579"),
+    (["mult-table", "B3", "--format", "json"],
+     "20d4e689c3a4fed0940cbf1554283f700e5eda9fe4bafeda9c633b2428a677dc"),
+    (["mult-table", "G2", "--format", "csv"],
+     "feb647ae133667d5a64e631c774da717cdfc937e670d2697bcb2fb959f3db3b4"),
 ]
 
 

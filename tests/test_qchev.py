@@ -11,8 +11,8 @@ import pytest
 
 from qhflag.errors import InvalidInputError
 from qhflag.pwlift import minimal_representatives, qhp_product
-from qhflag.qchev import (QDIGIT, QClass, QuantumFlagRing, format_qclass,
-                          independent_inverse, qclass_to_json)
+from qhflag.qchev import (QDIGIT, QClass, QuantumFlagRing, _term_order,
+                          format_qclass, independent_inverse, qclass_to_json)
 from qhflag.rootsys import build_root_system
 from qhflag import weyl
 
@@ -546,6 +546,9 @@ def test_mult_table_b2_shape(b2_ring):
     assert len(rows) == 64
     rows1 = list(b2_ring.multiplication_table(max_length=1))
     assert len(rows1) == 9
+    assert len(list(b2_ring.multiplication_table(max_length=0))) == 1
+    with pytest.raises(InvalidInputError, match="nonnegative"):
+        b2_ring.multiplication_table(max_length=-1)
 
 
 def test_qclass_format_and_json(a2_ring):
@@ -554,12 +557,68 @@ def test_qclass_format_and_json(a2_ring):
     qc = a2_ring.quantum_product(u, w0)
     assert format_qclass(qc) == "q1*q2 + q1*s[1,2]"
     data = qclass_to_json(qc)
-    assert data == [{"word": [], "q": [1, 1], "coeff": "1"},
-                    {"word": [1, 2], "q": [1, 0], "coeff": "1"}]
+    assert data == [{"word": (), "q": (1, 1), "coeff": "1"},
+                    {"word": (1, 2), "q": (1, 0), "coeff": "1"}]
+    assert json.dumps(data) == ('[{"word": [], "q": [1, 1], "coeff": "1"}, '
+                                '{"word": [1, 2], "q": [1, 0], "coeff": "1"}]')
     assert format_qclass(QClass(a2_ring.rs, {})) == "0"
     e = weyl.identity(a2_ring.rs)
     assert format_qclass(QClass(a2_ring.rs, {(e, (0, 0)): 1})) == "1"
     assert format_qclass(QClass(a2_ring.rs, {(e, (0, 0)): 3})) == "3"
+
+
+def is_canonical(qc):
+    return list(qc.terms.items()) == sorted(qc.terms.items(), key=_term_order)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 3), ("B", 3), ("C", 3),
+                                         ("G", 2)])
+def test_products_are_built_in_canonical_order(series, rank):
+    ring = QuantumFlagRing(build_root_system(series, rank))
+    for u, v in all_pairs(ring):
+        qc = ring.quantum_product(u, v)
+        assert qc.ordered and is_canonical(qc)
+        assert is_canonical(ring.classical_product(u, v))
+
+
+def test_d4_products_are_built_in_canonical_order():
+    ring = QuantumFlagRing(build_root_system("D", 4))
+    rng = random.Random(4)
+    for u, v in rng.sample(all_pairs(ring), 400):
+        assert is_canonical(ring.quantum_product(u, v))
+    # Chevalley products mix classical and q-shifted terms
+    for u in ring.elements:
+        assert is_canonical(ring.chevalley_product(u, rng.randint(1, 4)))
+
+
+def test_unordered_class_serialises_like_the_product():
+    ring = QuantumFlagRing(build_root_system("B", 3))
+    qc = max((ring.quantum_product(u, v) for u, v in all_pairs(ring)),
+             key=lambda qc: len(qc.terms))
+    assert len(qc.terms) > 10
+    backwards = QClass(ring.rs, dict(reversed(list(qc.terms.items()))))
+    assert not backwards.ordered
+    assert list(backwards.terms) != list(qc.terms)
+    assert backwards.sorted_terms() == qc.sorted_terms()
+    assert qclass_to_json(backwards) == qclass_to_json(qc)
+    assert json.dumps(qclass_to_json(backwards)) == json.dumps(
+        qclass_to_json(qc))
+    assert format_qclass(backwards) == format_qclass(qc)
+    # arithmetic builds general classes, which sort on the way out
+    assert not (qc + qc).ordered
+    assert format_qclass(qc + qc) == format_qclass(qc.scale(2))
+
+
+def test_json_shares_the_words_and_q_keys():
+    ring = QuantumFlagRing(build_root_system("B", 3))
+    u = ring.element_from_word([2, 3, 1, 2])
+    qc = ring.quantum_product(u, u)
+    data = qclass_to_json(qc)
+    assert len(data) == len(qc.terms)
+    for entry, ((w, lam), c) in zip(data, qc.terms.items()):
+        assert entry["word"] is w.word()
+        assert entry["q"] is lam
+        assert entry["coeff"] == str(c)
 
 
 def test_qclass_algebra(a2_ring):
