@@ -9,8 +9,8 @@ Weyl elements are entered as comma-separated 1-based simple indices
 classes for G/P are entered as 'index:exponent' pairs over the
 non-parabolic simple indices, e.g. ``--lambda 3:1``.
 
-A flat key=value config file (``--config``) supplies defaults for any
-flag; explicit flags win.
+A flat key=value config file (``--config``) supplies defaults: each line
+is read as the subcommand's flag ``--key=value``, and explicit flags win.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InternalConsistencyError, InvalidInputError, QHError
 from . import pwlift, verify, weyl
-from .grading import OrderedParabolic, canonical_order
+from .grading import OrderedParabolic, ordered_parabolic
 from .qchev import QuantumFlagRing, format_qclass, format_term, qclass_to_json
 from .rootsys import parse_system_id
 from .weyl import WeylElt
@@ -34,37 +33,10 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 FORMATS = ("markdown", "json", "csv")
+TEXT_FORMATS = ("markdown", "json")
 
 _CONFIG_KEYS = ("system", "parabolic", "order", "format", "out", "max-q",
                 "max-weyl", "seed", "suites", "u", "v", "lambda")
-
-
-@dataclass
-class RunConfig:
-    """Flat key=value run configuration; emit/parse round-trips exactly."""
-
-    values: Dict[str, str] = field(default_factory=dict)
-
-    def to_text(self) -> str:
-        return "".join(f"{k}={self.values[k]}\n" for k in sorted(self.values))
-
-    @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
-        values: Dict[str, str] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidInputError(
-                    f"config line {lineno}: expected key=value, got {raw!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise InvalidInputError(
-                    f"config line {lineno}: unknown key {key!r}")
-            values[key] = val.strip()
-        return cls(values)
 
 
 def _parse_int_list(text: str) -> Tuple[int, ...]:
@@ -158,17 +130,10 @@ def grading_table_cells(rs, op: OrderedParabolic, imin: int, imax: int,
     if ssum > 24:
         raise InvalidInputError(
             f"grading-table box reaches degree {ssum}; the cap is 24")
-    cells: Dict[Tuple[int, int], list] = {}
-    elements = weyl.enumerate_group(rs, cap=max_weyl)
-    lams = pwlift.bounded_compositions((1,) * rs.n, ssum // 2)
-    for w in elements:
-        for lam in lams:
-            g = op.gr(w, lam)
-            if any(g[2:]):
-                continue
-            i, j = g[0], (g[1] if op.r >= 1 else 0)
-            if imin <= i <= imax and jmin <= j <= jmax:
-                cells.setdefault((i, j), []).append((w, lam))
+    cells = op.graded_basis(
+        weyl.enumerate_group(rs, cap=max_weyl),
+        pwlift.bounded_compositions((1,) * rs.n, ssum // 2), 2,
+        lambda h: imin <= h[0] <= imax and jmin <= h[1] <= jmax)
     for entries in cells.values():
         entries.sort(key=lambda t: (t[0].length, t[1]))
     return cells
@@ -176,7 +141,8 @@ def grading_table_cells(rs, op: OrderedParabolic, imin: int, imax: int,
 
 def _cmd_grading_table(args) -> int:
     rs = parse_system_id(args.system)
-    op = _ordered_parabolic(rs, args)
+    op = ordered_parabolic(rs, _parse_int_list(args.parabolic),
+                           _parse_int_list(args.order) or None)
     cells = grading_table_cells(rs, op, args.imin, args.imax,
                                 args.jmin, args.jmax, args.max_weyl)
     if args.format == "json":
@@ -188,7 +154,6 @@ def _cmd_grading_table(args) -> int:
                           "cells": rows}, indent=2), args.out)
         return EXIT_OK
     header = ["i\\j"] + [str(j) for j in range(args.jmin, args.jmax + 1)]
-    sep = ["---"] * len(header)
     body = []
     for i in range(args.imax, args.imin - 1, -1):
         row = [str(i)]
@@ -198,11 +163,10 @@ def _cmd_grading_table(args) -> int:
                                   for w, lam in entries) if entries else "0")
         body.append(row)
     if args.format == "csv":
-        lines = [";".join(header)] + [";".join(r) for r in body]
+        lines = [";".join(r) for r in [header] + body]
     else:
-        lines = ["| " + " | ".join(header) + " |",
-                 "| " + " | ".join(sep) + " |"]
-        lines += ["| " + " | ".join(r) + " |" for r in body]
+        lines = ["| " + " | ".join(r) + " |"
+                 for r in [header, ["---"] * len(header)] + body]
     _emit("\n".join(lines), args.out)
     return EXIT_OK
 
@@ -280,15 +244,15 @@ def _cmd_verify(args) -> int:
     rs = parse_system_id(args.system)
     par = rs.check_parabolic(_parse_int_list(args.parabolic))
     names = verify.select_suites(args.suites, rs, par)
-    order = _parse_int_list(args.order) if args.order else None
     setup = verify.VerificationSetup(
-        system=rs.name, parabolic=par, order=order,
+        system=rs.name, parabolic=par,
+        order=_parse_int_list(args.order) or None,
         max_weyl=args.max_weyl, max_q=args.max_q, seed=args.seed)
     reports = [verify.run_suite(name, setup) for name in names]
     ok = all(r.ok for r in reports if not r.informational)
     payload = {"all_theorems_pass": ok,
                "reports": [r.to_json_obj() for r in reports]}
-    if args.format in ("json", "csv"):
+    if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
         lines = []
@@ -301,28 +265,17 @@ def _cmd_verify(args) -> int:
         lines.append("all theorem suites pass" if ok
                      else "THEOREM SUITE FAILURES PRESENT")
         print("\n".join(lines))
-    # --out (and its alias --report-out) receives the JSON report.
-    for path in {args.out, args.report_out} - {None}:
-        with open(path, "w", encoding="utf-8") as fh:
+    if args.out:  # receives the JSON report
+        with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
-
-
-def _ordered_parabolic(rs, args) -> OrderedParabolic:
-    par = rs.check_parabolic(_parse_int_list(args.parabolic))
-    if args.order:
-        order = _parse_int_list(args.order)
-        if tuple(sorted(order)) != par:
-            raise InvalidInputError("--order must permute --parabolic")
-        return OrderedParabolic(rs, order)
-    return canonical_order(rs, par)
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
+def _add_common(sp, formats=FORMATS):
     sp.add_argument("system_pos", nargs="?", default=None, metavar="SYSTEM",
                     help="root system id (alternative to --system)")
     sp.add_argument("--system", help="root system id, e.g. A2, B3")
@@ -330,11 +283,12 @@ def _add_common(sp):
                     help="comma-separated parabolic simple indices")
     sp.add_argument("--order", default="",
                     help="explicit order on the parabolic indices")
-    sp.add_argument("--format", choices=FORMATS, default=None)
+    sp.add_argument("--format", choices=formats, default="markdown")
     sp.add_argument("--out", default=None, help="write output to this path")
-    sp.add_argument("--max-q", type=int, default=None, dest="max_q")
-    sp.add_argument("--max-weyl", type=int, default=None, dest="max_weyl")
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--max-q", type=int, default=3, dest="max_q")
+    sp.add_argument("--max-weyl", type=int, default=weyl.WEYL_CAP,
+                    dest="max_weyl")
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--config", default=None,
                     help="flat key=value config file; flags override")
 
@@ -370,57 +324,65 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-len", type=int, default=None, dest="max_len")
 
     sp = sub.add_parser("pw", help="comparison lift of a curve class")
-    _add_common(sp)
+    _add_common(sp, TEXT_FORMATS)
     sp.add_argument("--lambda", default="", dest="lam",
                     help="curve class, e.g. 3:1 or {\"3\": 1}")
 
     sp = sub.add_parser("qhp", help="quantum product in QH*(G/P)")
-    _add_common(sp)
+    _add_common(sp, TEXT_FORMATS)
     sp.add_argument("--u", default="")
     sp.add_argument("--v", default="")
 
     sp = sub.add_parser("verify", help="run verification suites")
-    _add_common(sp)
+    _add_common(sp, TEXT_FORMATS)
     sp.add_argument("--suites", default="all",
                     help="comma-separated suite names or 'all'")
-    sp.add_argument("--report-out", default=None, dest="report_out",
-                    help="also write the JSON report to this path")
     return p
 
 
-_DEFAULTS = {"format": "markdown", "max_q": 3, "max_weyl": weyl.WEYL_CAP,
-             "seed": 0}
+def _config_flags(parser, command: str, path: str) -> List[str]:
+    """Each config line key=value as the flag --key=value, checked by the
+    subcommand's parser; flags the subcommand lacks are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    flags = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, val = line.partition("=")
+        if not eq:
+            raise InvalidInputError(
+                f"config line {lineno}: expected key=value, got {raw!r}")
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise InvalidInputError(
+                f"config line {lineno}: unknown key {key!r}")
+        flag = f"--{key}={val.strip()}"
+        try:
+            ns, unknown = parser.parse_known_args([command, flag])
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"config line {lineno}: {exc}")
+        # argparse takes an unknown flag whose value holds a space for SYSTEM.
+        if not unknown and ns.system_pos is None:
+            flags.append(flag)
+    return flags
 
-_CONFIG_TO_ARG = {"max-q": "max_q", "max-weyl": "max_weyl", "lambda": "lam"}
 
-
-def _apply_config(args) -> None:
-    if getattr(args, "system_pos", None) and not getattr(args, "system", None):
-        args.system = args.system_pos
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = RunConfig.from_text(fh.read())
-    for key, val in cfg.values.items():
-        attr = _CONFIG_TO_ARG.get(key, key)
-        if hasattr(args, attr) and getattr(args, attr) in (None, ""):
-            if isinstance(_DEFAULTS.get(attr), int):
-                try:
-                    setattr(args, attr, int(val))
-                except ValueError:
-                    raise InvalidInputError(
-                        f"config key {key!r} needs an integer, got {val!r}")
-            elif key == "format" and val not in FORMATS:
-                raise InvalidInputError(
-                    f"config key 'format' must be one of "
-                    f"{', '.join(FORMATS)}, got {val!r}")
-            else:
-                setattr(args, attr, val)
-    for attr, val in _DEFAULTS.items():
-        if getattr(args, attr, "sentinel") is None:
-            setattr(args, attr, val)
-    if not getattr(args, "system", None):
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    """Parse the command line over the config's flags.  The system comes
+    from --system, else the positional SYSTEM, else the config."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    system = args.system or args.system_pos
+    if args.config:
+        # argv[0] is the subcommand: the top level takes no other option.
+        flags = _config_flags(parser, args.command, args.config)
+        args = parser.parse_args([args.command] + flags + argv[1:])
+    args.system = system or args.system
+    if not args.system:
         raise InvalidInputError("missing required --system (flag or config)")
+    return args
 
 
 _HANDLERS = {
@@ -435,18 +397,14 @@ _HANDLERS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        _apply_config(args)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         return _HANDLERS[args.command](args)
     except SystemExit as exc:  # --help; a bad command line raises instead
         return EXIT_USAGE if exc.code else EXIT_OK
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except QHError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (QHError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -27,7 +27,8 @@ here is pure and safe for concurrent reads.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from .errors import InternalConsistencyError, InvalidInputError
 from .rootsys import RootSystem
@@ -230,6 +231,18 @@ def canonical_order(rs: RootSystem, indices: Iterable[int]) -> "OrderedParabolic
     return OrderedParabolic(rs, min(cands)[2])
 
 
+def ordered_parabolic(rs: RootSystem, parabolic: Iterable[int],
+                      order: Optional[Sequence[int]] = None) -> "OrderedParabolic":
+    """The parabolic subset in the given order, else in the canonical one."""
+    par = rs.check_parabolic(parabolic)
+    if order is None:
+        return canonical_order(rs, par)
+    if tuple(sorted(order)) != par:
+        raise InvalidInputError(
+            f"order {tuple(order)} must permute the parabolic {par}")
+    return OrderedParabolic(rs, order)
+
+
 # ---------------------------------------------------------------------------
 # OrderedParabolic and the grading map
 # ---------------------------------------------------------------------------
@@ -322,6 +335,21 @@ class OrderedParabolic:
         if len(lam) != self.rs.n:
             raise InvalidInputError("lambda must have one entry per simple root")
         return _add_q(g, enumerate(lam, start=1), self._grq)
+
+    def graded_basis(self, elements: Iterable[WeylElt],
+                     lams: Sequence[Tuple[int, ...]], width: int,
+                     keep: Callable[[Grading], bool]
+                     ) -> Dict[Grading, List[Tuple[WeylElt, Tuple[int, ...]]]]:
+        """Each (w, lam) of elements x lams, w-major, whose grading vanishes
+        past its first ``width`` coordinates, keyed by them if ``keep`` does."""
+        buckets: Dict[Grading, list] = {}
+        for w in elements:
+            gw = self.gr_weyl(w)
+            for lam in lams:
+                g = _add_q(gw, enumerate(lam, start=1), self._grq)
+                if not any(g[width:]) and keep(g[:width]):
+                    buckets.setdefault(g[:width], []).append((w, lam))
+        return buckets
 
     def gr_q_lambda(self, lam: Sequence[int]) -> Grading:
         """Grading of the monomial q^lam."""

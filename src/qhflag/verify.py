@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError
 from . import pwlift, weyl
-from .grading import OrderedParabolic, canonical_order, grading_add, is_a_chain
+from .grading import grading_add, is_a_chain, ordered_parabolic
 from .qchev import QClass, QuantumFlagRing, format_qclass, format_term
 from .rootsys import RootSystem, parabolic_subsystem, parse_system_id
 from .weyl import WeylElt
@@ -98,14 +98,8 @@ class _Context:
     def __init__(self, setup: VerificationSetup):
         self.setup = setup
         self.rs = parse_system_id(setup.system)
-        par = self.rs.check_parabolic(setup.parabolic)
-        if setup.order is not None:
-            if tuple(sorted(setup.order)) != par:
-                raise InvalidInputError("explicit order must permute the parabolic")
-            self.op = OrderedParabolic(self.rs, tuple(setup.order))
-        else:
-            self.op = canonical_order(self.rs, par)
-        self.parabolic = par
+        self.op = ordered_parabolic(self.rs, setup.parabolic, setup.order)
+        self.parabolic = tuple(sorted(self.op.order))
         self._ring: Optional[QuantumFlagRing] = None
 
     @property
@@ -293,30 +287,20 @@ def _graded_iso(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
     box = ctx.setup.grading_box
 
     # (a) uniqueness of graded representatives on the box, by brute search.
-    reps_by_grading: Dict[tuple, list] = {}
-    all_w = weyl.enumerate_group(rs, cap=ctx.setup.max_weyl)
-    lam_box = list(product(range(-box, box + 4), repeat=rs.n))
-    in_box = {}
-    for w in all_w:
-        gw = op.gr_weyl(w)
-        for lam in lam_box:
-            g = op.gr(w, lam) if any(lam) else gw
-            if any(g[s:]):
-                continue
-            head = g[:s]
-            if all(0 <= x <= box for x in head):
-                reps_by_grading.setdefault(head, []).append((w, lam))
-
-    for d in product(range(box + 1), repeat=s):
+    reps_by_grading = op.graded_basis(
+        weyl.enumerate_group(rs, cap=ctx.setup.max_weyl),
+        list(product(range(-box, box + 4), repeat=rs.n)), s,
+        lambda h: all(0 <= x <= box for x in h))
+    in_box = {d: op.unique_basis_element(d)
+              for d in product(range(box + 1), repeat=s)}
+    for d, (w, lam) in in_box.items():
         case = f"lemma41:d={d}"
         if _want(only_case, case):
-            w, lam = op.unique_basis_element(d)
             hits = reps_by_grading.get(d, [])
             ok = hits == [(w, lam)] and all(x >= 0 for x in lam)
             rep.record(case, ok,
                        lhs=f"representatives={[(ctx.word(x), m) for x, m in hits]}",
                        rhs=f"exactly ({ctx.word(w)}, {lam})")
-        in_box[d] = op.unique_basis_element(d)
 
     # (b) graded representatives multiply by grading addition inside the box.
     ring = ctx.ring

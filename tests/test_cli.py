@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-from qhflag.cli import RunConfig, main
-from qhflag.errors import InvalidInputError
+from qhflag.cli import main
 
 
 def run(capsys, *argv):
@@ -183,7 +182,7 @@ def test_verify_cli_pass_and_report(tmp_path, capsys):
     report = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "--system", "A2", "--parabolic", "1",
                        "--suites", "filtration,key-lemma",
-                       "--report-out", str(report))
+                       "--out", str(report))
     assert code == 0
     assert "PASS filtration" in out
     data = json.loads(report.read_text())
@@ -322,17 +321,6 @@ def test_missing_system_is_usage_error(capsys):
     assert "--system" in err
 
 
-def test_config_round_trip(tmp_path):
-    cfg = RunConfig({"system": "B3", "parabolic": "1,2", "order": "1,2",
-                     "format": "json", "seed": "3"})
-    text = cfg.to_text()
-    assert RunConfig.from_text(text) == cfg
-    with pytest.raises(InvalidInputError, match="unknown key"):
-        RunConfig.from_text("bogus=1\n")
-    with pytest.raises(InvalidInputError, match="key=value"):
-        RunConfig.from_text("just some text\n")
-
-
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("system=A2\nparabolic=1\n")
@@ -358,16 +346,21 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text().strip() == "q1 + s[2,1]"
 
 
-@pytest.mark.parametrize("line", ["max-q=abc", "max-weyl=1.5", "seed=",
-                                  "seed=x"])
+_CONFIG_INT_ERRORS = {
+    "max-q=abc": "argument --max-q: invalid int value: 'abc'",
+    "max-weyl=1.5": "argument --max-weyl: invalid int value: '1.5'",
+    "seed=": "argument --seed: invalid int value: ''",
+    "seed=x": "argument --seed: invalid int value: 'x'",
+}
+
+
+@pytest.mark.parametrize("line", list(_CONFIG_INT_ERRORS))
 def test_config_non_integer_value_is_usage_error(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"system=A2\nparabolic=1\n{line}\n")
-    code, out, err = run(capsys, "verify", "--config", str(cfg),
-                         "--suites", "key-lemma")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: config key") and err.count("\n") == 1
+    assert run(capsys, "verify", "--config", str(cfg), "--suites",
+               "key-lemma") == (
+        2, "", f"error: config line 3: {_CONFIG_INT_ERRORS[line]}\n")
 
 
 def test_config_unknown_format_is_usage_error(tmp_path, capsys):
@@ -377,8 +370,8 @@ def test_config_unknown_format_is_usage_error(tmp_path, capsys):
                          "--suites", "key-lemma")
     assert code == 2
     assert out == ""
-    assert err == ("error: config key 'format' must be one of markdown, "
-                   "json, csv, got 'xml'\n")
+    assert err == ("error: config line 3: argument --format: invalid choice: "
+                   "'xml' (choose from 'markdown', 'json')\n")
 
 
 def test_config_key_without_a_flag_is_usage_error(tmp_path, capsys):
@@ -389,3 +382,102 @@ def test_config_key_without_a_flag_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: config line 3: unknown key 'imin'\n"
+
+
+# Every subcommand, with a valid command line to spoil one input at a time.
+_SWEEP_BASE = {
+    "qprod": ["A2", "--u", "1", "--v", "2"],
+    "grading-table": ["A2", "--parabolic", "1"],
+    "mult-table": ["A2", "--max-len", "1"],
+    "pw": ["A2", "--parabolic", "1", "--lambda", "2:1"],
+    "qhp": ["A3", "--parabolic", "1,2", "--u", "3", "--v", "2,3"],
+    "verify": ["A2", "--parabolic", "1", "--suites", "key-lemma"],
+}
+_READS_PARABOLIC = ("grading-table", "pw", "qhp", "verify")
+_READS_WORDS = ("qprod", "qhp")
+
+
+def _sweep_cases():
+    for cmd, base in _SWEEP_BASE.items():
+        yield cmd, "system", base + ["--system", "Z9"], None
+        if cmd in _READS_PARABOLIC:
+            yield cmd, "parabolic", base + ["--parabolic", "1,9"], None
+        if cmd in _READS_WORDS:
+            yield cmd, "word", base + ["--u", "1,x"], None
+        if cmd == "pw":
+            yield cmd, "lambda", base + ["--lambda", "2:x"], None
+        yield cmd, "config-int", base, "max-q=abc"
+        yield cmd, "config-line", base, "nonsense"
+
+
+@pytest.mark.parametrize("cmd,case,argv,cfg_line", list(_sweep_cases()),
+                         ids=[f"{c}-{k}" for c, k, _, _ in _sweep_cases()])
+def test_malformed_input_is_one_usage_line(tmp_path, capsys, cmd, case, argv,
+                                           cfg_line):
+    if cfg_line is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(cfg_line + "\n")
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = run(capsys, cmd, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,product", [
+    (["qprod", "A2"], "q2 + s[1,2]"),
+    (["qprod"], "q2 + s[1,2] + 2*s[3,2]"),
+    (["qprod", "B3", "--system", "A2"], "q2 + s[1,2]"),
+    (["qprod", "--system", "A2"], "q2 + s[1,2]"),
+], ids=["positional", "config", "flag-over-positional", "flag"])
+def test_system_precedence_over_config(tmp_path, capsys, argv, product):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("system=B3\n")
+    code, out, err = run(capsys, *argv, "--u", "2", "--v", "2",
+                         "--config", str(cfg))
+    assert (code, out, err) == (0, product + "\n", "")
+
+
+def test_config_line_without_equals_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment\n\nsystem=A2\njust some text\n")
+    assert run(capsys, "qprod", "--config", str(cfg)) == (
+        2, "", "error: config line 4: expected key=value, got 'just some text'\n")
+
+
+@pytest.mark.parametrize("text", ["suites=key-lemma\nlambda=2:1\n",
+                                  'suites=key-lemma, basics\nlambda={"2": 1}\n'])
+def test_config_skips_keys_of_other_subcommands(tmp_path, capsys, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("u=1\nv=1\n" + text)
+    assert run(capsys, "qprod", "A2", "--config", str(cfg)) == (
+        0, "q1 + s[2,1]\n", "")
+
+
+@pytest.mark.parametrize("cmd", ["verify", "pw", "qhp"])
+def test_unwritten_format_is_usage_error(capsys, cmd):
+    assert run(capsys, cmd, "A2", "--parabolic", "1", "--format", "csv") == (
+        2, "", "error: argument --format: invalid choice: 'csv' "
+               "(choose from 'markdown', 'json')\n")
+
+
+def test_config_unwritten_format_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("system=A2\nparabolic=1\nformat=csv\n")
+    assert run(capsys, "pw", "--config", str(cfg), "--lambda", "2:1") == (
+        2, "", "error: config line 3: argument --format: invalid choice: "
+               "'csv' (choose from 'markdown', 'json')\n")
+
+
+def test_report_out_is_gone(tmp_path, capsys):
+    code, out, err = run(capsys, "verify", "A2", "--parabolic", "1",
+                         "--report-out", str(tmp_path / "r.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unrecognized arguments: --report-out")
+
+
+def test_order_must_permute_the_parabolic(capsys):
+    for cmd in ("grading-table", "verify"):
+        assert run(capsys, cmd, "A3", "--parabolic", "1,2", "--order",
+                   "2,3") == (2, "", "error: order (2, 3) must permute the "
+                                     "parabolic (1, 2)\n")

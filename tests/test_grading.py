@@ -5,7 +5,7 @@ import pytest
 from qhflag.errors import InvalidInputError
 from qhflag.grading import (OrderedParabolic, canonical_order,
                             connected_components, is_a_chain,
-                            reducible_grading)
+                            ordered_parabolic, reducible_grading)
 from qhflag.pwlift import minimal_representatives, pw_lift
 from qhflag.rootsys import build_root_system
 from qhflag import weyl
@@ -78,6 +78,17 @@ def test_ordered_parabolic_validation():
     # non-canonical but structurally valid orders are accepted
     assert OrderedParabolic(a4, (2, 1)).sigma == 2
     assert OrderedParabolic(a4, (2, 1, 3)).sigma == 3
+
+
+def test_ordered_parabolic_resolves_the_order():
+    a3 = build_root_system("A", 3)
+    assert ordered_parabolic(a3, (2, 1)).order == canonical_order(a3, (1, 2)).order
+    assert ordered_parabolic(a3, (1, 2), (2, 1)).order == (2, 1)
+    with pytest.raises(InvalidInputError,
+                       match=r"order \(1, 3\) must permute the parabolic \(1, 2\)"):
+        ordered_parabolic(a3, (1, 2), (1, 3))
+    with pytest.raises(InvalidInputError, match="out of range"):
+        ordered_parabolic(a3, (1, 5))
 
 
 def test_every_produced_order_validates():
