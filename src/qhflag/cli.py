@@ -275,20 +275,20 @@ def _cmd_verify(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, formats=FORMATS):
+def _add_common(sp, formats=FORMATS, reads=()):
     sp.add_argument("system_pos", nargs="?", default=None, metavar="SYSTEM",
                     help="root system id (alternative to --system)")
     sp.add_argument("--system", help="root system id, e.g. A2, B3")
-    sp.add_argument("--parabolic", default="",
-                    help="comma-separated parabolic simple indices")
-    sp.add_argument("--order", default="",
-                    help="explicit order on the parabolic indices")
+    if "parabolic" in reads:
+        sp.add_argument("--parabolic", default="",
+                        help="comma-separated parabolic simple indices")
+    if "order" in reads:
+        sp.add_argument("--order", default="",
+                        help="explicit order on the parabolic indices")
     sp.add_argument("--format", choices=formats, default="markdown")
     sp.add_argument("--out", default=None, help="write output to this path")
-    sp.add_argument("--max-q", type=int, default=3, dest="max_q")
     sp.add_argument("--max-weyl", type=int, default=weyl.WEYL_CAP,
                     dest="max_weyl")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--config", default=None,
                     help="flat key=value config file; flags override")
 
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--v", default="", help="reduced word")
 
     sp = sub.add_parser("grading-table", help="table of graded basis elements")
-    _add_common(sp)
+    _add_common(sp, reads=("parabolic", "order"))
     sp.add_argument("--imin", type=int, default=-2)
     sp.add_argument("--imax", type=int, default=4)
     sp.add_argument("--jmin", type=int, default=0)
@@ -324,17 +324,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-len", type=int, default=None, dest="max_len")
 
     sp = sub.add_parser("pw", help="comparison lift of a curve class")
-    _add_common(sp, TEXT_FORMATS)
+    _add_common(sp, TEXT_FORMATS, ("parabolic",))
     sp.add_argument("--lambda", default="", dest="lam",
                     help="curve class, e.g. 3:1 or {\"3\": 1}")
 
     sp = sub.add_parser("qhp", help="quantum product in QH*(G/P)")
-    _add_common(sp, TEXT_FORMATS)
+    _add_common(sp, TEXT_FORMATS, ("parabolic",))
     sp.add_argument("--u", default="")
     sp.add_argument("--v", default="")
 
     sp = sub.add_parser("verify", help="run verification suites")
-    _add_common(sp, TEXT_FORMATS)
+    _add_common(sp, TEXT_FORMATS, ("parabolic", "order"))
+    sp.add_argument("--max-q", type=int, default=3, dest="max_q")
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--suites", default="all",
                     help="comma-separated suite names or 'all'")
     return p

@@ -12,13 +12,14 @@ The full quantum product is computed in two stages:
     picks the first independent ones and inverts them in one fraction-free
     integer Gauss-Jordan pass.  Each expression, with its q-corrections,
     is stored once, as integers over its least common denominator.
-2.  sigma^u * sigma^v is evaluated by induction on l(v): replay the
-    degree-(l(v)) pivot products quantum-mechanically on top of sigma^u and
-    subtract the recursively computed q-carrying corrections, which involve
-    strictly shorter Weyl elements by degree homogeneity.  The product is
-    commutative, so the factors are first ordered with l(u) >= l(v) (ties
-    by element index) and the recursion runs on the shorter factor; the
-    memo holds one entry per unordered pair.
+2.  sigma^u * sigma^v is evaluated by induction on l(v): replay on top of
+    sigma^u the pivot products (i, x) that sigma^v's expression names, as the
+    quantum sigma^u * sigma^x * sigma^{s_i}, memoised per (u, i, x) and built
+    on first use, and subtract the recursively computed q-carrying
+    corrections, which involve strictly shorter Weyl elements by degree
+    homogeneity.  The product is commutative, so the factors are first ordered
+    with l(u) >= l(v) (ties by element index) and the recursion runs on the
+    shorter factor; the memo holds one entry per unordered pair.
 
 The elimination and the recursion work in the integers.  All coefficients
 are exact; the final structure constants are asserted to be nonnegative
@@ -182,7 +183,8 @@ class QuantumFlagRing:
         self._pivots: Dict[int, list] = {}    # degree -> [(i, x idx)]
         self._expr_built_upto = 1
         self._prod: Dict[Tuple[int, int], Dict[int, int]] = {}
-        self._pivot_apps: Dict[Tuple[int, int], list] = {}
+        # (u idx, i, x idx) -> sigma^u * sigma^x * sigma^{s_i}, built on demand
+        self._pivot_apps: Dict[Tuple[int, int, int], Dict[int, int]] = {}
         self._qbase = QDIGIT ** self.n
         self._qkeys: Dict[int, Tuple[Tuple[int, ...], int]] = {}
         # packed term key -> (w, lambda) and its canonical sort rank
@@ -336,15 +338,6 @@ class QuantumFlagRing:
             self._int_expr[v] = (den, expr, [(w2, qs, a) for (w2, qs), a
                                              in sorted(corr.items()) if a])
 
-    def _pivot_applications(self, ui: int, d: int) -> list:
-        key = (ui, d)
-        apps = self._pivot_apps.get(key)
-        if apps is None:
-            apps = [self._chev_apply(i, self._product(ui, x))
-                    for i, x in self._pivots[d]]
-            self._pivot_apps[key] = apps
-        return apps
-
     # -- the quantum product -----------------------------------------------------
 
     def _product(self, ui: int, vi: int) -> Dict[int, int]:
@@ -364,10 +357,14 @@ class QuantumFlagRing:
             self._build_expressions_upto(lv)
             den, expr, corr = self._int_expr[vi]
             acc: Dict[int, int] = {}
-            get = acc.get
-            apps = self._pivot_applications(ui, lv)
+            get, apps = acc.get, self._pivot_apps
             for k, ct in expr:
-                for kk, vv in apps[k].items():
+                i, x = self._pivots[lv][k]
+                app = apps.get((ui, i, x))
+                if app is None:
+                    app = apps[ui, i, x] = self._chev_apply(
+                        i, self._product(ui, x))
+                for kk, vv in app.items():
                     acc[kk] = get(kk, 0) + ct * vv
             for x2, qshift, ct in corr:
                 for kk, vv in self._product(ui, x2).items():
@@ -405,17 +402,21 @@ class QuantumFlagRing:
         """Cup product: the q = 0 part of the quantum product."""
         return self.quantum_product(u, v).classical_part()
 
+    def _product_terms(self, u: WeylElt, v: WeylElt):
+        """The terms ((w, lambda), c) of sigma^u * sigma^v, unsorted."""
+        qb, elements, q_of = self._qbase, self.elements, self._q_of
+        for k, c in self._product(self._idx(u), self._idx(v)).items():
+            widx, qkey = divmod(k, qb)
+            yield (elements[widx], q_of(qkey)[0]), c
+
     def product_with_class(self, qc: QClass, v: WeylElt) -> QClass:
         """Linear extension (sum c q^mu sigma^x) * sigma^v; mu may be any
         integer vector, since it shifts exponents, not packed keys."""
-        vi = self._idx(v)
-        qb, elements, q_of = self._qbase, self.elements, self._q_of
+        self._idx(v)  # a foreign v is an error even when qc is zero
         acc: Dict[Tuple[WeylElt, Tuple[int, ...]], object] = {}
         for (x, mu), c in qc.terms.items():
-            for k, vv in self._product(self._idx(x), vi).items():
-                widx, qkey = divmod(k, qb)
-                key = (elements[widx],
-                       tuple(a + b for a, b in zip(q_of(qkey)[0], mu)))
+            for (w, lam), vv in self._product_terms(x, v):
+                key = (w, tuple(a + b for a, b in zip(lam, mu)))
                 acc[key] = acc.get(key, 0) + c * vv
         return QClass(self.rs, acc)
 

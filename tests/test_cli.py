@@ -393,20 +393,19 @@ _SWEEP_BASE = {
     "qhp": ["A3", "--parabolic", "1,2", "--u", "3", "--v", "2,3"],
     "verify": ["A2", "--parabolic", "1", "--suites", "key-lemma"],
 }
-_READS_PARABOLIC = ("grading-table", "pw", "qhp", "verify")
 _READS_WORDS = ("qprod", "qhp")
 
 
 def _sweep_cases():
     for cmd, base in _SWEEP_BASE.items():
         yield cmd, "system", base + ["--system", "Z9"], None
-        if cmd in _READS_PARABOLIC:
-            yield cmd, "parabolic", base + ["--parabolic", "1,9"], None
+        # A bad index where --parabolic is read, an unknown flag elsewhere.
+        yield cmd, "parabolic", base + ["--parabolic", "1,9"], None
         if cmd in _READS_WORDS:
             yield cmd, "word", base + ["--u", "1,x"], None
         if cmd == "pw":
             yield cmd, "lambda", base + ["--lambda", "2:x"], None
-        yield cmd, "config-int", base, "max-q=abc"
+        yield cmd, "config-int", base, "max-weyl=abc"
         yield cmd, "config-line", base, "nonsense"
 
 
@@ -446,7 +445,8 @@ def test_config_line_without_equals_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ["suites=key-lemma\nlambda=2:1\n",
-                                  'suites=key-lemma, basics\nlambda={"2": 1}\n'])
+                                  'suites=key-lemma, basics\nlambda={"2": 1}\n',
+                                  "parabolic=1,9\norder=2\nmax-q=x\nseed=x\n"])
 def test_config_skips_keys_of_other_subcommands(tmp_path, capsys, text):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("u=1\nv=1\n" + text)

@@ -225,7 +225,26 @@ def test_memo_holds_one_entry_per_unordered_pair(series, rank, entries):
     assert len(ring._prod) == (size - 1) * size // 2 == entries
     assert all(ring.lengths[ui] >= ring.lengths[vi]
                for ui, vi in ring._prod)
-    assert all(d <= ring.lengths[ui] for ui, d in ring._pivot_apps)
+    # Pivot applications are keyed (u, i, x) by a pivot (i, x) of degree
+    # l(x) + 1, never longer than u.
+    assert all((i, x) in ring._pivots[ring.lengths[x] + 1]
+               and ring.lengths[x] + 1 <= ring.lengths[ui]
+               for ui, i, x in ring._pivot_apps)
+
+
+def test_products_apply_only_the_pivots_their_expressions_name():
+    ring = QuantumFlagRing(build_root_system("B", 4))
+    par = (1, 2, 3)
+    reps = minimal_representatives(ring.rs, par)
+    qhp_product(ring, par, reps[-1], reps[-2])
+    assert len(ring._pivot_apps) == 69
+    for u in reps:
+        for v in reps:
+            qhp_product(ring, par, u, v)
+    named = {(ui, *ring._pivots[ring.lengths[vi]][k])
+             for ui, vi in ring._prod if ring.lengths[vi] >= 2
+             for k, _ in ring._int_expr[vi][1]}
+    assert set(ring._pivot_apps) <= named
 
 
 def test_products_hold_no_zero_coefficients():
