@@ -287,8 +287,9 @@ def _add_common(sp, formats=FORMATS, reads=()):
                         help="explicit order on the parabolic indices")
     sp.add_argument("--format", choices=formats, default="markdown")
     sp.add_argument("--out", default=None, help="write output to this path")
-    sp.add_argument("--max-weyl", type=int, default=weyl.WEYL_CAP,
-                    dest="max_weyl")
+    if "max-weyl" in reads:  # every subcommand but pw enumerates W
+        sp.add_argument("--max-weyl", type=int, default=weyl.WEYL_CAP,
+                        dest="max_weyl")
     sp.add_argument("--config", default=None,
                     help="flat key=value config file; flags override")
 
@@ -308,19 +309,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("qprod", help="quantum product of two Schubert classes")
-    _add_common(sp)
+    _add_common(sp, reads=("max-weyl",))
     sp.add_argument("--u", default="", help="reduced word, e.g. 1,2,1")
     sp.add_argument("--v", default="", help="reduced word")
 
     sp = sub.add_parser("grading-table", help="table of graded basis elements")
-    _add_common(sp, reads=("parabolic", "order"))
+    _add_common(sp, reads=("parabolic", "order", "max-weyl"))
     sp.add_argument("--imin", type=int, default=-2)
     sp.add_argument("--imax", type=int, default=4)
     sp.add_argument("--jmin", type=int, default=0)
     sp.add_argument("--jmax", type=int, default=6)
 
     sp = sub.add_parser("mult-table", help="all pairwise quantum products")
-    _add_common(sp)
+    _add_common(sp, reads=("max-weyl",))
     sp.add_argument("--max-len", type=int, default=None, dest="max_len")
 
     sp = sub.add_parser("pw", help="comparison lift of a curve class")
@@ -329,12 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="curve class, e.g. 3:1 or {\"3\": 1}")
 
     sp = sub.add_parser("qhp", help="quantum product in QH*(G/P)")
-    _add_common(sp, TEXT_FORMATS, ("parabolic",))
+    _add_common(sp, TEXT_FORMATS, ("parabolic", "max-weyl"))
     sp.add_argument("--u", default="")
     sp.add_argument("--v", default="")
 
     sp = sub.add_parser("verify", help="run verification suites")
-    _add_common(sp, TEXT_FORMATS, ("parabolic", "order"))
+    _add_common(sp, TEXT_FORMATS, ("parabolic", "order", "max-weyl"))
     sp.add_argument("--max-q", type=int, default=3, dest="max_q")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--suites", default="all",

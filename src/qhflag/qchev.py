@@ -12,6 +12,10 @@ The full quantum product is computed in two stages:
     picks the first independent ones and inverts them in one fraction-free
     integer Gauss-Jordan pass.  Each expression, with its q-corrections,
     is stored once, as integers over its least common denominator.
+    Candidates are grouped by x, the x with the fewest classical terms over
+    all i first, and within one x go sparsest column first (ties in element,
+    then i, order): sparse pivots give short expressions to replay, and
+    grouping by x keeps the recursion into sigma^u * sigma^x small.
 2.  sigma^u * sigma^v is evaluated by induction on l(v): replay on top of
     sigma^u the pivot products (i, x) that sigma^v's expression names, as the
     quantum sigma^u * sigma^x * sigma^{s_i}, memoised per (u, i, x) and built
@@ -25,7 +29,8 @@ The elimination and the recursion work in the integers.  All coefficients
 are exact; the final structure constants are asserted to be nonnegative
 integers (they are genus-zero Gromov-Witten invariants) and degree-
 homogeneous.  Product computation is pure; the memo caches make repeated
-all-pairs verification cheap.  Results are bit-identical in any call order.
+all-pairs verification cheap, and each memo entry is stored once in
+canonical term order.  Results are bit-identical in any call order.
 
 JSON form of a QClass: a list of {"word": [...], "q": [...], "coeff": "c"}
 objects, with Weyl elements serialized as reduced words.  The "word" and
@@ -183,12 +188,14 @@ class QuantumFlagRing:
         self._pivots: Dict[int, list] = {}    # degree -> [(i, x idx)]
         self._expr_built_upto = 1
         self._prod: Dict[Tuple[int, int], Dict[int, int]] = {}
+        self._units: Dict[int, Dict[int, int]] = {}  # u idx -> sigma^u
         # (u idx, i, x idx) -> sigma^u * sigma^x * sigma^{s_i}, built on demand
         self._pivot_apps: Dict[Tuple[int, int, int], Dict[int, int]] = {}
         self._qbase = QDIGIT ** self.n
         self._qkeys: Dict[int, Tuple[Tuple[int, ...], int]] = {}
-        # packed term key -> (w, lambda) and its canonical sort rank
+        # packed term key -> (w, lambda), its degree and canonical sort rank
         self._terms: Dict[int, Tuple[WeylElt, Tuple[int, ...]]] = {}
+        self._degrees: Dict[int, int] = {}
         self._ranks: Dict[int, int] = {}
 
     # -- packed term keys ----------------------------------------------------
@@ -216,31 +223,33 @@ class QuantumFlagRing:
     def _term_key(self, widx: int, qkey: int) -> int:
         return widx * self._qbase + qkey
 
-    def _add_term(self, key: int) -> None:
-        """Tabulate the term of a packed key and its canonical sort rank:
-        length, then |lambda|, then lambda (first coordinate most
-        significant), then the element index, which orders equal lengths by
-        reduced word."""
-        widx, qkey = divmod(key, self._qbase)
-        lam, deg = self._q_of(qkey)
-        lamkey = 0
-        for e in lam:
-            lamkey = lamkey * QDIGIT + e
-        rank = self.lengths[widx] * self.n * QDIGIT + deg // 2
-        rank = rank * self._qbase + lamkey
-        self._terms.setdefault(key, (self.elements[widx], lam))
-        self._ranks.setdefault(key, rank * len(self.elements) + widx)
+    def _canonical(self, d: Dict[int, int]) -> Dict[int, int]:
+        """A packed class in canonical order, its terms tabulated: the
+        (w, lambda) key, the degree l(w) + 2|lambda| and the sort rank
+        (length, then |lambda|, then lambda, first coordinate most
+        significant, then the element index, which orders equal lengths by
+        reduced word)."""
+        ranks = self._ranks
+        for key in d:
+            if key not in ranks:
+                widx, qkey = divmod(key, self._qbase)
+                lam, deg = self._q_of(qkey)
+                lamkey = 0
+                for e in lam:
+                    lamkey = lamkey * QDIGIT + e
+                rank = self.lengths[widx] * self.n * QDIGIT + deg // 2
+                rank = rank * self._qbase + lamkey
+                self._terms.setdefault(key, (self.elements[widx], lam))
+                self._degrees.setdefault(key, self.lengths[widx] + deg)
+                ranks.setdefault(key, rank * len(self.elements) + widx)
+        return {k: d[k] for k in sorted(d, key=ranks.__getitem__)}
 
     def _from_packed(self, d: Dict[int, int]) -> QClass:
-        """The QClass of a packed class, which must hold no zero terms,
-        with its terms in canonical order."""
-        terms, ranks = self._terms, self._ranks
-        for k in d:
-            if k not in ranks:
-                self._add_term(k)
+        """The QClass of a canonical packed class (see ``_canonical``)."""
+        terms = self._terms
         qc = QClass.__new__(QClass)
         qc.rs = self.rs
-        qc.terms = {terms[k]: d[k] for k in sorted(d, key=ranks.__getitem__)}
+        qc.terms = {terms[k]: c for k, c in d.items()}
         qc.ordered = True
         return qc
 
@@ -282,8 +291,8 @@ class QuantumFlagRing:
     def chevalley_product(self, u: WeylElt, i: int) -> QClass:
         """sigma^u * sigma^{s_i}: the two Chevalley sums, nothing else."""
         self.rs._check_index(i)
-        return self._from_packed(
-            self._chev_apply(i, {self._term_key(self._idx(u), 0): 1}))
+        return self._from_packed(self._canonical(
+            self._chev_apply(i, {self._term_key(self._idx(u), 0): 1})))
 
     def _chev_apply(self, i: int, cls: Dict[int, int]) -> Dict[int, int]:
         """Right-multiply a packed class by sigma^{s_i} (quantum)."""
@@ -295,7 +304,7 @@ class QuantumFlagRing:
             for widx2, qshift, c in self._chev_row(i, widx):
                 k2 = widx2 * qb + qkey + qshift
                 out[k2] = get(k2, 0) + c * val
-        return {k: v for k, v in out.items() if v}
+        return out  # positive inputs and coefficients leave no zero term
 
     # -- divisor expressions ---------------------------------------------------
 
@@ -310,8 +319,11 @@ class QuantumFlagRing:
         basis = self.by_length[d]
         pos = {widx: row for row, widx in enumerate(basis)}
         m = len(basis)
-        candidates = [(i, x) for x in self.by_length[d - 1]
-                      for i in range(1, self.n + 1)]
+        size = {(i, x): sum(not qs for _, qs, _ in self._chev_row(i, x))
+                for x in self.by_length[d - 1] for i in range(1, self.n + 1)}
+        xsize = {x: sum(size[i, x] for i in range(1, self.n + 1))
+                 for x in self.by_length[d - 1]}
+        candidates = sorted(size, key=lambda ix: (xsize[ix[1]], ix[1], size[ix]))
 
         def columns():  # classical sigma^x * sigma^{s_i} over the degree-d basis
             for i, x in candidates:
@@ -345,7 +357,11 @@ class QuantumFlagRing:
         if (lu, ui) < (lv, vi):  # commutative: recurse on the shorter factor
             ui, vi, lu, lv = vi, ui, lv, lu
         if lv == 0:
-            return {self._term_key(ui, 0): 1}
+            res = self._units.get(ui)
+            if res is None:
+                res = self._units[ui] = self._canonical(
+                    {self._term_key(ui, 0): 1})
+            return res
         key = (ui, vi)
         res = self._prod.get(key)
         if res is not None:
@@ -370,29 +386,22 @@ class QuantumFlagRing:
                 for kk, vv in self._product(ui, x2).items():
                     k2 = kk + qshift
                     acc[k2] = get(k2, 0) - ct * vv
-            res = {}
-            for kk, vv in acc.items():
-                if vv == 0:
-                    continue
-                q, r = divmod(vv, den)
-                if r:
-                    raise InternalConsistencyError(
-                        "non-integer quantum structure constant")
-                if q < 0:
-                    raise InternalConsistencyError(
-                        "negative quantum structure constant")
-                res[kk] = q
-            self._check_homogeneity(res, lu + lv)
+            if den != 1:
+                for kk, vv in acc.items():
+                    acc[kk], r = divmod(vv, den)
+                    if r:
+                        raise InternalConsistencyError(
+                            "non-integer quantum structure constant")
+            res = {kk: vv for kk, vv in acc.items() if vv}
+            if min(res.values(), default=0) < 0:
+                raise InternalConsistencyError(
+                    "negative quantum structure constant")
+        res, degree = self._canonical(res), lu + lv
+        if any(self._degrees[kk] != degree for kk in res):
+            raise InternalConsistencyError(
+                "quantum product term violates degree homogeneity")
         self._prod[key] = res
         return res
-
-    def _check_homogeneity(self, cls: Dict[int, int], degree: int) -> None:
-        qb = self._qbase
-        for key in cls:
-            widx, qkey = divmod(key, qb)
-            if self.lengths[widx] + self._q_of(qkey)[1] != degree:
-                raise InternalConsistencyError(
-                    "quantum product term violates degree homogeneity")
 
     def quantum_product(self, u: WeylElt, v: WeylElt) -> QClass:
         """sigma^u * sigma^v in QH*(G/B)."""
@@ -403,11 +412,10 @@ class QuantumFlagRing:
         return self.quantum_product(u, v).classical_part()
 
     def _product_terms(self, u: WeylElt, v: WeylElt):
-        """The terms ((w, lambda), c) of sigma^u * sigma^v, unsorted."""
-        qb, elements, q_of = self._qbase, self.elements, self._q_of
+        """The terms ((w, lambda), c) of sigma^u * sigma^v."""
+        terms = self._terms
         for k, c in self._product(self._idx(u), self._idx(v)).items():
-            widx, qkey = divmod(k, qb)
-            yield (elements[widx], q_of(qkey)[0]), c
+            yield terms[k], c
 
     def product_with_class(self, qc: QClass, v: WeylElt) -> QClass:
         """Linear extension (sum c q^mu sigma^x) * sigma^v; mu may be any

@@ -403,9 +403,11 @@ def _sweep_cases():
         yield cmd, "parabolic", base + ["--parabolic", "1,9"], None
         if cmd in _READS_WORDS:
             yield cmd, "word", base + ["--u", "1,x"], None
-        if cmd == "pw":
+        if cmd == "pw":  # pw reads no integer flag: it never enumerates W
             yield cmd, "lambda", base + ["--lambda", "2:x"], None
-        yield cmd, "config-int", base, "max-weyl=abc"
+            yield cmd, "config-format", base, "format=xml"
+        else:
+            yield cmd, "config-int", base, "max-weyl=abc"
         yield cmd, "config-line", base, "nonsense"
 
 
@@ -452,6 +454,17 @@ def test_config_skips_keys_of_other_subcommands(tmp_path, capsys, text):
     cfg.write_text("u=1\nv=1\n" + text)
     assert run(capsys, "qprod", "A2", "--config", str(cfg)) == (
         0, "q1 + s[2,1]\n", "")
+
+
+def test_pw_takes_no_weyl_cap(tmp_path, capsys):
+    assert run(capsys, "pw", "A2", "--parabolic", "1", "--lambda", "2:1",
+               "--max-weyl", "0") == (
+        2, "", "error: unrecognized arguments: --max-weyl 0\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max-weyl=0\n")
+    code, out, err = run(capsys, "pw", "A2", "--parabolic", "1", "--lambda",
+                         "2:1", "--config", str(cfg))
+    assert (code, out.splitlines()[0], err) == (0, "lambda_B = [0, 1]", "")
 
 
 @pytest.mark.parametrize("cmd", ["verify", "pw", "qhp"])

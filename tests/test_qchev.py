@@ -237,7 +237,7 @@ def test_products_apply_only_the_pivots_their_expressions_name():
     par = (1, 2, 3)
     reps = minimal_representatives(ring.rs, par)
     qhp_product(ring, par, reps[-1], reps[-2])
-    assert len(ring._pivot_apps) == 69
+    assert len(ring._pivot_apps) == 32
     for u in reps:
         for v in reps:
             qhp_product(ring, par, u, v)
@@ -245,6 +245,36 @@ def test_products_apply_only_the_pivots_their_expressions_name():
              for ui, vi in ring._prod if ring.lengths[vi] >= 2
              for k, _ in ring._int_expr[vi][1]}
     assert set(ring._pivot_apps) <= named
+
+
+def test_d4_expressions_name_few_pivots():
+    # Picking pivots sparsest x first keeps the expressions short, and with
+    # them the pivot applications that all-pairs products replay.
+    ring = QuantumFlagRing(build_root_system("D", 4))
+    ring._build_expressions_upto(ring.max_length)
+    sizes = [len(expr) for _, expr, _ in ring._int_expr.values()]
+    assert (len(sizes), sum(sizes), max(sizes)) == (187, 368, 9)
+    for u, v in all_pairs(ring):
+        ring.quantum_product(u, v)
+    assert sum(map(len, ring._pivot_apps.values())) == 200306
+
+
+@pytest.mark.parametrize("series,rank", [("A", 3), ("B", 3), ("C", 3),
+                                         ("G", 2), ("D", 4)])
+def test_pivots_come_grouped_by_x_sparsest_x_first(series, rank):
+    ring = QuantumFlagRing(build_root_system(series, rank))
+    ring._build_expressions_upto(ring.max_length)
+
+    def x_size(x):  # classical terms of sigma^x * sigma^{s_i}, over all i
+        return sum(len(ring.chevalley_product(ring.elements[x], i)
+                       .classical_part().terms) for i in range(1, ring.n + 1))
+
+    for d in range(2, ring.max_length + 1):
+        xs = [x for _, x in ring._pivots[d]]
+        sizes = [x_size(x) for x in xs]
+        assert sizes == sorted(sizes)
+        runs = [x for k, x in enumerate(xs) if k == 0 or xs[k - 1] != x]
+        assert len(runs) == len(set(xs))
 
 
 def test_products_hold_no_zero_coefficients():
@@ -365,21 +395,32 @@ def fraction_expressions(ring, d):
     """Oracle for ``_pivots[d]`` and ``_int_expr`` over the length-d basis,
     by Fraction row reduction on the classical Chevalley products.
 
-    Candidates sigma^x * sigma^{s_i} (x of length d-1, then i) are kept
-    while they raise the rank; the kept ones are inverted by Gauss-Jordan on
-    [M | I], and each sigma^v's coefficients are put over their lcm.
+    Candidates sigma^x * sigma^{s_i} (l(x) = d-1) come grouped by x, the x
+    with the fewest classical terms over all i first, and within one x the
+    sparsest column first; ties keep element and then i order.  They are
+    kept while they raise the rank; the kept ones are inverted by
+    Gauss-Jordan on [M | I], and each sigma^v's coefficients are put over
+    their lcm.
     """
     basis = [ring.elements[i] for i in ring.by_length[d]]
     m = len(basis)
     zero = (0,) * ring.n
-    echelon = {}  # pivot coordinate -> row with a 1 there
-    pivots, cols, quantum = [], [], []
+    groups = []
     for x in ring.by_length[d - 1]:
+        group = []
         for i in range(1, ring.n + 1):
-            if len(pivots) == m:
-                break
             qc = ring.chevalley_product(ring.elements[x], i)
             col = [Fraction(qc.coefficient(v, zero)) for v in basis]
+            group.append((sum(1 for a in col if a), i, qc, col))
+        groups.append((sum(g[0] for g in group), x,
+                       sorted(group, key=lambda g: g[0])))
+    groups.sort(key=lambda g: g[0])
+    echelon = {}  # pivot coordinate -> row with a 1 there
+    pivots, cols, quantum = [], [], []
+    for _, x, group in groups:
+        for _, i, qc, col in group:
+            if len(pivots) == m:
+                break
             vec = list(col)
             for c, row in echelon.items():
                 if vec[c]:
