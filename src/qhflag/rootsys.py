@@ -214,14 +214,6 @@ class RootSystem:
             return tuple(beta)
         return tuple(beta[k] - (c if k == i - 1 else 0) for k in range(self.n))
 
-    def reflect_coroot(self, i: int, lam: Coroot) -> Coroot:
-        """s_i(lam) on the coroot lattice."""
-        # <alpha_i, lam> = sum_j lam_j * cartan[j][i-1]
-        c = sum(lam[j] * self.cartan[j][i - 1] for j in range(self.n))
-        if c == 0:
-            return tuple(lam)
-        return tuple(lam[k] - (c if k == i - 1 else 0) for k in range(self.n))
-
     def pairing(self, beta: Root, lam: Coroot) -> int:
         """<beta, lam> for a root-lattice vector and a coroot-lattice vector."""
         if len(beta) != self.n or len(lam) != self.n:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapExceededError, InternalConsistencyError, InvalidInputError
-from .rootsys import Coroot, Root, RootSystem
+from .rootsys import Root, RootSystem
 
 Perm = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -36,7 +36,6 @@ class _Table:
         self.roots = pos + tuple(tuple(-c for c in g) for g in pos)
         self.index = {g: k for k, g in enumerate(self.roots)}  # root -> index
         self.coroots = tuple(map(rs.coroot_of, self.roots))    # same numbering
-        self.coindex = {c: k for k, c in enumerate(self.coroots)}
         # Indices of the simple roots; an element's key is their images.
         self.simple = tuple(self.index[rs.simple_root(i)]
                             for i in range(1, rs.n + 1))
@@ -59,13 +58,6 @@ def _intern(table: _Table, perm: Perm) -> "WeylElt":
     key = tuple(map(perm.__getitem__, table.simple))
     return (table.intern.get(key)
             or table.intern.setdefault(key, WeylElt(table, perm, key)))
-
-
-def _lookup(index: Dict[Root, int], beta: Sequence[int], what: str) -> int:
-    k = index.get(tuple(beta))
-    if k is None:
-        raise InvalidInputError(f"{tuple(beta)} is not a {what}")
-    return k
 
 
 class WeylElt:
@@ -103,24 +95,9 @@ class WeylElt:
         return "W[%s]" % ",".join(map(str, self.word()))
 
     @property
-    def rmat(self) -> Matrix:
-        """Action on the root lattice; column j is w(alpha_j)."""
-        return tuple(zip(*map(self._table.roots.__getitem__, self.key)))
-
-    @property
     def cmat(self) -> Matrix:
         """Action on the coroot lattice; column j is w(alpha_j^vee)."""
         return tuple(zip(*map(self._table.coroots.__getitem__, self.key)))
-
-    def apply_root(self, beta: Root) -> Root:
-        """w(beta) for a root beta."""
-        table = self._table
-        return table.roots[self.perm[_lookup(table.index, beta, "root")]]
-
-    def apply_coroot(self, lam: Coroot) -> Coroot:
-        """w(lam) for a coroot lam."""
-        table = self._table
-        return table.coroots[self.perm[_lookup(table.coindex, lam, "coroot")]]
 
     def inverse(self) -> "WeylElt":
         inv = [0] * len(self.perm)

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from qhflag import verify
 from qhflag.errors import InvalidInputError
+from qhflag.grading import OrderedParabolic
 from qhflag.rootsys import parse_system_id
 from qhflag.verify import (ALL_SUITES, Report, THEOREM_SUITES,
                            VerificationSetup, replay_case, run_suite,
@@ -12,6 +14,29 @@ from qhflag.verify import (ALL_SUITES, Report, THEOREM_SUITES,
 
 def setup_for(system, parabolic, **kw):
     return VerificationSetup(system=system, parabolic=parabolic, **kw)
+
+
+def text(t):
+    """A case name or witness as recorded: a string, or built on demand."""
+    return t() if callable(t) else t
+
+
+def sha256_json(obj):
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def record_stream(monkeypatch):
+    """Spy on Report.record: the list of every [case, ok, lhs, rhs] recorded,
+    with the text built for passing cases too."""
+    cases = []
+    record = Report.record
+
+    def spy(self, case, ok, lhs="", rhs=""):
+        cases.append([text(case), ok, text(lhs), text(rhs)])
+        record(self, case, ok, lhs, rhs)
+
+    monkeypatch.setattr(Report, "record", spy)
+    return cases
 
 
 SMALL = [("A2", (1,)), ("A2", (2,)), ("B2", (1,)), ("G2", (1,)), ("G2", (2,))]
@@ -43,22 +68,127 @@ def test_key_lemma_report_is_unchanged_b3(monkeypatch):
     # The key-lemma output on B3/(1,2) as the straightforward per-(u, gamma,
     # i) evaluation produced it: the JSON report without its wall time, and
     # a digest of the ordered stream of every recorded case.
-    cases = []
-    record = Report.record
-
-    def spy(self, case, ok, lhs="", rhs=""):
-        cases.append([case, ok, lhs, rhs])
-        record(self, case, ok, lhs, rhs)
-
-    monkeypatch.setattr(Report, "record", spy)
+    cases = record_stream(monkeypatch)
     rep = run_suite("key-lemma", setup_for("B3", (1, 2))).to_json_obj()
     del rep["elapsed_ms"]
     assert rep == {"suite": "key-lemma", "system": "B3", "parabolic": [1, 2],
                    "order": [1, 2], "total": 372, "passes": 372,
                    "failures": [], "informational": False,
                    "extra": {"vacuous": 192}}
-    assert hashlib.sha256(json.dumps(cases).encode()).hexdigest() == (
+    assert sha256_json(cases) == (
         "a22e9694cad61d29e65ad7ace0f347c69678975774d8a8b09a2bf6aa927e86ba")
+
+
+# The stream of every recorded case, text included, and the report without
+# its wall time, as the suites produced them when they formatted every
+# case's text eagerly.  B3/(2,3) is off a chain, so its graded-iso reports
+# psi-mult mismatches in ``extra`` instead of gating.
+CASE_STREAM_SHA256 = [
+    ("A3", (1, 2), "filtration",
+     "c8f0b0f86f8cd8932785789e7bbe1e7fed0926721195d686d5df926c6de5c4d3",
+     "bf197e540b32964cf196c7c6a4f19461f8cc3e85bdcacf7f28cff8a799e096f2"),
+    ("A3", (1, 2), "key-lemma",
+     "b067d5f46e19332c0abd570e15181808f0b5c17c7bc64f15cca9c2c399179eb7",
+     "b0ed3daa1f00ed442af585b787e0629b060d32b119249642ee770760f05ce84e"),
+    ("A3", (1, 2), "ideal-quotient",
+     "653bdeee4e957f16942329b86ec7f4b5e703140837d61dea5ebfeff08a19bd2f",
+     "70ecd79d20689de5a30d9d202e80e9342eab271f17a076889dbdd3d01122e426"),
+    ("A3", (1, 2), "graded-iso",
+     "76f52aa852d9ddb5e11d65805d4c123c37debff96334542c4be542bc8a91e2d9",
+     "2a0ef75463778eb72de7dc79b3638afb66a8627c9c2c5ca0abe707b506a5588b"),
+    ("A3", (1, 2), "psi-grading",
+     "e3c6552f6a2798fca8e0df9e2a6c3b13faae2bda4edb18ce7bd5b210702c5df8",
+     "cd407f2b3d61eeb2aa237efd849c1dbc9893cf53b457f57910b32969455bbea6"),
+    ("A3", (1, 2), "basics",
+     "733537ea3a2733f5842f3f9bb61e6fef427a9c05ac2433fe598ddd2325058455",
+     "5d5371c4cc1580f33181622cdcd84d6b22da55943ef6d0ca5cc91ff90e9d91b8"),
+    ("A3", (1, 2), "referee-conjecture",
+     "43385a1bcf594ecda8f8146e00047dd825f3c967d0e2e3cfd960bf351391a1b1",
+     "9b1fe586120b9577f88f693b6d6657471e528fba9500fef283a80f32b4f945f1"),
+    ("B3", (2, 3), "graded-iso",
+     "3ef79512130bce87fd5d782dbb11488404ac921d7798e0d13e40c9ad0f1aa3ef",
+     "2119c4115e6f70e7adc3ee61abcc1eb1ee96379dc374f8ce81c77b04c68add17"),
+]
+
+
+@pytest.mark.parametrize("system,par,suite,stream,report", CASE_STREAM_SHA256,
+                         ids=[f"{s}-{p}-{n}" for s, p, n, _, _
+                              in CASE_STREAM_SHA256])
+def test_case_text_is_unchanged(monkeypatch, system, par, suite, stream,
+                                report):
+    cases = record_stream(monkeypatch)
+    rep = run_suite(suite, setup_for(system, par)).to_json_obj()
+    del rep["elapsed_ms"]
+    assert sha256_json(cases) == stream
+    assert sha256_json(rep) == report
+
+
+def test_passing_key_lemma_builds_no_text(monkeypatch):
+    # Every case is evaluated and counted, but a passing case builds neither
+    # its name nor its witnesses: no text callable runs, no word is spelled.
+    built = []
+    words = []
+    resolve, word = verify._text, verify._Context.word
+
+    def counted_text(t):
+        if callable(t):
+            built.append(t)
+        return resolve(t)
+
+    def counted_word(self, w):
+        words.append(w)
+        return word(self, w)
+
+    monkeypatch.setattr(verify, "_text", counted_text)
+    monkeypatch.setattr(verify._Context, "word", counted_word)
+    setup = setup_for("B3", (1, 2))
+    rep = run_suite("key-lemma", setup)
+    assert rep.ok and rep.total == rep.passes == 372
+    assert (built, words) == ([], [])
+    # Replaying builds names to find the case, and only then.
+    assert replay_case("key-lemma", setup,
+                       "u=[1];gamma=(0, 1, 0);i=2;part=a").total == 1
+    assert len(built) == 372 and words
+
+
+def bump_grading(monkeypatch):
+    """A wrong grading: gr(w) gains (sum of w's reduced word) mod 3 in its
+    first coordinate, which fails many cases of several suites."""
+    gr_weyl = OrderedParabolic.gr_weyl
+
+    def bumped(self, w):
+        g = gr_weyl(self, w)
+        return (g[0] + sum(w.word()) % 3,) + g[1:]
+
+    monkeypatch.setattr(OrderedParabolic, "gr_weyl", bumped)
+
+
+# Failure lists under bump_grading on A3/(1,2), as the suites produced them
+# when they formatted every case's text eagerly.
+FORCED_FAILURES_SHA256 = [
+    ("key-lemma", 18,
+     "2ace870de32678e2c6c94a57b8ac56cf0da2c48dfe8d54e33376079e26d684f1"),
+    ("filtration", 82,
+     "25083c2b52c6396d3ae78ac879a9b8a72c2b53081d7421736f1c1651e2701027"),
+    ("basics", 26,
+     "30742364364ee97fc5b1691baf09d3eadb98934cde4f0674a3bf823a7036cda4"),
+]
+
+
+@pytest.mark.parametrize("suite,count,digest", FORCED_FAILURES_SHA256,
+                         ids=[s for s, _, _ in FORCED_FAILURES_SHA256])
+def test_forced_failures_keep_their_text_and_replay(monkeypatch, suite, count,
+                                                    digest):
+    bump_grading(monkeypatch)
+    setup = setup_for("A3", (1, 2))
+    rep = run_suite(suite, setup)
+    assert len(rep.failures) == count
+    assert rep.passes == rep.total - count
+    assert sha256_json(rep.failures) == digest
+    for failure in rep.failures:
+        single = replay_case(suite, setup, failure["case"])
+        assert single.total == 1
+        assert single.failures == [failure]
 
 
 def test_ideal_quotient_a3():
