@@ -36,7 +36,7 @@ from math import prod
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import InternalConsistencyError, InvalidInputError
-from .rootsys import Coroot, RootSystem
+from .rootsys import RootSystem
 from . import weyl
 from .qchev import QuantumFlagRing, independent_inverse, int_exponents
 from .weyl import WeylElt
@@ -85,10 +85,6 @@ def lambda_rep(rs: RootSystem, par: Tuple[int, ...],
         if e < 0 and i not in par:
             raise InvalidInputError("curve class exponents must be nonnegative")
     return rep
-
-
-def _pairing_condition(rs: RootSystem, roots, lam: Coroot) -> bool:
-    return all(rs.pairing(beta, lam) in (0, -1) for beta in roots)
 
 
 def _system_table(rs: RootSystem, name: str) -> dict:
@@ -140,7 +136,7 @@ def _solve_lift(rs: RootSystem, par: Tuple[int, ...],
             for i, x in zip(par, a):
                 lam[i - 1] += x // den
             lam_t = tuple(lam)
-            if _pairing_condition(rs, roots_p, lam_t):
+            if all(rs.pairing(beta, lam_t) in (0, -1) for beta in roots_p):
                 solutions.append(lam_t)
     uniq = sorted(set(solutions))
     if len(uniq) != 1:
@@ -157,24 +153,6 @@ def _solve_lift(rs: RootSystem, par: Tuple[int, ...],
         raise InternalConsistencyError(
             f"omega factor has length {omega.length}, expected {expected}")
     return PWLift(lam_B, dpp, omega)
-
-
-def pw_lift_bruteforce(rs: RootSystem, parabolic: Sequence[int],
-                       lam_P: Union[Mapping[int, int], Sequence[int]],
-                       bound: int = 6) -> List[Tuple[int, ...]]:
-    """Independent box search for every lift candidate with |a_i| <= bound."""
-    par = rs.check_parabolic(parabolic)
-    rep = lambda_rep(rs, par, lam_P)
-    roots_p = rs.positive_roots_within(par)
-    out = []
-    for shifts in iproduct(range(-bound, bound + 1), repeat=len(par)):
-        lam = list(rep)
-        for i, s in zip(par, shifts):
-            lam[i - 1] += s
-        lam_t = tuple(lam)
-        if _pairing_condition(rs, roots_p, lam_t):
-            out.append(lam_t)
-    return sorted(out)
 
 
 def minimal_representatives(rs: RootSystem, parabolic: Sequence[int],

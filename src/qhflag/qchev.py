@@ -32,6 +32,12 @@ homogeneous.  Product computation is pure; the memo caches make repeated
 all-pairs verification cheap, and each memo entry is stored once in
 canonical term order.  Results are bit-identical in any call order.
 
+Inside the ring a term q^lambda sigma^w is one integer key, (l(w)*D^n +
+lambda in base D)*|W| + idx(w) with D = l(w0) + 1.  Stored classes are
+homogeneous of degree at most 2 l(w0), so |lambda| <= l(w0) < D, no digit
+carries, and key order is canonical term order (``_canonical``).  D grows
+with the group, so the packing caps neither the rank nor l(w0).
+
 JSON form of a QClass: a list of {"word": [...], "q": [...], "coeff": "c"}
 objects, with Weyl elements serialized as reduced words.  The "word" and
 "q" arrays are the ring's own shared, immutable tuples (the memoised
@@ -44,12 +50,10 @@ from __future__ import annotations
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import CapExceededError, InternalConsistencyError, InvalidInputError
+from .errors import InternalConsistencyError, InvalidInputError
 from .rootsys import RootSystem
 from . import weyl
 from .weyl import WeylElt
-
-QDIGIT = 32  # per-coordinate cap on q exponents in the packed key
 
 
 def int_exponents(lam: Iterable) -> Tuple[int, ...]:
@@ -169,13 +173,16 @@ class QuantumFlagRing:
         self.index: Dict[WeylElt, int] = {w: i for i, w in enumerate(self.elements)}
         self.lengths: Tuple[int, ...] = tuple(w.length for w in self.elements)
         self.max_length = max(self.lengths)
-        if self.max_length >= QDIGIT:
-            raise CapExceededError(
-                f"longest element has length {self.max_length}; the packed "
-                f"q-exponent range caps products at length {QDIGIT - 1}")
         self.by_length: List[List[int]] = [[] for _ in range(self.max_length + 1)]
         for i, w in enumerate(self.elements):
             self.by_length[w.length].append(i)
+        # Packed term keys (see ``_canonical``): digit D, q range B = D^n.
+        self._nw = len(self.elements)
+        self._qdigit = self.max_length + 1
+        self._qbase = self._qdigit ** self.n
+        self._wkeys = tuple(l * self._qbase * self._nw + i
+                            for i, l in enumerate(self.lengths))
+        self._qkeys: Dict[int, Tuple[Tuple[int, ...], int]] = {}
         # Positive-root data for the Chevalley formula.
         self._chev_data = []
         for g in rs.positive_roots:
@@ -191,65 +198,62 @@ class QuantumFlagRing:
         self._units: Dict[int, Dict[int, int]] = {}  # u idx -> sigma^u
         # (u idx, i, x idx) -> sigma^u * sigma^x * sigma^{s_i}, built on demand
         self._pivot_apps: Dict[Tuple[int, int, int], Dict[int, int]] = {}
-        self._qbase = QDIGIT ** self.n
-        self._qkeys: Dict[int, Tuple[Tuple[int, ...], int]] = {}
-        # packed term key -> (w, lambda), its degree and canonical sort rank
-        self._terms: Dict[int, Tuple[WeylElt, Tuple[int, ...]]] = {}
-        self._degrees: Dict[int, int] = {}
-        self._ranks: Dict[int, int] = {}
 
     # -- packed term keys ----------------------------------------------------
 
     def _pack(self, lam: Sequence[int]) -> int:
+        """The key shift of q^lam: lambda in base D, lambda_1 the most
+        significant digit, times |W|."""
         key = 0
-        for e in reversed(lam):
-            if not 0 <= e < QDIGIT:
+        for e in lam:
+            if not 0 <= e < self._qdigit:
                 raise InternalConsistencyError(
                     f"q exponent {e} outside packing range")
-            key = key * QDIGIT + e
-        return key
+            key = key * self._qdigit + e
+        return key * self._nw
 
-    def _q_of(self, qkey: int) -> Tuple[Tuple[int, ...], int]:
-        """The exponents lambda of a packed q-key, and its degree 2|lambda|."""
+    def _q_of(self, key: int) -> Tuple[Tuple[int, ...], int]:
+        """The exponents lambda of a packed term key or q shift, and its
+        degree 2|lambda|."""
+        qkey = key // self._nw % self._qbase
         hit = self._qkeys.get(qkey)
         if hit is None:
-            lam, key = [], qkey
+            lam, rest = [], qkey
             for _ in range(self.n):
-                key, e = divmod(key, QDIGIT)
+                rest, e = divmod(rest, self._qdigit)
                 lam.append(e)
-            hit = self._qkeys[qkey] = (tuple(lam), 2 * sum(lam))
+            lam.reverse()
+            hit = self._qkeys.setdefault(qkey, (tuple(lam), 2 * sum(lam)))
         return hit
 
-    def _term_key(self, widx: int, qkey: int) -> int:
-        return widx * self._qbase + qkey
+    def _canonical(self, d: Dict[int, int], degree: int) -> Dict[int, int]:
+        """A packed class of the given degree, checked homogeneous and put
+        in canonical order.
 
-    def _canonical(self, d: Dict[int, int]) -> Dict[int, int]:
-        """A packed class in canonical order, its terms tabulated: the
-        (w, lambda) key, the degree l(w) + 2|lambda| and the sort rank
-        (length, then |lambda|, then lambda, first coordinate most
-        significant, then the element index, which orders equal lengths by
-        reduced word)."""
-        ranks = self._ranks
+        The term q^lambda sigma^w has the key (l(w)*B + lam)*|W| + idx(w),
+        where lam writes lambda in base D = l(w0) + 1 with lambda_1 the most
+        significant digit, and B = D^n.  Every class the ring stores (the
+        products, the units and ``chevalley_product``) is homogeneous,
+        l(w) + 2|lambda| = degree <= 2 l(w0), so |lambda| <= l(w0) < D and
+        no digit carries.  Within one class the
+        length fixes |lambda|, and the element index orders each length by
+        reduced word, so the integer order of the keys is the canonical
+        order (length, |lambda|, lambda, reduced word)."""
+        span, q_of = self._qbase * self._nw, self._q_of
         for key in d:
-            if key not in ranks:
-                widx, qkey = divmod(key, self._qbase)
-                lam, deg = self._q_of(qkey)
-                lamkey = 0
-                for e in lam:
-                    lamkey = lamkey * QDIGIT + e
-                rank = self.lengths[widx] * self.n * QDIGIT + deg // 2
-                rank = rank * self._qbase + lamkey
-                self._terms.setdefault(key, (self.elements[widx], lam))
-                self._degrees.setdefault(key, self.lengths[widx] + deg)
-                ranks.setdefault(key, rank * len(self.elements) + widx)
-        return {k: d[k] for k in sorted(d, key=ranks.__getitem__)}
+            if key // span + q_of(key)[1] != degree:
+                raise InternalConsistencyError(
+                    "quantum product term violates degree homogeneity")
+        return {k: d[k] for k in sorted(d)}
 
     def _from_packed(self, d: Dict[int, int]) -> QClass:
-        """The QClass of a canonical packed class (see ``_canonical``)."""
-        terms = self._terms
+        """The QClass of a stored class.  ``_canonical`` decoded the lambda
+        of every stored key, so ``_qkeys`` holds them all."""
+        els, nw, qb, qkeys = self.elements, self._nw, self._qbase, self._qkeys
         qc = QClass.__new__(QClass)
         qc.rs = self.rs
-        qc.terms = {terms[k]: c for k, c in d.items()}
+        qc.terms = {(els[k % nw], qkeys[k // nw % qb][0]): c
+                    for k, c in d.items()}
         qc.ordered = True
         return qc
 
@@ -291,18 +295,20 @@ class QuantumFlagRing:
     def chevalley_product(self, u: WeylElt, i: int) -> QClass:
         """sigma^u * sigma^{s_i}: the two Chevalley sums, nothing else."""
         self.rs._check_index(i)
+        ui = self._idx(u)
         return self._from_packed(self._canonical(
-            self._chev_apply(i, {self._term_key(self._idx(u), 0): 1})))
+            self._chev_apply(i, {self._wkeys[ui]: 1}), self.lengths[ui] + 1))
 
     def _chev_apply(self, i: int, cls: Dict[int, int]) -> Dict[int, int]:
         """Right-multiply a packed class by sigma^{s_i} (quantum)."""
-        qb = self._qbase
+        nw, wkeys = self._nw, self._wkeys
         out: Dict[int, int] = {}
         get = out.get
         for key, val in cls.items():
-            widx, qkey = divmod(key, qb)
+            widx = key % nw
+            base = key - wkeys[widx]  # the q part, shifted by |W|
             for widx2, qshift, c in self._chev_row(i, widx):
-                k2 = widx2 * qb + qkey + qshift
+                k2 = base + wkeys[widx2] + qshift
                 out[k2] = get(k2, 0) + c * val
         return out  # positive inputs and coefficients leave no zero term
 
@@ -360,7 +366,7 @@ class QuantumFlagRing:
             res = self._units.get(ui)
             if res is None:
                 res = self._units[ui] = self._canonical(
-                    {self._term_key(ui, 0): 1})
+                    {self._wkeys[ui]: 1}, lu)
             return res
         key = (ui, vi)
         res = self._prod.get(key)
@@ -368,7 +374,7 @@ class QuantumFlagRing:
             return res
         if lv == 1:
             i = self.elements[vi].word()[0]
-            res = self._chev_apply(i, {self._term_key(ui, 0): 1})
+            res = self._chev_apply(i, {self._wkeys[ui]: 1})
         else:
             self._build_expressions_upto(lv)
             den, expr, corr = self._int_expr[vi]
@@ -396,11 +402,7 @@ class QuantumFlagRing:
             if min(res.values(), default=0) < 0:
                 raise InternalConsistencyError(
                     "negative quantum structure constant")
-        res, degree = self._canonical(res), lu + lv
-        if any(self._degrees[kk] != degree for kk in res):
-            raise InternalConsistencyError(
-                "quantum product term violates degree homogeneity")
-        self._prod[key] = res
+        res = self._prod[key] = self._canonical(res, lu + lv)
         return res
 
     def quantum_product(self, u: WeylElt, v: WeylElt) -> QClass:
@@ -413,9 +415,7 @@ class QuantumFlagRing:
 
     def _product_terms(self, u: WeylElt, v: WeylElt):
         """The terms ((w, lambda), c) of sigma^u * sigma^v."""
-        terms = self._terms
-        for k, c in self._product(self._idx(u), self._idx(v)).items():
-            yield terms[k], c
+        return self.quantum_product(u, v).terms.items()
 
     def product_with_class(self, qc: QClass, v: WeylElt) -> QClass:
         """Linear extension (sum c q^mu sigma^x) * sigma^v; mu may be any
@@ -435,9 +435,9 @@ class QuantumFlagRing:
         if len(lam) != self.n or any(e < 0 for e in lam):
             raise InvalidInputError("q-multidegree must be nonnegative, length n")
         ui, vi, wi = self._idx(u), self._idx(v), self._idx(w)
-        if max(lam) >= QDIGIT:  # homogeneity: no exponent exceeds l(w0) < QDIGIT
+        if max(lam) >= self._qdigit:  # homogeneity: no exponent exceeds l(w0)
             return 0
-        return self._product(ui, vi).get(self._term_key(wi, self._pack(lam)), 0)
+        return self._product(ui, vi).get(self._wkeys[wi] + self._pack(lam), 0)
 
     def multiplication_table(self, max_length: Optional[int] = None):
         """All pairwise products, deterministically ordered."""

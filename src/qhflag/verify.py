@@ -23,6 +23,7 @@ plus an ``extra`` object for suite-specific counters.
 
 from __future__ import annotations
 
+import contextlib
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -232,7 +233,7 @@ def _ideal_and_quotient(ctx: _Context, rep: Report,
                        rhs="last grading coordinate > 0")
 
     sub, index_map = parabolic_subsystem(rs, par)
-    sub_ring = QuantumFlagRing(sub)
+    sub_ring = QuantumFlagRing(sub, weyl_cap=ctx.setup.max_weyl)
     rev = {v: k for k, v in index_map.items()}
 
     def to_sub(w: WeylElt) -> WeylElt:
@@ -578,20 +579,36 @@ def select_suites(spec: str, rs: RootSystem,
     return names
 
 
+class _Replayed(Exception):
+    """A replay's case is recorded: the suite has nothing left to run."""
+
+
+class _ReplayReport(Report):
+    """Ends its suite at the first record, the one case ``_want`` admits."""
+
+    def record(self, *args, **kwargs) -> None:
+        super().record(*args, **kwargs)
+        raise _Replayed
+
+
 def run_suite(name: str, setup: VerificationSetup,
               only_case: Optional[str] = None) -> Report:
     t0 = time.monotonic()
     ctx = _Context(setup)
     _check_suite(name, ctx.rs, ctx.parabolic)
-    rep = Report(name, setup.system, list(ctx.parabolic), list(ctx.op.order),
-                 informational=name in CONJECTURE_SUITES)
-    SUITES[name](ctx, rep, only_case)
+    rep = (Report if only_case is None else _ReplayReport)(
+        name, setup.system, list(ctx.parabolic), list(ctx.op.order),
+        informational=name in CONJECTURE_SUITES)
+    with contextlib.suppress(_Replayed):
+        SUITES[name](ctx, rep, only_case)
     rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return rep
 
 
 def replay_case(name: str, setup: VerificationSetup, case: str) -> Report:
-    """Re-run a single case from a report; the verdict must reproduce."""
+    """Re-run a single case from a report; the verdict must reproduce.
+    The suite stops once the case is recorded, so it builds the names of
+    the cases before it only, and ``extra`` holds what was set by then."""
     rep = run_suite(name, setup, only_case=case)
     if rep.total == 0:
         raise InvalidInputError(f"case {case!r} not found in suite {name}")

@@ -12,11 +12,12 @@ import pytest
 
 from qhflag.grading import canonical_order, connected_components, is_a_chain
 from qhflag.pwlift import (minimal_representatives, psi_map, pw_lift,
-                           pw_lift_bruteforce, qhp_product)
+                           qhp_product)
 from qhflag.qchev import QuantumFlagRing
 from qhflag.rootsys import build_root_system
 from qhflag.verify import VerificationSetup, run_suite
 from qhflag import weyl
+from test_pwlift import pw_lift_bruteforce
 
 
 def _report(num, text):

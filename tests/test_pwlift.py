@@ -4,12 +4,29 @@ import pytest
 
 from qhflag.errors import CapExceededError, InvalidInputError
 from qhflag.pwlift import (bounded_compositions, minimal_representatives,
-                           psi_map, pw_lift, pw_lift_bruteforce, qhp_product,
+                           lambda_rep, psi_map, pw_lift, qhp_product,
                            qhp_structure_constant, quantum_degree)
 from qhflag.qchev import QuantumFlagRing
 from qhflag.rootsys import build_root_system
 from qhflag.verify import VerificationSetup, run_suite
 from qhflag import pwlift, weyl
+
+
+def pw_lift_bruteforce(rs, parabolic, lam_P, bound=6):
+    """Independent box search: every lam_P + sum_i a_i alpha_i^vee over the
+    parabolic i, |a_i| <= bound, whose pairing with every positive root of
+    the parabolic subsystem lies in {0, -1}, sorted."""
+    par = rs.check_parabolic(parabolic)
+    rep = lambda_rep(rs, par, lam_P)
+    roots_p = rs.positive_roots_within(par)
+    out = []
+    for shifts in iproduct(range(-bound, bound + 1), repeat=len(par)):
+        lam = list(rep)
+        for i, a in zip(par, shifts):
+            lam[i - 1] += a
+        if all(rs.pairing(beta, lam) in (0, -1) for beta in roots_p):
+            out.append(tuple(lam))
+    return sorted(out)
 
 
 @pytest.fixture(scope="module")

@@ -9,9 +9,9 @@ from math import gcd, lcm
 
 import pytest
 
-from qhflag.errors import InvalidInputError
+from qhflag.errors import InternalConsistencyError, InvalidInputError
 from qhflag.pwlift import minimal_representatives, qhp_product
-from qhflag.qchev import (QDIGIT, QClass, QuantumFlagRing, _term_order,
+from qhflag.qchev import (QClass, QuantumFlagRing, _term_order,
                           format_qclass, independent_inverse, qclass_to_json)
 from qhflag.rootsys import build_root_system
 from qhflag import weyl
@@ -153,12 +153,15 @@ class OrderedPairOracle:
         self.zero = (0,) * ring.n
         self.memo = {}
 
-    def _unpack(self, qkey):
-        lam = []
+    def _unpack(self, qshift):
+        # the key shift of q^lambda: lambda in base l(w0) + 1, lambda_1 the
+        # most significant digit, times |W|
+        digit = self.ring.max_length + 1
+        qkey, lam = qshift // len(self.ring.elements), []
         for _ in range(self.ring.n):
-            qkey, e = divmod(qkey, QDIGIT)
+            qkey, e = divmod(qkey, digit)
             lam.append(e)
-        return lam
+        return lam[::-1]
 
     @staticmethod
     def _add(acc, qc, scale, shift):
@@ -556,11 +559,11 @@ def test_threads_sharing_a_fresh_ring_agree_with_one_thread():
 def test_product_with_class_shifts_exponents_not_packed_keys(a2_ring):
     s1 = a2_ring.element_from_word([1])
     square = a2_ring.quantum_product(s1, s1)
-    # an exponent sum of QDIGIT must not carry into q2
-    high = cls(a2_ring, ((1,), (QDIGIT - 1, 0), 1))
+    # exponents far past any packing digit must not carry into q2
+    high = cls(a2_ring, ((1,), (31, 0), 1))
     got = a2_ring.product_with_class(high, s1)
     assert format_qclass(got) == "q1^32 + q1^31*s[2,1]"
-    assert got == square.q_shift((QDIGIT - 1, 0))
+    assert got == square.q_shift((31, 0))
     # a negative exponent is a plain shift, not a packing error
     low = cls(a2_ring, ((1,), (-1, 0), 1))
     assert a2_ring.product_with_class(low, s1) == square.q_shift((-1, 0))
@@ -649,6 +652,38 @@ def test_d4_products_are_built_in_canonical_order():
     # Chevalley products mix classical and q-shifted terms
     for u in ring.elements:
         assert is_canonical(ring.chevalley_product(u, rng.randint(1, 4)))
+
+
+def test_e6_builds_past_the_old_length_cap():
+    # l(w0) = 36: the packing digit is l(w0) + 1, so no length is refused.
+    ring = QuantumFlagRing(build_root_system("E", 6), weyl_cap=51840)
+    w0 = ring.elements[-1]
+    assert (len(ring.elements), w0.length, ring.max_length) == (51840, 36, 36)
+    for i in range(1, 7):
+        qc = ring.chevalley_product(w0, i)
+        assert qc.ordered and is_canonical(qc) and len(qc.terms) > 1
+        assert all(w.length + ring.rs.two_rho_pairing(lam) == 37
+                   for w, lam in qc.terms)
+        assert any(max(lam) for _, lam in qc.terms)
+        assert ring.quantum_product(w0, ring.element_from_word([i])) == qc
+
+
+@pytest.mark.parametrize("planted", ["classical", "quantum"])
+def test_a_term_of_the_wrong_degree_is_refused(planted):
+    # Plant one term of the wrong degree in the row of s1 * s_1: every class
+    # built from that row must fail the homogeneity check.
+    ring = QuantumFlagRing(build_root_system("A", 2))
+    s1 = ring.element_from_word([1])
+    row = ring._chev_row(1, ring.index[s1])
+    if planted == "classical":  # sigma^{w0}: degree 3, not 2
+        extra = (ring.index[ring.elements[-1]], 0, 1)
+    else:  # q1 * sigma^{s1}: degree 3, not 2
+        extra = (ring.index[s1], ring._pack((1, 0)), 1)
+    ring._chev_rows[1, ring.index[s1]] = row + (extra,)
+    with pytest.raises(InternalConsistencyError, match="homogeneity"):
+        ring.chevalley_product(s1, 1)
+    with pytest.raises(InternalConsistencyError, match="homogeneity"):
+        ring.quantum_product(s1, s1)
 
 
 def test_unordered_class_serialises_like_the_product():

@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from qhflag import verify
+from qhflag import verify, weyl
 from qhflag.errors import InvalidInputError
 from qhflag.grading import OrderedParabolic
+from qhflag.qchev import QuantumFlagRing
 from qhflag.rootsys import parse_system_id
 from qhflag.verify import (ALL_SUITES, Report, THEOREM_SUITES,
                            VerificationSetup, replay_case, run_suite,
@@ -145,10 +146,11 @@ def test_passing_key_lemma_builds_no_text(monkeypatch):
     rep = run_suite("key-lemma", setup)
     assert rep.ok and rep.total == rep.passes == 372
     assert (built, words) == ([], [])
-    # Replaying builds names to find the case, and only then.
+    # Replaying builds names to find the case, and only then; it stops at
+    # the case, the fifth of the suite.
     assert replay_case("key-lemma", setup,
                        "u=[1];gamma=(0, 1, 0);i=2;part=a").total == 1
-    assert len(built) == 372 and words
+    assert len(built) == 5 and words
 
 
 def bump_grading(monkeypatch):
@@ -189,6 +191,29 @@ def test_forced_failures_keep_their_text_and_replay(monkeypatch, suite, count,
         single = replay_case(suite, setup, failure["case"])
         assert single.total == 1
         assert single.failures == [failure]
+
+
+def test_every_ring_and_enumeration_honours_max_weyl(monkeypatch):
+    # ideal-quotient also builds a ring on the parabolic subsystem.
+    rings, caps = [], []
+    init, enumerate_group = QuantumFlagRing.__init__, weyl.enumerate_group
+
+    def ring_spy(self, rs, weyl_cap=weyl.WEYL_CAP):
+        rings.append(weyl_cap)
+        init(self, rs, weyl_cap)
+
+    def enumerate_spy(rs, indices=None, cap=weyl.WEYL_CAP):
+        caps.append(cap)
+        return enumerate_group(rs, indices, cap)
+
+    monkeypatch.setattr(QuantumFlagRing, "__init__", ring_spy)
+    monkeypatch.setattr(weyl, "enumerate_group", enumerate_spy)
+    setup = setup_for("A3", (1, 2), max_weyl=30, assoc_samples=5,
+                      psi_samples=5)
+    for suite in ALL_SUITES:
+        assert run_suite(suite, setup).total > 0
+    assert len(rings) == 5  # ideal-quotient builds two
+    assert set(rings) == set(caps) == {30}
 
 
 def test_ideal_quotient_a3():
