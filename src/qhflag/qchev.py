@@ -38,11 +38,18 @@ homogeneous of degree at most 2 l(w0), so |lambda| <= l(w0) < D, no digit
 carries, and key order is canonical term order (``_canonical``).  D grows
 with the group, so the packing caps neither the rank nor l(w0).
 
+A class the ring serves holds the memo's packed entry and decodes its
+``terms`` only when they are read.  ``sorted_terms`` and ``format_qclass``
+read it through the ring's table of decoded keys, and ``qclass_to_json``
+through the ring's table of interned JSON terms.
+
 JSON form of a QClass: a list of {"word": [...], "q": [...], "coeff": "c"}
-objects, with Weyl elements serialized as reduced words.  The "word" and
-"q" arrays are the ring's own shared, immutable tuples (the memoised
-reduced word and the lambda key), not copies; ``json.dumps`` writes them
-exactly as it would write lists.
+objects, with Weyl elements serialized as reduced words.  Each object is a
+read-only ``JsonTerm``; for a served class it is interned per ring, one per
+(term, coefficient), and shared by every product that holds that term.
+The "word" and "q" arrays are the ring's own shared, immutable tuples (the
+memoised reduced word and the lambda key), not copies; ``json.dumps``
+writes them exactly as it would write lists.
 """
 
 from __future__ import annotations
@@ -72,16 +79,28 @@ def _term_order(kv) -> tuple:
 class QClass:
     """Finite combination of basis elements q^lambda sigma^w.
 
-    ``ordered`` is true when ``terms`` is already in canonical order (the
-    ring's products are); the class must then not be changed in place.
+    A class served by a ``QuantumFlagRing`` holds the memo's packed entry,
+    already in canonical order; ``terms`` is decoded from it on first read
+    and then kept.  ``ordered`` is true for such a class, which must not be
+    changed in place.
     """
 
-    __slots__ = ("rs", "terms", "ordered")
+    __slots__ = ("rs", "_terms", "_ring", "_packed")
 
     def __init__(self, rs: RootSystem, terms: Dict[Tuple[WeylElt, Tuple[int, ...]], object]):
         self.rs = rs
-        self.terms = {k: v for k, v in terms.items() if v != 0}
-        self.ordered = False
+        self._terms = {k: v for k, v in terms.items() if v != 0}
+        self._ring = self._packed = None
+
+    @property
+    def terms(self) -> Dict[Tuple[WeylElt, Tuple[int, ...]], object]:
+        if self._terms is None:
+            self._terms = dict(self._ring._term_list(self._packed))
+        return self._terms
+
+    @property
+    def ordered(self) -> bool:
+        return self._packed is not None
 
     def __eq__(self, other):
         return (isinstance(other, QClass) and self.rs == other.rs
@@ -122,8 +141,8 @@ class QClass:
 
     def sorted_terms(self):
         """Terms ordered by (length, |lambda|, lambda, reduced word)."""
-        if self.ordered:
-            return list(self.terms.items())
+        if self._packed is not None:
+            return self._ring._term_list(self._packed)
         return sorted(self.terms.items(), key=_term_order)
 
     def __repr__(self):
@@ -144,22 +163,41 @@ def format_term(coeff, q: Iterable[Tuple[int, int]], w: WeylElt) -> str:
 
 def format_qclass(qc: QClass) -> str:
     """Human format: 'q1*q2 + q1*s[1,2]'; the unit class prints as '1'."""
-    if not qc.terms:
+    terms = qc.sorted_terms()
+    if not terms:
         return "0"
     return " + ".join(format_term(c, enumerate(lam, start=1), w)
-                      for (w, lam), c in qc.sorted_terms())
+                      for (w, lam), c in terms)
 
 
-def qclass_to_json(qc: QClass) -> List[dict]:
+class JsonTerm(dict):
+    """One {"word", "q", "coeff"} object of ``qclass_to_json``, read-only:
+    a served class's terms are shared by every product that holds them.
+    ``copy``, ``copy.copy``, ``copy.deepcopy`` and pickle give plain dicts."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("JSON terms are shared and read-only; "
+                        "dict(term) gives an editable copy")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+def qclass_to_json(qc: QClass) -> List[JsonTerm]:
     """The JSON form of a class, one object per term in canonical order.
 
     "word" is the element's memoised ``w.word()`` and "q" the class's own
-    lambda key: shared tuples, not copies, so they must not be mutated.
+    lambda key: shared tuples, not copies.  A served class gets the ring's
+    interned term objects; any other class gets fresh ones.
     """
-    # Tuples of ints drop out of the cyclic GC's tracking, and a dict that
-    # holds only untracked values is never tracked, so a large product
-    # table leaves nothing behind for the collector to walk.
-    return [{"word": w.word(), "q": lam, "coeff": str(c)}
+    if qc._packed is not None:
+        return qc._ring._json_list(qc._packed)
+    return [JsonTerm(word=w.word(), q=lam, coeff=str(c))
             for (w, lam), c in qc.sorted_terms()]
 
 
@@ -183,6 +221,10 @@ class QuantumFlagRing:
         self._wkeys = tuple(l * self._qbase * self._nw + i
                             for i, l in enumerate(self.lengths))
         self._qkeys: Dict[int, Tuple[Tuple[int, ...], int]] = {}
+        # Read side of served classes: key -> (w, lambda), and
+        # (key, coeff) -> interned JSON term, both filled on first read.
+        self._term_keys: Dict[int, Tuple[WeylElt, Tuple[int, ...]]] = {}
+        self._json_terms: Dict[Tuple[int, int], JsonTerm] = {}
         # Positive-root data for the Chevalley formula.
         self._chev_data = []
         for g in rs.positive_roots:
@@ -247,15 +289,33 @@ class QuantumFlagRing:
         return {k: d[k] for k in sorted(d)}
 
     def _from_packed(self, d: Dict[int, int]) -> QClass:
-        """The QClass of a stored class.  ``_canonical`` decoded the lambda
-        of every stored key, so ``_qkeys`` holds them all."""
-        els, nw, qb, qkeys = self.elements, self._nw, self._qbase, self._qkeys
+        """The QClass of a stored class: it holds ``d``, in canonical order,
+        and decodes its terms only when ``terms`` is read."""
         qc = QClass.__new__(QClass)
-        qc.rs = self.rs
-        qc.terms = {(els[k % nw], qkeys[k // nw % qb][0]): c
-                    for k, c in d.items()}
-        qc.ordered = True
+        qc.rs, qc._terms, qc._ring, qc._packed = self.rs, None, self, d
         return qc
+
+    def _term_list(self, d: Dict[int, int]) -> list:
+        """The terms ((w, lambda), c) of a stored class, in its order."""
+        get = self._term_keys.get
+        return [(get(k) or self._term_of(k), c) for k, c in d.items()]
+
+    def _term_of(self, key: int) -> Tuple[WeylElt, Tuple[int, ...]]:
+        """(w, lambda) of a packed key, decoded into the ring's table."""
+        return self._term_keys.setdefault(
+            key, (self.elements[key % self._nw], self._q_of(key)[0]))
+
+    def _json_list(self, d: Dict[int, int]) -> List[JsonTerm]:
+        """The interned JSON terms of a stored class, in its order."""
+        get = self._json_terms.get
+        return [get(kc) or self._json_of(kc) for kc in d.items()]
+
+    def _json_of(self, kc: Tuple[int, int]) -> JsonTerm:
+        """The interned JSON term of (packed key, coefficient)."""
+        key, c = kc
+        w, lam = self._term_of(key)
+        return self._json_terms.setdefault(
+            kc, JsonTerm(word=w.word(), q=lam, coeff=str(c)))
 
     # -- element helpers -----------------------------------------------------
 
@@ -414,8 +474,9 @@ class QuantumFlagRing:
         return self.quantum_product(u, v).classical_part()
 
     def _product_terms(self, u: WeylElt, v: WeylElt):
-        """The terms ((w, lambda), c) of sigma^u * sigma^v."""
-        return self.quantum_product(u, v).terms.items()
+        """The terms ((w, lambda), c) of sigma^u * sigma^v in canonical
+        order, read without decoding the product into a dict."""
+        return self.quantum_product(u, v).sorted_terms()
 
     def product_with_class(self, qc: QClass, v: WeylElt) -> QClass:
         """Linear extension (sum c q^mu sigma^x) * sigma^v; mu may be any

@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import pytest
 
 from qhflag.errors import InternalConsistencyError, InvalidInputError
 from qhflag.pwlift import minimal_representatives, qhp_product
-from qhflag.qchev import (QClass, QuantumFlagRing, _term_order,
+from qhflag.qchev import (JsonTerm, QClass, QuantumFlagRing, _term_order,
                           format_qclass, independent_inverse, qclass_to_json)
 from qhflag.rootsys import build_root_system
 from qhflag import weyl
@@ -60,8 +62,10 @@ def test_fl3_products(a2_ring, uw, vw, expect):
     u = a2_ring.element_from_word(uw)
     v = a2_ring.element_from_word(vw)
     want = cls(a2_ring, *expect)
-    assert a2_ring.quantum_product(u, v) == want
-    assert a2_ring.quantum_product(v, u) == want
+    for got in a2_ring.quantum_product(u, v), a2_ring.quantum_product(v, u):
+        # a served class compares and hashes like the class built by hand
+        assert got == want and want == got and hash(got) == hash(want)
+        assert got.terms == want.terms
 
 
 def test_fl3_full_table_is_exactly_these(a2_ring):
@@ -126,14 +130,6 @@ def test_degree_homogeneity_and_positivity(series, rank):
             for (w, lam), c in ring.quantum_product(u, v).terms.items():
                 assert isinstance(c, int) and c > 0
                 assert w.length + rs.two_rho_pairing(lam) == u.length + v.length
-
-
-@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("A", 3), ("B", 3)])
-def test_commutativity_exhaustive(series, rank):
-    ring = QuantumFlagRing(build_root_system(series, rank))
-    for i, u in enumerate(ring.elements):
-        for v in ring.elements[i + 1:]:
-            assert ring.quantum_product(u, v) == ring.quantum_product(v, u)
 
 
 class OrderedPairOracle:
@@ -208,6 +204,24 @@ def test_products_match_the_ordered_pair_oracle(series, rank):
 
 def all_pairs(ring):
     return [(u, v) for u in ring.elements for v in ring.elements]
+
+
+# sigma^u * sigma^v and sigma^v * sigma^u share one memo entry in the ring,
+# so commutativity is checked against the oracle, which recurses on v * u's
+# own second factor u.
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("A", 3), ("B", 3)])
+def test_commutativity_exhaustive(series, rank):
+    ring = QuantumFlagRing(build_root_system(series, rank))
+    oracle = OrderedPairOracle(ring)
+    for u, v in all_pairs(ring):
+        assert ring.quantum_product(u, v) == oracle(v, u)
+
+
+def test_commutativity_on_a_d4_sample():
+    ring = QuantumFlagRing(build_root_system("D", 4))
+    oracle = OrderedPairOracle(ring)
+    for u, v in random.Random(15).sample(all_pairs(ring), 300):
+        assert ring.quantum_product(u, v) == oracle(v, u)
 
 
 def json_table(ring, pairs):
@@ -698,6 +712,10 @@ def test_unordered_class_serialises_like_the_product():
     assert qclass_to_json(backwards) == qclass_to_json(qc)
     assert json.dumps(qclass_to_json(backwards)) == json.dumps(
         qclass_to_json(qc))
+    # same type on both paths; a built class gets fresh term objects
+    fresh, interned = qclass_to_json(backwards), qclass_to_json(qc)
+    assert {type(t) for t in fresh + interned} == {JsonTerm}
+    assert not set(map(id, fresh)) & set(map(id, interned))
     assert format_qclass(backwards) == format_qclass(qc)
     # arithmetic builds general classes, which sort on the way out
     assert not (qc + qc).ordered
@@ -714,6 +732,63 @@ def test_json_shares_the_words_and_q_keys():
         assert entry["word"] is w.word()
         assert entry["q"] is lam
         assert entry["coeff"] == str(c)
+    # the term objects themselves are the ring's, shared between calls
+    again = qclass_to_json(ring.quantum_product(u, u))
+    assert list(map(id, again)) == list(map(id, data))
+    built = qclass_to_json(QClass(ring.rs, qc.terms))
+    assert built == data and not set(map(id, built)) & set(map(id, data))
+    assert all(a["word"] is b["word"] and a["q"] is b["q"]
+               for a, b in zip(built, data))
+
+
+def test_served_classes_are_read_without_decoding(monkeypatch):
+    ring = QuantumFlagRing(build_root_system("B", 3))
+    u = ring.element_from_word([2, 3, 1, 2])
+    v = ring.element_from_word([1, 2, 3])
+    reads = []  # the first read of a served class's terms decodes them
+    terms = QClass.terms
+    monkeypatch.setattr(QClass, "terms", property(
+        lambda qc: reads.append(qc) or terms.fget(qc)))
+    qc = ring.quantum_product(u, v)
+    assert qc.ordered and len(qclass_to_json(qc)) > 1
+    format_qclass(qc)
+    listed = qc.sorted_terms()
+    assert ring._product_terms(u, v) == listed
+    assert reads == []
+    assert list(qc.terms.items()) == listed
+    assert len(reads) == 1
+
+
+def test_d4_products_share_their_json_terms():
+    ring = QuantumFlagRing(build_root_system("D", 4))
+    tables = {(u, v): qclass_to_json(ring.quantum_product(u, v))
+              for u, v in all_pairs(ring)}
+    served = [t for table in tables.values() for t in table]
+    assert len(served) == 267408
+    assert len({id(t) for t in served}) == len(ring._json_terms) == 4730
+    for (u, v), table in tables.items():
+        assert list(map(id, table)) == list(map(id, tables[v, u]))
+
+
+def test_json_terms_are_read_only_and_copy_to_plain_dicts(a2_ring):
+    s1 = a2_ring.element_from_word([1])
+    term = qclass_to_json(a2_ring.quantum_product(s1, s1))[0]
+    want = {"word": (), "q": (1, 0), "coeff": "1"}
+    mutations = [lambda t: t.__setitem__("coeff", "2"),
+                 lambda t: t.__delitem__("q"), lambda t: t.clear(),
+                 lambda t: t.pop("word"), lambda t: t.popitem(),
+                 lambda t: t.setdefault("x", 1), lambda t: t.update(x=1),
+                 lambda t: t.__ior__({"x": 1})]
+    for mutate in mutations:
+        with pytest.raises(TypeError, match="read-only"):
+            mutate(term)
+    assert term == want
+    copies = [term.copy(), dict(term), copy.copy(term), copy.deepcopy(term),
+              pickle.loads(pickle.dumps(term))]
+    for plain in copies:
+        assert type(plain) is dict and plain == want
+        plain["coeff"] = "2"
+    assert term == want
 
 
 def test_qclass_algebra(a2_ring):
