@@ -18,8 +18,7 @@ from .qchev import (QClass, QuantumFlagRing, format_qclass, format_term,
                     qclass_to_json)
 from .pwlift import (PWLift, minimal_representatives, psi_map, pw_lift,
                      qhp_product, qhp_structure_constant, quantum_degree)
-from .grading import (OrderedParabolic, ReducibleGrading, canonical_order,
-                      reducible_grading)
+from .grading import OrderedParabolic, canonical_order
 from .verify import Report, VerificationSetup, run_suite, replay_case
 
 __version__ = "0.1.0"

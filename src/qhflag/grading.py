@@ -14,6 +14,8 @@ QH*(G/B) to a vector in Z^{r+1}, compared lexicographically:
   comparison lift of the previous chain level;
 * gr is additive in lambda.
 
+Empty, non-proper and disconnected subsets raise InvalidInputError.
+
 Canonical orders are produced by matching the subset against a finite list
 of labelled presentations of the ambient diagram (one list per Cartan
 type), mirroring the fibration-compatible choices; ties between equivalent
@@ -26,7 +28,6 @@ here is pure and safe for concurrent reads.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple)
 
@@ -49,18 +50,6 @@ def _add_q(g: Grading, lam: Iterable[Tuple[int, int]],
         if b:
             g = tuple(x + b * y for x, y in zip(g, grq[k]))
     return g
-
-
-def _q_grading(lift: "pwlift.PWLift", parabolic: Sequence[int], coord: int,
-               gr_weyl, grq: Dict[int, Grading]) -> Grading:
-    """gr(q_idx) from the lift of alpha_idx^vee over ``parabolic``:
-    (l(omega) + 2 + 2 sum a) e_coord - gr(omega) - sum_i a_i gr(q_i), with
-    a_i the parabolic coordinates of lambda_B and coord 0-based."""
-    a = [(i, lift.lambda_B[i - 1]) for i in parabolic]
-    head = lift.length + 2 + 2 * sum(ai for _, ai in a)
-    g = tuple((head if k == coord else 0) - x
-              for k, x in enumerate(gr_weyl(lift.omega_factor)))
-    return _add_q(g, ((i, -ai) for i, ai in a), grq)
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +173,21 @@ def _placements(rs: RootSystem, target: FrozenSet[int], width: int):
     return out
 
 
-def canonical_order(rs: RootSystem, indices: Iterable[int]) -> "OrderedParabolic":
-    """The canonical linear order on a connected proper parabolic subset."""
+def _checked_subset(rs: RootSystem, indices: Iterable[int]) -> Tuple[int, ...]:
+    """The sorted subset, unless it is empty, not proper or disconnected."""
     ind = rs.check_parabolic(indices)
-    r = len(ind)
-    if not 1 <= r < rs.n:
+    if not 1 <= len(ind) < rs.n:
         raise InvalidInputError(
             f"parabolic subset must be proper and nonempty (got {ind})")
     if not is_connected(rs, ind):
-        raise InvalidInputError(
-            f"parabolic subset {ind} is disconnected; order its components "
-            "separately (reducible grading)")
+        raise InvalidInputError(f"parabolic subset {ind} is disconnected")
+    return ind
+
+
+def canonical_order(rs: RootSystem, indices: Iterable[int]) -> "OrderedParabolic":
+    """The canonical linear order on a connected proper parabolic subset."""
+    ind = _checked_subset(rs, indices)
+    r = len(ind)
     if r == 1:
         return OrderedParabolic(rs, ind)
     target = frozenset(ind)
@@ -256,12 +249,7 @@ class OrderedParabolic:
         self.r = len(self.order)
         if len(set(self.order)) != self.r:
             raise InvalidInputError("order contains repeated indices")
-        rs.check_parabolic(self.order)
-        if not 1 <= self.r < rs.n:
-            raise InvalidInputError(
-                "parabolic subset must be proper and nonempty")
-        if not is_connected(rs, self.order):
-            raise InvalidInputError(f"subset {sorted(self.order)} is disconnected")
+        _checked_subset(rs, self.order)
         self.is_a_type = is_a_chain(rs, self.order)
         self.sigma = self.r if self.is_a_type else self.r - 1
         for j in range(2, self.sigma + 1):
@@ -298,13 +286,19 @@ class OrderedParabolic:
 
     def _gr_q_recursive(self, idx: int, parabolic: Tuple[int, ...],
                         level: int) -> Grading:
+        """gr(q_idx) = (l(omega) + 2 + 2 sum a) e_level - gr(omega) - sum_i a_i
+        gr(q_i) from the lift of alpha_idx^vee, a = lambda_B on ``parabolic``."""
         rs = self.rs
         lift = pwlift.pw_lift(rs, parabolic, rs.simple_coroot(idx))
         if lift.lambda_B[idx - 1] != 1 or any(
                 lift.lambda_B[k - 1] for k in rs.complement(parabolic)
                 if k != idx):
             raise InternalConsistencyError("comparison lift left the level")
-        return _q_grading(lift, parabolic, level - 1, self.gr_weyl, self._grq)
+        a = [(i, lift.lambda_B[i - 1]) for i in parabolic]
+        head = lift.length + 2 + 2 * sum(ai for _, ai in a)
+        g = tuple((head if k == level - 1 else 0) - x
+                  for k, x in enumerate(self.gr_weyl(lift.omega_factor)))
+        return _add_q(g, ((i, -ai) for i, ai in a), self._grq)
 
     # -- gradings ------------------------------------------------------------
 
@@ -317,6 +311,8 @@ class OrderedParabolic:
         """Grading of a Weyl element, computed two independent ways."""
         g = self._grw.get(w)
         if g is None:
+            if w.rs != self.rs:
+                raise InvalidInputError("Weyl element of another root system")
             parts = weyl.full_decomposition(w, self.order)
             via_dec = tuple(p.length for p in parts)
             inv = weyl.inversion_set(w)
@@ -330,8 +326,9 @@ class OrderedParabolic:
     def gr(self, w: WeylElt, lam: Optional[Sequence[int]] = None) -> Grading:
         """Grading of the basis element q^lam sigma^w."""
         g = self.gr_weyl(w)
-        if lam is None:
-            return g
+        return g if lam is None else self._add_lambda(g, lam)
+
+    def _add_lambda(self, g: Grading, lam: Sequence[int]) -> Grading:
         if len(lam) != self.rs.n:
             raise InvalidInputError("lambda must have one entry per simple root")
         return _add_q(g, enumerate(lam, start=1), self._grq)
@@ -353,7 +350,7 @@ class OrderedParabolic:
 
     def gr_q_lambda(self, lam: Sequence[int]) -> Grading:
         """Grading of the monomial q^lam."""
-        return _add_q((0,) * (self.r + 1), enumerate(lam, start=1), self._grq)
+        return self._add_lambda((0,) * (self.r + 1), lam)
 
     # -- chain elements and graded representatives ---------------------------
 
@@ -386,93 +383,3 @@ class OrderedParabolic:
             raise InternalConsistencyError(
                 f"graded representative of {tuple(d)} reproduced {got}")
         return w, lam_t
-
-
-# ---------------------------------------------------------------------------
-# Reducible parabolic subsets
-# ---------------------------------------------------------------------------
-
-class ReducibleGrading:
-    """Grading map for a parabolic subset with several components.
-
-    The value lives in Z^{M+1} (M = sum of component ranks): one block of
-    coordinates per component, in listed order, plus a final coordinate for
-    the quotient direction.  Restriction to a single component reproduces
-    the connected grading.
-    """
-
-    def __init__(self, rs: RootSystem, components: Sequence[OrderedParabolic]):
-        self.rs = rs
-        self.components = tuple(components)
-        seen = set()
-        for op in self.components:
-            if op.rs != rs:
-                raise InvalidInputError("component order on a different system")
-            if not op.is_a_type and op is not self.components[-1]:
-                raise InvalidInputError(
-                    "at most one non-chain component, and it must come last")
-            if seen & set(op.order):
-                raise InvalidInputError("components overlap")
-            seen |= set(op.order)
-        if len(seen) >= rs.n:
-            raise InvalidInputError("parabolic subset must be proper")
-        self.indices = tuple(sorted(seen))
-        self.m = len(self.components)
-        self.ranks = tuple(op.r for op in self.components)
-        self.M = sum(self.ranks)
-        self.offsets = list(accumulate(self.ranks[:-1], initial=0))
-        self._grq: Dict[int, Grading] = {}
-        self._grw: Dict[WeylElt, Grading] = {}
-        self._build()
-
-    def _embed(self, k: int, vec: Grading) -> Grading:
-        """Embed the first r_k coordinates of a component grading."""
-        rk = self.ranks[k]
-        if any(vec[rk:]):
-            raise InternalConsistencyError("component grading leaks upward")
-        off = self.offsets[k]
-        return (0,) * off + tuple(vec[:rk]) + (0,) * (self.M + 1 - off - rk)
-
-    def _build(self) -> None:
-        rs = self.rs
-        for k, op in enumerate(self.components):
-            for idx in op.order:
-                self._grq[idx] = self._embed(k, op.gr_q(idx))
-        for idx in rs.complement(self.indices):
-            lift = pwlift.pw_lift(rs, self.indices, rs.simple_coroot(idx))
-            self._grq[idx] = _q_grading(lift, self.indices, self.M,
-                                        self.gr_weyl, self._grq)
-
-    def gr_q(self, idx: int) -> Grading:
-        return self._grq[idx]
-
-    def gr_weyl(self, w: WeylElt) -> Grading:
-        g = self._grw.get(w)
-        if g is not None:
-            return g
-        rs = self.rs
-        v_top, u = weyl.parabolic_decompose(w, self.indices)
-        vec = (0,) * self.M + (v_top.length,)
-        # Split u over the commuting component subgroups via its word.
-        letters = u.word()
-        for k, op in enumerate(self.components):
-            part = [i for i in letters if i in op.position]
-            uk = weyl.word_to_element(rs, part)
-            vec = grading_add(vec, self._embed(k, op.gr_weyl(uk)))
-        self._grw[w] = vec
-        return vec
-
-    def gr(self, w: WeylElt, lam: Optional[Sequence[int]] = None) -> Grading:
-        g = self.gr_weyl(w)
-        if lam is None:
-            return g
-        return _add_q(g, enumerate(lam, start=1), self._grq)
-
-
-def reducible_grading(rs: RootSystem, indices: Iterable[int]) -> ReducibleGrading:
-    """Canonical reducible grading: canonical order on each component,
-    components sorted by smallest index with a non-chain component last."""
-    comps = connected_components(rs, indices)
-    ordered = sorted(comps, key=lambda c: (0 if is_a_chain(rs, c) else 1, c))
-    ops = [canonical_order(rs, c) for c in ordered]
-    return ReducibleGrading(rs, ops)

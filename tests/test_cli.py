@@ -313,6 +313,14 @@ def test_degenerate_parabolic_rejected_before_suite(capsys):
                        "--parabolic", "1,2", "--suites", "filtration")
     assert code == 2
     assert "proper" in err
+    # A disconnected subset gets one message, with or without an order.
+    for argv in (["verify", "--system", "A3", "--parabolic", "1,3"],
+                 ["verify", "--system", "A3", "--parabolic", "1,3",
+                  "--order", "1,3"],
+                 ["grading-table", "--system", "A3", "--parabolic", "1,3"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: parabolic subset (1, 3) is disconnected\n"
 
 
 def test_missing_system_is_usage_error(capsys):

@@ -5,7 +5,7 @@ import pytest
 from qhflag.errors import InvalidInputError
 from qhflag.grading import (OrderedParabolic, canonical_order,
                             connected_components, is_a_chain,
-                            ordered_parabolic, reducible_grading)
+                            ordered_parabolic)
 from qhflag.pwlift import minimal_representatives, pw_lift
 from qhflag.rootsys import build_root_system
 from qhflag import weyl
@@ -131,11 +131,27 @@ def test_gr_weyl_two_routes_agree_many_orders():
             assert sum(g) == w.length
 
 
+def test_gr_weyl_rejects_an_element_of_another_system():
+    op = canonical_order(build_root_system("A", 3), (1, 2))
+    for series in ("B", "C"):
+        w = word_to_element(build_root_system(series, 3), (1, 2, 3))
+        with pytest.raises(InvalidInputError, match="another root system"):
+            op.gr_weyl(w)
+
+
 # --- gradings of quantum variables ------------------------------------------
 
 def test_table1_q_gradings(a2_op):
     assert a2_op.gr_q(1) == (2, 0)
     assert a2_op.gr_q(2) == (-1, 3)
+
+
+@pytest.mark.parametrize("lam", [(1,), (1, 0, 0, 1)])
+def test_lambda_of_the_wrong_length_is_rejected(lam):
+    op = canonical_order(build_root_system("A", 3), (1, 2))
+    for grade in (op.gr_q_lambda, lambda x: op.gr(identity(op.rs), x)):
+        with pytest.raises(InvalidInputError, match="one entry per simple root"):
+            grade(lam)
 
 
 def test_table1_mixed_gradings(a2_op):
@@ -316,59 +332,6 @@ def test_semigroup_closure_constructive():
                     x, op.gr_q_lambda(tuple(2 * c for c in lam))))
                 shifted = tuple(t + 2 * c for t, c in zip(tau, lam))
                 assert op.gr(w, shifted) == full
-
-
-# --- reducible subsets --------------------------------------------------------
-
-def test_reducible_single_component_degenerates_to_gr():
-    a3 = build_root_system("A", 3)
-    red = reducible_grading(a3, (1, 2))
-    op = canonical_order(a3, (1, 2))
-    for w in weyl.enumerate_group(a3):
-        for lam in iproduct(range(2), repeat=3):
-            assert red.gr(w, lam) == op.gr(w, lam)
-
-
-def test_reducible_two_components():
-    a3 = build_root_system("A", 3)
-    red = reducible_grading(a3, (1, 3))
-    s1s3 = word_to_element(a3, (1, 3))
-    assert red.gr(s1s3) == (1, 1, 0)
-    assert red.gr_q(1) == (2, 0, 0)
-    assert red.gr_q(3) == (0, 2, 0)
-    # the middle node attaches to both components
-    assert red.gr_q(2) == (-1, -1, 4)
-    assert sum(red.gr(s1s3, (1, 1, 1))) == 2 + a3.two_rho_pairing((1, 1, 1))
-
-
-def test_reducible_detached_node():
-    a6 = build_root_system("A", 6)
-    red = reducible_grading(a6, (1, 2, 4))
-    # components {1,2} and {4}; node 6 touches neither
-    assert red.ranks == (2, 1)
-    assert red.gr_q(6) == (0, 0, 0, 2)
-    s1s4 = word_to_element(a6, (1, 4))
-    assert red.gr(s1s4) == (1, 0, 1, 0)
-
-
-def test_reducible_filtration_property():
-    # The multi-component grading still filters the quantum product.
-    from qhflag.qchev import QuantumFlagRing
-    a3 = build_root_system("A", 3)
-    red = reducible_grading(a3, (1, 3))
-    ring = QuantumFlagRing(a3)
-    for u in ring.elements:
-        gu = red.gr(u)
-        for v in ring.elements:
-            bound = tuple(x + y for x, y in zip(gu, red.gr(v)))
-            for (w, lam), c in ring.quantum_product(u, v).terms.items():
-                assert red.gr(w, lam) <= bound
-
-
-def test_reducible_rejects_bad_components():
-    a3 = build_root_system("A", 3)
-    with pytest.raises(InvalidInputError, match="proper"):
-        reducible_grading(a3, (1, 2, 3))
 
 
 def test_components_and_chain_helpers():
