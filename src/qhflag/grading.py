@@ -12,7 +12,7 @@ QH*(G/B) to a vector in Z^{r+1}, compared lexicographically:
   are computed and must agree);
 * gr of each quantum variable is defined by a recursion through the
   comparison lift of the previous chain level;
-* gr is additive in lambda.
+* gr is additive in lambda: gr(q^lambda) = sum_k lambda_k gr(q_k).
 
 Empty, non-proper and disconnected subsets raise InvalidInputError.
 
@@ -22,8 +22,8 @@ type), mirroring the fibration-compatible choices; ties between equivalent
 presentations are broken deterministically (lowest case first, then
 lexicographically smallest index tuple).
 
-All values are cached in immutable tables per OrderedParabolic; everything
-here is pure and safe for concurrent reads.
+An OrderedParabolic caches gr_weyl per element and gr(q^lambda) per lambda
+(the lambda table, which checks lambda); all safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple)
 
 from .errors import InternalConsistencyError, InvalidInputError
+from .qchev import int_exponents
 from .rootsys import RootSystem
 from . import pwlift, weyl
 from .weyl import WeylElt
@@ -41,15 +42,6 @@ Grading = Tuple[int, ...]
 
 def grading_add(a: Grading, b: Grading) -> Grading:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _add_q(g: Grading, lam: Iterable[Tuple[int, int]],
-           grq: Dict[int, Grading]) -> Grading:
-    """g + sum_k b_k gr(q_k), over (simple index k, exponent b_k) pairs."""
-    for k, b in lam:
-        if b:
-            g = tuple(x + b * y for x, y in zip(g, grq[k]))
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +264,7 @@ class OrderedParabolic:
         self.layers.append(frozenset(rs.positive_roots) - prev)
         self._grw: Dict[WeylElt, Grading] = {}
         self._grq: Dict[int, Grading] = {}
+        self._grql: Dict[Tuple[int, ...], Grading] = {}
         self._build_q_table()
 
     # -- construction of the q-grading table --------------------------------
@@ -286,19 +279,20 @@ class OrderedParabolic:
 
     def _gr_q_recursive(self, idx: int, parabolic: Tuple[int, ...],
                         level: int) -> Grading:
-        """gr(q_idx) = (l(omega) + 2 + 2 sum a) e_level - gr(omega) - sum_i a_i
-        gr(q_i) from the lift of alpha_idx^vee, a = lambda_B on ``parabolic``."""
+        """gr(q_idx) = (l(omega) + 2 + 2 sum a) e_level - gr(omega) - gr(q^a)
+        from the lift of alpha_idx^vee, a = lambda_B on ``parabolic``; gr(q^a)
+        is final, as ``parabolic`` holds earlier levels only."""
         rs = self.rs
         lift = pwlift.pw_lift(rs, parabolic, rs.simple_coroot(idx))
         if lift.lambda_B[idx - 1] != 1 or any(
                 lift.lambda_B[k - 1] for k in rs.complement(parabolic)
                 if k != idx):
             raise InternalConsistencyError("comparison lift left the level")
-        a = [(i, lift.lambda_B[i - 1]) for i in parabolic]
-        head = lift.length + 2 + 2 * sum(ai for _, ai in a)
+        a = lift.lambda_B[:idx - 1] + (0,) + lift.lambda_B[idx:]
+        head = lift.length + 2 + 2 * sum(a)
         g = tuple((head if k == level - 1 else 0) - x
                   for k, x in enumerate(self.gr_weyl(lift.omega_factor)))
-        return _add_q(g, ((i, -ai) for i, ai in a), self._grq)
+        return tuple(x - y for x, y in zip(g, self.gr_q_lambda(a)))
 
     # -- gradings ------------------------------------------------------------
 
@@ -326,12 +320,7 @@ class OrderedParabolic:
     def gr(self, w: WeylElt, lam: Optional[Sequence[int]] = None) -> Grading:
         """Grading of the basis element q^lam sigma^w."""
         g = self.gr_weyl(w)
-        return g if lam is None else self._add_lambda(g, lam)
-
-    def _add_lambda(self, g: Grading, lam: Sequence[int]) -> Grading:
-        if len(lam) != self.rs.n:
-            raise InvalidInputError("lambda must have one entry per simple root")
-        return _add_q(g, enumerate(lam, start=1), self._grq)
+        return g if lam is None else grading_add(g, self.gr_q_lambda(lam))
 
     def graded_basis(self, elements: Iterable[WeylElt],
                      lams: Sequence[Tuple[int, ...]], width: int,
@@ -340,17 +329,28 @@ class OrderedParabolic:
         """Each (w, lam) of elements x lams, w-major, whose grading vanishes
         past its first ``width`` coordinates, keyed by them if ``keep`` does."""
         buckets: Dict[Grading, list] = {}
+        grql = [(lam, self.gr_q_lambda(lam)) for lam in lams]
         for w in elements:
             gw = self.gr_weyl(w)
-            for lam in lams:
-                g = _add_q(gw, enumerate(lam, start=1), self._grq)
+            for lam, gq in grql:
+                g = grading_add(gw, gq)
                 if not any(g[width:]) and keep(g[:width]):
                     buckets.setdefault(g[:width], []).append((w, lam))
         return buckets
 
     def gr_q_lambda(self, lam: Sequence[int]) -> Grading:
-        """Grading of the monomial q^lam."""
-        return self._add_lambda((0,) * (self.r + 1), lam)
+        """Grading of the monomial q^lam; lam is checked on first use, then
+        its grading is served from the per-lambda table."""
+        key = tuple(lam)
+        g = self._grql.get(key)
+        if g is None:
+            if len(key) != self.rs.n:
+                raise InvalidInputError("lambda must have one entry per simple root")
+            terms = [(b, self._grq[k])
+                     for k, b in enumerate(int_exponents(key), start=1) if b]
+            g = self._grql.setdefault(key, tuple(
+                sum(b * y[i] for b, y in terms) for i in range(self.r + 1)))
+        return g
 
     # -- chain elements and graded representatives ---------------------------
 
@@ -365,8 +365,8 @@ class OrderedParabolic:
         """The unique (w, lambda) whose grading is d on the first sigma
         coordinates and zero beyond them."""
         s = self.sigma
-        if len(d) != s:
-            raise InvalidInputError(f"expected a vector of length sigma={s}")
+        if len(d) != s or any(type(x) is not int for x in d):
+            raise InvalidInputError(f"expected sigma={s} integers, got {tuple(d)}")
         a = [0] * (s + 2)  # 1-based, a[s+1] stays 0
         b = [0] * (s + 1)
         for i in range(s, 0, -1):

@@ -41,6 +41,9 @@ THEOREM_SUITES = ("filtration", "key-lemma", "ideal-quotient", "graded-iso",
                   "psi-grading", "basics")
 CONJECTURE_SUITES = ("referee-conjecture",)
 ALL_SUITES = THEOREM_SUITES + CONJECTURE_SUITES
+# graded-iso's lemma41 bound on graded coordinates, and the sample counts of
+# basics' associativity and psi-grading's multiplicativity cases.
+_GRADING_BOX, _ASSOC_SAMPLES, _PSI_SAMPLES = 6, 200, 100
 
 # Case text: a string, or a zero-argument callable that builds it on demand.
 Text = Union[str, Callable[[], str]]
@@ -59,17 +62,12 @@ class VerificationSetup:
     order: Optional[Tuple[int, ...]] = None
     max_weyl: int = weyl.WEYL_CAP
     max_q: int = 3
-    grading_box: int = 6
     seed: int = 0
-    assoc_samples: int = 200
-    psi_samples: int = 100
 
     def __post_init__(self):
-        for name in ("max_q", "grading_box", "assoc_samples", "psi_samples"):
-            if getattr(self, name) < 0:
-                raise InvalidInputError(
-                    f"{name.replace('_', '-')} must be nonnegative, "
-                    f"got {getattr(self, name)}")
+        if self.max_q < 0:
+            raise InvalidInputError(
+                f"max-q must be nonnegative, got {self.max_q}")
 
 
 @dataclass
@@ -305,7 +303,7 @@ def _graded_iso(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
     piece, and agreement of the subquotient with QH*(G/P)."""
     rs, op = ctx.rs, ctx.op
     s = op.sigma
-    box = ctx.setup.grading_box
+    box = _GRADING_BOX
 
     # (a) uniqueness of graded representatives on the box, by brute search.
     reps_by_grading = op.graded_basis(
@@ -356,9 +354,9 @@ def _graded_iso(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
     qbox = list(product(range(ctx.setup.max_q + 1), repeat=len(comp)))
     pairs = [(u, lp, v, mp) for u in reps for lp in qbox
              for v in reps for mp in qbox]
-    if len(pairs) > max(ctx.setup.psi_samples, 1) * 4:
+    if len(pairs) > _PSI_SAMPLES * 4:
         rng = random.Random(ctx.setup.seed)
-        pairs = rng.sample(pairs, max(ctx.setup.psi_samples, 1))
+        pairs = rng.sample(pairs, _PSI_SAMPLES)
         rep.extra["psi_regime"] = f"sampled:{len(pairs)}"
     else:
         rep.extra["psi_regime"] = f"exhaustive:{len(pairs)}"
@@ -402,9 +400,8 @@ def _graded_iso(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
             ok, lhs, rhs = psi_mult_check(u, lp, v, mp)
             rep.record(case, ok, lhs=lhs, rhs=rhs)
 
-        model = _projective_space_model(rs, ctx.parabolic, reps)
-        if model is not None:
-            m, q_j = model
+        m = _projective_space_model(rs, ctx.parabolic, reps)
+        if m is not None:
             rep.extra["model"] = f"projective space P^{m}"
             for a in range(m + 1):
                 for b in range(m + 1):
@@ -445,8 +442,8 @@ def _graded_iso(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
 
 
 def _projective_space_model(rs: RootSystem, parabolic, reps):
-    """(m, q index) when G/P is a projective space: type A with the
-    complement a single end node of the chain."""
+    """m when G/P is the projective space P^m: type A with the complement a
+    single end node of the chain."""
     if rs.series != "A":
         return None
     comp = rs.complement(parabolic)
@@ -454,7 +451,7 @@ def _projective_space_model(rs: RootSystem, parabolic, reps):
         return None
     if sorted(w.length for w in reps) != list(range(rs.n + 1)):
         return None
-    return rs.n, comp[0]
+    return rs.n
 
 
 def _basics(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
@@ -530,7 +527,7 @@ def _basics(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
                        rhs="integer, positive, homogeneous")
 
     rng = random.Random(ctx.setup.seed)
-    for t in range(ctx.setup.assoc_samples):
+    for t in range(_ASSOC_SAMPLES):
         u, v, w = (elements[rng.randrange(len(elements))] for _ in range(3))
         case = lambda: (f"associativity:{t}:u={ctx.word(u)};v={ctx.word(v)};"
                         f"w={ctx.word(w)}")

@@ -211,8 +211,7 @@ def test_criterion_8_graded_piece_isomorphisms():
 def test_criterion_9_property_suite():
     for name, par in [("A2", (1,)), ("A3", (1, 2)), ("B2", (1,)),
                       ("B3", (1, 2)), ("C3", (1, 2)), ("G2", (1,))]:
-        rep = run_suite("basics", VerificationSetup(system=name, parabolic=par,
-                                                    assoc_samples=200))
+        rep = run_suite("basics", VerificationSetup(system=name, parabolic=par))
         assert rep.ok, (name, rep.failures[:3])
     # the reflection-length bound up to rank 4
     for series, rank in [("A", 4), ("B", 4), ("C", 4), ("D", 4), ("F", 4)]:

@@ -1,3 +1,6 @@
+import random
+import sys
+import threading
 from itertools import product as iproduct
 
 import pytest
@@ -149,9 +152,99 @@ def test_table1_q_gradings(a2_op):
 @pytest.mark.parametrize("lam", [(1,), (1, 0, 0, 1)])
 def test_lambda_of_the_wrong_length_is_rejected(lam):
     op = canonical_order(build_root_system("A", 3), (1, 2))
+    # A right-length lambda is stored first; a list and a tuple share it.
+    assert op.gr_q_lambda([1, 0, 0]) == op.gr_q_lambda((1, 0, 0)) == op.gr_q(1)
     for grade in (op.gr_q_lambda, lambda x: op.gr(identity(op.rs), x)):
         with pytest.raises(InvalidInputError, match="one entry per simple root"):
             grade(lam)
+
+
+@pytest.mark.parametrize("lam", [(0.5, 0, 0), ("1", 0, 0), (True, 0, 0)])
+def test_lambda_entries_must_be_integers(lam):
+    op = canonical_order(build_root_system("A", 3), (1, 2))
+    for grade in (op.gr_q_lambda, lambda x: op.gr(identity(op.rs), x)):
+        with pytest.raises(InvalidInputError, match="must be integers"):
+            grade(lam)
+
+
+# --- the per-lambda table -----------------------------------------------------
+
+TABLE_CASES = [("A", 3, (1, 2)), ("B", 3, (1, 2)), ("C", 3, (1, 2)),
+               ("G", 2, (1,))]
+
+
+def summed_gr(op, w, lam):
+    """gr_weyl(w) + sum_k lam_k gr(q_k), summed here rather than tabulated."""
+    g = list(op.gr_weyl(w))
+    for k, b in enumerate(lam, start=1):
+        for i, y in enumerate(op.gr_q(k)):
+            g[i] += b * y
+    return tuple(g)
+
+
+@pytest.mark.parametrize("series,rank,par", TABLE_CASES)
+def test_gr_matches_the_summed_oracle_in_either_order(series, rank, par):
+    rs = build_root_system(series, rank)
+    cases = [(w, lam) for w in weyl.enumerate_group(rs)
+             for lam in iproduct(range(-2, 4), repeat=rank)]
+    oracle = canonical_order(rs, par)
+    expect = [summed_gr(oracle, w, lam) for w, lam in cases]
+    forward, backward = canonical_order(rs, par), canonical_order(rs, par)
+    assert [forward.gr(w, lam) for w, lam in cases] == expect
+    assert [backward.gr(w, lam) for w, lam in reversed(cases)] == expect[::-1]
+
+
+@pytest.mark.parametrize("series,rank,par", [("A", 2, (1,))] + TABLE_CASES)
+def test_graded_basis_is_the_filtered_oracle(series, rank, par):
+    # graded-iso's lemma41 search, on a box of 1 instead of 6.
+    rs = build_root_system(series, rank)
+    op = canonical_order(rs, par)
+    box, s = 1, op.sigma
+    elements = weyl.enumerate_group(rs)
+    lams = list(iproduct(range(-box, box + 4), repeat=rank))
+
+    def keep(h):
+        return all(0 <= x <= box for x in h)
+
+    expect = {}
+    for w in elements:
+        for lam in lams:
+            g = summed_gr(op, w, lam)
+            if not any(g[s:]) and keep(g[:s]):
+                expect.setdefault(g[:s], []).append((w, lam))
+    assert expect
+    got = op.graded_basis(elements, lams, s, keep)
+    assert list(got.items()) == list(expect.items())
+
+
+def test_threads_sharing_one_table_agree_with_one_thread():
+    rs = build_root_system("B", 3)
+    cases = [(w, lam) for w in weyl.enumerate_group(rs)
+             for lam in iproduct(range(-1, 3), repeat=3)]
+    alone = canonical_order(rs, (1, 2))
+    expect = {c: alone.gr(*c) for c in cases}
+    shared = canonical_order(rs, (1, 2))
+    results = [None] * 4
+    barrier = threading.Barrier(4)
+
+    def work(k):
+        order = cases[:]
+        random.Random(k).shuffle(order)
+        barrier.wait()
+        results[k] = {c: shared.gr(*c) for c in order}
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expect] * 4
 
 
 def test_table1_mixed_gradings(a2_op):
@@ -266,6 +359,13 @@ def test_unique_basis_element_examples(a2_op):
     assert a2_op.unique_basis_element((0,)) == (identity(rs), (0, 0))
     assert a2_op.unique_basis_element((2,)) == (identity(rs), (1, 0))
     assert a2_op.unique_basis_element((1,)) == (word_to_element(rs, (1,)), (0, 0))
+
+
+@pytest.mark.parametrize("d", [(1.5, 0), (True, 0), ("1", 0)])
+def test_unique_basis_element_rejects_non_integers(d):
+    op = canonical_order(build_root_system("A", 3), (1, 2))
+    with pytest.raises(InvalidInputError, match="integers"):
+        op.unique_basis_element(d)
 
 
 def test_unique_basis_element_roundtrip_boxes():
