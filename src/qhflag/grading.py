@@ -262,6 +262,7 @@ class OrderedParabolic:
             self.layers.append(cur - prev)
             prev = cur
         self.layers.append(frozenset(rs.positive_roots) - prev)
+        self._inversions_per_layer = weyl.inversion_counter(rs, self.layers)
         self._grw: Dict[WeylElt, Grading] = {}
         self._grq: Dict[int, Grading] = {}
         self._grql: Dict[Tuple[int, ...], Grading] = {}
@@ -309,8 +310,7 @@ class OrderedParabolic:
                 raise InvalidInputError("Weyl element of another root system")
             parts = weyl.full_decomposition(w, self.order)
             via_dec = tuple(p.length for p in parts)
-            inv = weyl.inversion_set(w)
-            via_inv = tuple(len(inv & layer) for layer in self.layers)
+            via_inv = self._inversions_per_layer(w)
             if via_dec != via_inv:
                 raise InternalConsistencyError(
                     f"decomposition and inversion gradings disagree on {w!r}")

@@ -103,6 +103,8 @@ class QClass:
         return self._packed is not None
 
     def __eq__(self, other):
+        if isinstance(other, QClass) and other._ring is self._ring is not None:
+            return self._packed == other._packed  # one ring, one packing
         return (isinstance(other, QClass) and self.rs == other.rs
                 and self.terms == other.terms)
 
@@ -225,12 +227,12 @@ class QuantumFlagRing:
         # (key, coeff) -> interned JSON term, both filled on first read.
         self._term_keys: Dict[int, Tuple[WeylElt, Tuple[int, ...]]] = {}
         self._json_terms: Dict[Tuple[int, int], JsonTerm] = {}
-        # Positive-root data for the Chevalley formula.
-        self._chev_data = []
-        for g in rs.positive_roots:
-            gv = rs.coroot_of(g)
-            self._chev_data.append((weyl.reflection(rs, g), gv,
-                                    rs.two_rho_pairing(gv), self._pack(gv)))
+        # Chevalley data per positive root: s_gamma, and <2 rho, gamma^vee>,
+        # its q shift and the nonzero (i, <chi_i, gamma^vee>).
+        self._chev_data = [(weyl.reflection(rs, g), rs.two_rho_pairing(gv),
+                            self._pack(gv),
+                            [(i, c) for i, c in enumerate(gv, 1) if c])
+                           for g in rs.positive_roots for gv in [rs.coroot_of(g)]]
         self._chev_rows: Dict[Tuple[int, int], tuple] = {}
         # v index -> (den, [(pivot k, den*coeff)], [(x' idx, qshift, den*coeff)])
         self._int_expr: Dict[int, tuple] = {}
@@ -331,25 +333,21 @@ class QuantumFlagRing:
     # -- quantum Chevalley ----------------------------------------------------
 
     def _chev_row(self, i: int, widx: int) -> tuple:
-        """Expansion of sigma^{w} * sigma^{s_i} as (widx', qshift, coeff)."""
-        key = (i, widx)
-        row = self._chev_rows.get(key)
+        """Expansion of sigma^{w} * sigma^{s_i} as (widx', qshift, coeff).
+        The n rows of w are built together, from one w s_gamma per gamma."""
+        row = self._chev_rows.get((i, widx))
         if row is None:
+            lw = self.lengths[widx]
+            rows = {j: [] for j in range(1, self.n + 1)}
             w = self.elements[widx]
-            lw = w.length
-            out = []
-            for sref, gv, tworho, qkey in self._chev_data:
-                c = gv[i - 1]  # <chi_i, gamma^vee>
-                if c == 0:
-                    continue
+            for sref, tworho, qkey, support in self._chev_data:
                 widx2 = self.index[weyl.multiply(w, sref)]
                 l2 = self.lengths[widx2]
-                if l2 == lw + 1:
-                    out.append((widx2, 0, c))
-                if l2 == lw + 1 - tworho:
-                    out.append((widx2, qkey, c))
-            row = tuple(out)
-            self._chev_rows[key] = row
+                if l2 == lw + 1 or l2 == lw + 1 - tworho:
+                    for j, c in support:
+                        rows[j].append((widx2, 0 if l2 == lw + 1 else qkey, c))
+            self._chev_rows.update(((j, widx), tuple(out)) for j, out in rows.items())
+            row = self._chev_rows[i, widx]
         return row
 
     def chevalley_product(self, u: WeylElt, i: int) -> QClass:

@@ -166,43 +166,35 @@ def _key_lemma(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
     <= gr(u) + gr(s_i)."""
     rs, op = ctx.rs, ctx.op
     elements = weyl.enumerate_group(rs, cap=ctx.setup.max_weyl)
-    # (gamma, s_gamma, gamma^vee, <2 rho, gamma^vee>, gr(q^{gamma^vee}));
+    # (gamma, s_gamma, <2 rho, gv>, gr(q^gv), support of gv), gv = gamma^vee;
     # gr(q^gv u s_gamma) = gr(u s_gamma) + gr(q^gv), as gr is affine in lambda.
-    roots = []
-    for gamma in rs.positive_roots:
-        gv = rs.coroot_of(gamma)
-        roots.append((gamma, weyl.reflection(rs, gamma), gv,
-                      rs.two_rho_pairing(gv), op.gr_q_lambda(gv)))
+    roots = [(gamma, weyl.reflection(rs, gamma), rs.two_rho_pairing(gv),
+              op.gr_q_lambda(gv), [i for i, c in enumerate(gv, 1) if c])
+             for gamma in rs.positive_roots for gv in [rs.coroot_of(gamma)]]
     gr_simple = [op.gr_weyl(weyl.simple_reflection(rs, i))
                  for i in range(1, rs.n + 1)]
+    # One set of case texts, reading the loop's variables when called.
+    case = lambda: f"u={ctx.word(u)};gamma={gamma};i={i};part={part}"
+    lhs = lambda: (f"gr(u*s_gamma)={g}" if part == "a"
+                   else f"gr(q^gv*u*s_gamma)={g}")
+    rhs = lambda: f"bound={bound}"
     vacuous = 0
     for u in elements:
         gu = op.gr_weyl(u)
-        bounds = [grading_add(gu, g) for g in gr_simple]
-        for gamma, sg, gv, tworho, gq in roots:
+        bounds = [grading_add(gu, gs) for gs in gr_simple]
+        for gamma, sg, tworho, gq, support in roots:
             usg = weyl.multiply(u, sg)
-            part_a = usg.length == u.length + 1
-            part_b = usg.length == u.length + 1 - tworho
-            if not (part_a or part_b):
+            if usg.length == u.length + 1:
+                part, g = "a", op.gr_weyl(usg)
+            elif usg.length == u.length + 1 - tworho:
+                part, g = "b", grading_add(op.gr_weyl(usg), gq)
+            else:
                 vacuous += 1
                 continue
-            g = op.gr_weyl(usg)
-            gb = grading_add(g, gq) if part_b else None
-            for i, bound in enumerate(bounds, 1):
-                if gv[i - 1] == 0:
-                    continue
-                if part_a:
-                    case = lambda: f"u={ctx.word(u)};gamma={gamma};i={i};part=a"
-                    if _want(only_case, case):
-                        rep.record(case, g <= bound,
-                                   lhs=lambda: f"gr(u*s_gamma)={g}",
-                                   rhs=lambda: f"bound={bound}")
-                if part_b:
-                    case = lambda: f"u={ctx.word(u)};gamma={gamma};i={i};part=b"
-                    if _want(only_case, case):
-                        rep.record(case, gb <= bound,
-                                   lhs=lambda: f"gr(q^gv*u*s_gamma)={gb}",
-                                   rhs=lambda: f"bound={bound}")
+            for i in support:
+                bound = bounds[i - 1]
+                if _want(only_case, case):
+                    rep.record(case, g <= bound, lhs=lhs, rhs=rhs)
     rep.extra["vacuous"] = vacuous
 
 
@@ -214,7 +206,8 @@ def _ideal_and_quotient(ctx: _Context, rep: Report,
     rs, op, ring = ctx.rs, ctx.op, ctx.ring
     par = ctx.parabolic
     rtop = op.r  # index of the quotient coordinate in gr, 0-based
-    wp = set(weyl.enumerate_group(rs, indices=par, cap=ctx.setup.max_weyl))
+    wp_elements = weyl.enumerate_group(rs, indices=par, cap=ctx.setup.max_weyl)
+    wp = set(wp_elements)  # for membership; the tuple is in (length, word) order
 
     for u in ring.elements:
         if u in wp:
@@ -237,9 +230,8 @@ def _ideal_and_quotient(ctx: _Context, rep: Report,
     def to_sub(w: WeylElt) -> WeylElt:
         return sub_ring.element_from_word([index_map[i] for i in w.word()])
 
-    wp_sorted = sorted(wp, key=WeylElt.sort_key)
-    for u in wp_sorted:
-        for v in wp_sorted:
+    for u in wp_elements:
+        for v in wp_elements:
             case = lambda: f"quotient:u={ctx.word(u)};v={ctx.word(v)}"
             if not _want(only_case, case):
                 continue

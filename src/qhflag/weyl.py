@@ -1,21 +1,24 @@
 """Exact Weyl group arithmetic over a fixed root system.
 
-Each system numbers its 2N roots once (positive roots first, then their
-negatives) and a Weyl element is the permutation it induces on them.  An
-element is fixed by the images of the simple roots, so it is interned per
-system under that key: a product is a permutation composition plus one
-dict lookup, and lengths, descents and inversion sets are read from the
-signs of the images.  The per-system table in ``rs._cache`` fills lazily
-(E8 is never tabulated) and only through ``dict.setdefault``, so threads
-racing on one system share one canonical element.  Elements are immutable
-apart from the memoized reduced word.
+Each system numbers its 2N roots once (``rs.positive_roots`` in order, then
+their negatives) and a Weyl element is the permutation it induces on them.
+An element is fixed by the images of the simple roots, so it is interned per
+system under that key: a product is a permutation composition plus one dict
+lookup, and lengths, descents and inversion sets are read from the signs of
+the images.  The per-system table in ``rs._cache`` fills lazily (E8 is never
+tabulated) and only through ``dict.setdefault``, so threads racing on one
+system share one canonical element.  Elements are immutable apart from the
+memoized reduced word.  ``enumerate_group`` builds each element x = w s_i
+once, from its canonical parent w (i is x's lowest right descent), and
+writes its reduced word ``w.word() + (i,)`` then.  Reflections are built by
+conjugation.
 
 Weyl elements serialize as reduced words: arrays of 1-based simple indices.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapExceededError, InternalConsistencyError, InvalidInputError
 from .rootsys import Root, RootSystem
@@ -40,13 +43,14 @@ class _Table:
         self.simple = tuple(self.index[rs.simple_root(i)]
                             for i in range(1, rs.n + 1))
         self.intern: Dict[Perm, "WeylElt"] = {}
-        self.reflections: Dict[Root, "WeylElt"] = {}
         self.groups: Dict[Tuple[int, ...], Tuple["WeylElt", ...]] = {}
         self.identity = _intern(self, tuple(range(len(self.roots))))
         self.gens = tuple(
             _intern(self, tuple(self.index[rs.reflect_root(i, g)]
                                 for g in self.roots))
             for i in range(1, rs.n + 1))
+        self.reflections = dict(zip(map(self.roots.__getitem__, self.simple),
+                                    self.gens))  # root -> s_root, filled lazily
 
 
 def _table(rs: RootSystem) -> _Table:
@@ -75,7 +79,7 @@ class WeylElt:
         self.perm = perm
         self.key = key
         npos = table.npos
-        self.length = sum(1 for k in perm[:npos] if k >= npos)
+        self.length = sum(map(npos.__le__, perm[:npos]))
         self._table = table
         self._word: Optional[Tuple[int, ...]] = None if self.length else ()
         self._hash = hash((self.rs.key(), key))
@@ -114,13 +118,9 @@ class WeylElt:
         """Reduced word, greedy lowest-descent-first (deterministic):
         word(w) = word(w s_j) + (j,) for the lowest right descent j of w."""
         if self._word is None:
-            table = self._table
-            j = next(i for i, k in enumerate(self.key, 1) if k >= table.npos)
-            self._word = multiply(self, table.gens[j - 1]).word() + (j,)
+            j = next(i for i, k in enumerate(self.key, 1) if k >= self._table.npos)
+            self._word = multiply(self, self._table.gens[j - 1]).word() + (j,)
         return self._word
-
-    def sort_key(self):
-        return (self.length, self.word())
 
 
 def identity(rs: RootSystem) -> WeylElt:
@@ -151,25 +151,39 @@ def word_to_element(rs: RootSystem, word: Iterable[int]) -> WeylElt:
 def reflection(rs: RootSystem, gamma: Root) -> WeylElt:
     """The reflection s_gamma for a positive root gamma (cached per root)."""
     gamma = tuple(gamma)
+    if not rs.is_positive_root(gamma):
+        raise InvalidInputError(f"{gamma} is not a positive root")
     table = _table(rs)
-    r = table.reflections.get(gamma)
+    return _reflection(table, table.index[gamma])
+
+
+def _reflection(table: _Table, k: int) -> WeylElt:
+    """s_gamma for the positive root gamma of index k: cached (simple roots
+    from the start), else s_i s_beta s_i, beta = s_i(gamma) of lower index."""
+    r = table.reflections.get(table.roots[k])
     if r is None:
-        if not rs.is_positive_root(gamma):
-            raise InvalidInputError(f"{gamma} is not a positive root")
-        gv = rs.coroot_of(gamma)
-        perm = []
-        for beta in table.roots:
-            c = rs.pairing(beta, gv)
-            perm.append(table.index[tuple(b - c * g for b, g in zip(beta, gamma))])
-        r = table.reflections.setdefault(gamma, _intern(table, tuple(perm)))
+        s = next(s for s in table.gens if s.perm[k] < k)
+        r = multiply(multiply(s, _reflection(table, s.perm[k])), s)
+        if r.perm[k] != k + table.npos:
+            raise InternalConsistencyError("reflection does not negate its root")
+        r = table.reflections.setdefault(table.roots[k], r)
     return r
 
 
 def inversion_set(w: WeylElt) -> FrozenSet[Root]:
     """Positive roots sent to negative roots by w; size equals l(w)."""
-    table = w._table
-    npos = table.npos
-    return frozenset(table.roots[k] for k in range(npos) if w.perm[k] >= npos)
+    npos = w._table.npos
+    return frozenset(w._table.roots[k] for k in range(npos) if w.perm[k] >= npos)
+
+
+def inversion_counter(rs: RootSystem, groups: Sequence[Iterable[Root]]
+                      ) -> Callable[[WeylElt], Tuple[int, ...]]:
+    """The map w -> (|inversion_set(w) & group| for each group of positive
+    roots), for elements w of ``rs``; it reads signs, building no sets."""
+    table = _table(rs)
+    npos, ks = table.npos, [tuple(map(table.index.__getitem__, g)) for g in groups]
+    return lambda w: tuple(sum(map(npos.__le__, map(w.perm.__getitem__, k)))
+                           for k in ks)
 
 
 def _cap_error(cap: int) -> CapExceededError:
@@ -194,22 +208,21 @@ def enumerate_group(rs: RootSystem, indices: Optional[Iterable[int]] = None,
         if len(group) > cap:
             raise _cap_error(cap)
         return group
-    gens = [table.gens[i - 1] for i in ind]
-    seen = {table.identity}
-    frontier = [table.identity]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                x = multiply(w, s)
-                if x not in seen:
-                    seen.add(x)
-                    if len(seen) > cap:
-                        raise _cap_error(cap)
-                    nxt.append(x)
-        frontier = nxt
-    return table.groups.setdefault(
-        ind, tuple(sorted(seen, key=WeylElt.sort_key)))
+    npos = table.npos
+    group = [table.identity]
+    for w in group:  # a queue: read in order while it grows, layer by layer
+        p = w.perm
+        for i in ind:
+            s = table.gens[i - 1]
+            # Keep x = w s_i iff i is the lowest j with x(alpha_j) < 0.
+            if p[s.key[i - 1]] < npos or any(p[k] >= npos for k in s.key[:i - 1]):
+                continue
+            x = multiply(w, s)
+            x._word = x._word or w._word + (i,)  # x has length >= 1
+            group.append(x)
+            if len(group) > cap:
+                raise _cap_error(cap)
+    return table.groups.setdefault(ind, tuple(group))
 
 
 def is_minimal_representative(w: WeylElt, indices: Iterable[int]) -> bool:

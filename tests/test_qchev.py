@@ -759,6 +759,33 @@ def test_served_classes_are_read_without_decoding(monkeypatch):
     assert len(reads) == 1
 
 
+def test_served_classes_compare_by_their_packed_entries(monkeypatch):
+    ring = QuantumFlagRing(build_root_system("B", 3))
+    twin = QuantumFlagRing(build_root_system("B", 3))
+    pairs = list(all_pairs(ring))[::37]
+    reads = []  # comparing two classes of one ring decodes neither
+    terms = QClass.terms
+    monkeypatch.setattr(QClass, "terms", property(
+        lambda qc: reads.append(qc) or terms.fget(qc)))
+    served = [ring.quantum_product(u, v) for u, v in pairs]
+    for (u, v), qc in zip(pairs, served):
+        assert qc == ring.quantum_product(v, u)
+        assert sum(qc == other for other in served) == sum(
+            qc._packed == other._packed for other in served)
+    assert reads == []
+    for (u, v), qc in zip(pairs, served):
+        by_hand = QClass(ring.rs, dict(qc.sorted_terms()))
+        other = twin.quantum_product(twin.element_from_word(u.word()),
+                                     twin.element_from_word(v.word()))
+        for a, b in ((qc, by_hand), (by_hand, qc), (qc, other), (other, qc)):
+            assert a == b and hash(a) == hash(b)
+        assert qc != by_hand.scale(2) and by_hand.scale(2) != qc
+    others = [twin.quantum_product(*(twin.element_from_word(w.word())
+                                     for w in pair)) for pair in pairs]
+    verdicts = [(a == b, a.terms == b.terms) for a in served for b in others]
+    assert all(x == y for x, y in verdicts) and not all(x for x, _ in verdicts)
+
+
 def test_d4_products_share_their_json_terms():
     ring = QuantumFlagRing(build_root_system("D", 4))
     tables = {(u, v): qclass_to_json(ring.quantum_product(u, v))

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import sys
 import threading
 import time
@@ -209,6 +210,17 @@ def test_full_decomposition_layer_lengths(a3):
         inv = inversion_set(w)
         assert [p.length for p in parts] == [len(inv & lay) for lay in layers]
         assert sum(p.length for p in parts) == w.length
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2), ("F", 4)])
+def test_inversion_counter_matches_inversion_sets(family, rank):
+    rs = build_root_system(family, rank)
+    roots = rs.positive_roots
+    groups = [roots[::2], roots[1::3], (), roots]
+    count = weyl.inversion_counter(rs, groups)
+    for w in enumerate_group(rs):
+        inv = inversion_set(w)
+        assert count(w) == tuple(len(inv & set(g)) for g in groups)
 
 
 def test_reduced_words(a2):
@@ -424,3 +436,80 @@ def test_concurrent_enumeration_shares_canonical_elements(monkeypatch):
     for sub, group in results:
         assert group == full
         assert all(canonical[w] is w for w in sub + group)
+
+
+# -- oracles for reflections, enumeration and words ------------------------------
+# The earlier algorithms, kept as oracles: the pairing sweep for s_gamma, and
+# a breadth-first search with a seen set, sorted by (length, greedy word).
+
+SYSTEMS = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+           ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
+
+
+def _sweep_reflection(rs, gamma):
+    """The permutation of s_gamma: beta -> beta - <beta, gamma^vee> gamma."""
+    table = weyl._table(rs)
+    gv = rs.coroot_of(gamma)
+    return tuple(
+        table.index[tuple(b - rs.pairing(beta, gv) * g
+                          for b, g in zip(beta, gamma))]
+        for beta in table.roots)
+
+
+def _greedy_word_oracle(w):
+    """word(w) = word(w s_j) + (j,) for the lowest right descent j."""
+    word = []
+    while w.length:
+        j = next(i for i in range(1, w.rs.n + 1) if w.descends_right(i))
+        word.append(j)
+        w = multiply(w, simple_reflection(w.rs, j))
+    return tuple(reversed(word))
+
+
+def _bfs_enumeration(rs, indices):
+    gens = [simple_reflection(rs, i) for i in indices]
+    seen = {identity(rs)}
+    frontier = [identity(rs)]
+    while frontier:
+        frontier = [x for x in {multiply(w, s) for w in frontier for s in gens}
+                    if x not in seen]
+        seen.update(frontier)
+    return sorted(seen, key=lambda w: (w.length, _greedy_word_oracle(w)))
+
+
+@pytest.mark.parametrize("series,rank", SYSTEMS + [("E", 6)])
+def test_reflections_match_the_pairing_sweep(series, rank):
+    rs = build_root_system(series, rank)
+    for gamma in reversed(rs.positive_roots):  # highest first: a cold cache
+        assert reflection(rs, gamma).perm == _sweep_reflection(rs, gamma)
+
+
+@pytest.mark.parametrize("series,rank", SYSTEMS)
+def test_enumeration_matches_the_sorted_search(series, rank):
+    rs = build_root_system(series, rank)
+    group = enumerate_group(rs)
+    oracle = _bfs_enumeration(build_root_system(series, rank),
+                              range(1, rank + 1))
+    assert [w.key for w in group] == [w.key for w in oracle]
+    for w in group:
+        assert w.word() == _greedy_word_oracle(w)
+
+
+def test_every_parabolic_enumeration_of_b4_matches_the_sorted_search():
+    for size in range(5):
+        for ind in itertools.combinations(range(1, 5), size):
+            rs = build_root_system("B", 4)
+            group = enumerate_group(rs, indices=ind)
+            oracle = _bfs_enumeration(build_root_system("B", 4), ind)
+            assert [w.key for w in group] == [w.key for w in oracle]
+            assert all(w.word() == _greedy_word_oracle(w) for w in group)
+
+
+def test_words_do_not_depend_on_which_group_is_enumerated_first():
+    full_first = build_root_system("F", 4)
+    words = {w.key: w.word() for w in enumerate_group(full_first)}
+    for ind in [(1, 2), (2, 3, 4), (1, 3)]:
+        rs = build_root_system("F", 4)
+        sub = enumerate_group(rs, indices=ind)
+        assert all(w.word() == words[w.key] for w in sub)
+        assert {w.key: w.word() for w in enumerate_group(rs)} == words
