@@ -28,6 +28,7 @@ An OrderedParabolic caches gr_weyl per element and gr(q^lambda) per lambda
 
 from __future__ import annotations
 
+from operator import add
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple)
 
@@ -38,10 +39,11 @@ from . import pwlift, weyl
 from .weyl import WeylElt
 
 Grading = Tuple[int, ...]
+_INT = frozenset((int,))  # the one type a lambda entry may have
 
 
 def grading_add(a: Grading, b: Grading) -> Grading:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +126,7 @@ def _presentations(rs: RootSystem):
     elif s == "E":
         # One labelling scheme for each case, inherited from the largest
         # E-diagram; positions whose node exceeds n are unusable.
-        schemes = [
+        yield from [
             (4, (8, 7, 6, 5, 4, 3, 1, 2), frozenset(range(1, 8)),
              lambda o, r, k: k <= 5 or (r >= 3 and k == 6) or (r >= 5 and k == 7)),
             (5, (1, 3, 4, 2, 5, 6, 7, 8), frozenset({1, 2, 3, 4}),
@@ -136,8 +138,6 @@ def _presentations(rs: RootSystem):
             (8, (2, 4, 5, 6, 7, 8, 3, 1), frozenset({1, 2}),
              lambda o, r, k: o == 0 and k == 2),
         ]
-        for case, beta, circles, cond in schemes:
-            yield case, beta, circles, cond
     elif s == "F":
         yield 9, (1, 2, 3, 4), frozenset({1, 2}), lambda o, r, k: o == 0 and k == 2
         yield 10, (4, 3, 2, 1), frozenset({1, 2}), lambda o, r, k: o == 0 and k == 2
@@ -339,11 +339,12 @@ class OrderedParabolic:
         return buckets
 
     def gr_q_lambda(self, lam: Sequence[int]) -> Grading:
-        """Grading of the monomial q^lam; lam is checked on first use, then
-        its grading is served from the per-lambda table."""
+        """Grading of the monomial q^lam, served from the per-lambda table.
+        lam is checked on a miss, and on a hit whenever an entry is not an
+        int: True or 1.0 would otherwise be served the entry of 1."""
         key = tuple(lam)
         g = self._grql.get(key)
-        if g is None:
+        if g is None or not _INT.issuperset(map(type, key)):
             if len(key) != self.rs.n:
                 raise InvalidInputError("lambda must have one entry per simple root")
             terms = [(b, self._grq[k])

@@ -21,7 +21,7 @@ A lift depends only on the system, the parabolic and the coset of the
 curve class, and W^P only on the system and the parabolic, so each is
 solved once and kept in the root system's lazy table (``rs._cache``,
 beside the Weyl table).  Input is validated once per public call.  The
-entries are immutable (frozen ``PWLift``s and tuples) and written only
+entries are immutable (``PWLift`` named tuples and tuples) and written only
 through ``dict.setdefault``, so threads sharing a system share them too.
 
 Curve classes serialize as a JSON map from non-parabolic simple index to a
@@ -30,10 +30,10 @@ nonnegative integer exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 from math import prod
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from .errors import InternalConsistencyError, InvalidInputError
 from .rootsys import RootSystem
@@ -42,8 +42,7 @@ from .qchev import QuantumFlagRing, independent_inverse, int_exponents
 from .weyl import WeylElt
 
 
-@dataclass(frozen=True)
-class PWLift:
+class PWLift(NamedTuple):
     """The unique comparison lift of one curve class."""
 
     lambda_B: Tuple[int, ...]

@@ -118,10 +118,7 @@ class QClass:
         return QClass(self.rs, out)
 
     def __sub__(self, other: "QClass") -> "QClass":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) - v
-        return QClass(self.rs, out)
+        return self + other.scale(-1)
 
     def scale(self, c) -> "QClass":
         return QClass(self.rs, {k: c * v for k, v in self.terms.items()})

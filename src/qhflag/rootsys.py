@@ -54,10 +54,6 @@ def _expected_positive_count(series: str, n: int) -> int:
     return 6  # G2
 
 
-def _chain_edges(n: int) -> list:
-    return [(i, i + 1) for i in range(1, n)]
-
-
 def _cartan_and_symmetrizer(series: str, n: int):
     """Cartan matrix and symmetrizer in Bourbaki numbering."""
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -69,8 +65,8 @@ def _cartan_and_symmetrizer(series: str, n: int):
 
     d = [1] * n
     if series in ("A", "B", "C"):
-        for i, j in _chain_edges(n):
-            bond(i, j)
+        for i in range(1, n):
+            bond(i, i + 1)
         if series == "B":
             # alpha_n short: <alpha_{n-1}, alpha_n^vee> = -2.
             a[n - 1][n - 2] = -2
@@ -80,8 +76,8 @@ def _cartan_and_symmetrizer(series: str, n: int):
             a[n - 2][n - 1] = -2
             d = [1] * (n - 1) + [2]
     elif series == "D":
-        for i, j in _chain_edges(n - 1):
-            bond(i, j)
+        for i in range(1, n - 1):
+            bond(i, i + 1)
         bond(n - 2, n)
     elif series == "E":
         for i, j in [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)]:
@@ -186,8 +182,7 @@ class RootSystem:
         return tuple(1 if k == i - 1 else 0 for k in range(self.n))
 
     def simple_coroot(self, i: int) -> Coroot:
-        self._check_index(i)
-        return tuple(1 if k == i - 1 else 0 for k in range(self.n))
+        return self.simple_root(i)  # e_i in simple-coroot coordinates
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:

@@ -15,10 +15,10 @@ and ring objects and shares no mutable state, so results cannot depend on
 scheduling.  The conjecture suite is informational and never gates a
 build.
 
-JSON report schema:
+JSON report schema, keys in this order:
     {suite, system, parabolic, order, total, passes,
-     failures: [{case, lhs, rhs}], elapsed_ms}
-plus an ``extra`` object for suite-specific counters.
+     failures: [{case, lhs, rhs}], elapsed_ms, informational, extra}
+with suite-specific counters in the ``extra`` object.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from __future__ import annotations
 import contextlib
 import random
 import time
-from dataclasses import asdict, dataclass, field
 from itertools import product
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import InvalidInputError
 from . import pwlift, weyl
@@ -53,10 +52,7 @@ def _text(t: Text) -> str:
     return t() if callable(t) else t
 
 
-@dataclass(frozen=True)
-class VerificationSetup:
-    """Parameters for one suite run."""
-
+class _SetupFields(NamedTuple):
     system: str
     parabolic: Tuple[int, ...]
     order: Optional[Tuple[int, ...]] = None
@@ -64,26 +60,38 @@ class VerificationSetup:
     max_q: int = 3
     seed: int = 0
 
-    def __post_init__(self):
+
+class VerificationSetup(_SetupFields):
+    """Parameters for one suite run, read-only; each build checks ``max_q``."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # _replace's build
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_q < 0:
-            raise InvalidInputError(
-                f"max-q must be nonnegative, got {self.max_q}")
+            raise InvalidInputError(f"max-q must be nonnegative, got {self.max_q}")
+        return self
 
 
-@dataclass
+def _json_copy(obj):
+    """A copy of a JSON value that shares no list or dict with it."""
+    if isinstance(obj, dict):
+        return {k: _json_copy(v) for k, v in obj.items()}
+    return [_json_copy(v) for v in obj] if isinstance(obj, list) else obj
+
+
 class Report:
     """Outcome of one suite: counts plus replayable failure witnesses."""
 
-    suite: str
-    system: str
-    parabolic: List[int]
-    order: List[int]
-    total: int = 0
-    passes: int = 0
-    failures: List[Dict[str, str]] = field(default_factory=list)
-    elapsed_ms: int = 0
-    informational: bool = False
-    extra: Dict[str, object] = field(default_factory=dict)
+    def __init__(self, suite: str, system: str, parabolic: List[int],
+                 order: List[int]):
+        self.suite, self.system = suite, system
+        self.parabolic, self.order = parabolic, order
+        self.total = self.passes = self.elapsed_ms = 0
+        self.failures: List[Dict[str, str]] = []
+        self.informational = suite in CONJECTURE_SUITES
+        self.extra: Dict[str, object] = {}
 
     @property
     def ok(self) -> bool:
@@ -102,7 +110,12 @@ class Report:
                                   "rhs": _text(rhs)})
 
     def to_json_obj(self) -> dict:
-        return asdict(self)  # the fields in schema order
+        """The fields in schema order, sharing no list or dict with the report."""
+        return _json_copy({
+            "suite": self.suite, "system": self.system, "parabolic": self.parabolic,
+            "order": self.order, "total": self.total, "passes": self.passes,
+            "failures": self.failures, "elapsed_ms": self.elapsed_ms,
+            "informational": self.informational, "extra": self.extra})
 
 
 class _Context:
@@ -371,10 +384,7 @@ def _graded_iso(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
         gp = pwlift.qhp_product(ring, ctx.parabolic, u, v)
         expected = {}
         for (w, exps), c in gp.items():
-            tot = {j: e for j, e in zip(comp, exps) if e}
-            for src in (lp, mp):
-                for j, e in zip(comp, src):
-                    tot[j] = tot.get(j, 0) + e
+            tot = lamp_dict([x + y + z for x, y, z in zip(exps, lp, mp)])
             ww, ll = pwlift.psi_map(rs, ctx.parabolic, w, tot)
             expected[(ww, ll)] = c
         def listed(terms):
@@ -436,10 +446,8 @@ def _graded_iso(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
 def _projective_space_model(rs: RootSystem, parabolic, reps):
     """m when G/P is the projective space P^m: type A with the complement a
     single end node of the chain."""
-    if rs.series != "A":
-        return None
     comp = rs.complement(parabolic)
-    if len(comp) != 1 or comp[0] not in (1, rs.n):
+    if rs.series != "A" or len(comp) != 1 or comp[0] not in (1, rs.n):
         return None
     if sorted(w.length for w in reps) != list(range(rs.n + 1)):
         return None
@@ -586,8 +594,7 @@ def run_suite(name: str, setup: VerificationSetup,
     ctx = _Context(setup)
     _check_suite(name, ctx.rs, ctx.parabolic)
     rep = (Report if only_case is None else _ReplayReport)(
-        name, setup.system, list(ctx.parabolic), list(ctx.op.order),
-        informational=name in CONJECTURE_SUITES)
+        name, setup.system, list(ctx.parabolic), list(ctx.op.order))
     with contextlib.suppress(_Replayed):
         SUITES[name](ctx, rep, only_case)
     rep.elapsed_ms = int((time.monotonic() - t0) * 1000)

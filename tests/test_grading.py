@@ -159,12 +159,17 @@ def test_lambda_of_the_wrong_length_is_rejected(lam):
             grade(lam)
 
 
-@pytest.mark.parametrize("lam", [(0.5, 0, 0), ("1", 0, 0), (True, 0, 0)])
+@pytest.mark.parametrize("lam", [(0.5, 0, 0), ("1", 0, 0), (True, 0, 0),
+                                 (1.0, 0, 0), (False, 0, 0), (0.0, 0, 0)])
 def test_lambda_entries_must_be_integers(lam):
+    # Rejected whether or not an equal int lambda is stored: the zero lambda
+    # is stored while the q-gradings are built, (1, 0, 0) by the loop.
     op = canonical_order(build_root_system("A", 3), (1, 2))
-    for grade in (op.gr_q_lambda, lambda x: op.gr(identity(op.rs), x)):
-        with pytest.raises(InvalidInputError, match="must be integers"):
-            grade(lam)
+    for stored in ((0, 0, 0), (1, 0, 0)):
+        op.gr_q_lambda(stored)
+        for grade in (op.gr_q_lambda, lambda x: op.gr(identity(op.rs), x)):
+            with pytest.raises(InvalidInputError, match="must be integers"):
+                grade(lam)
 
 
 # --- the per-lambda table -----------------------------------------------------

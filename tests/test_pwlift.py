@@ -51,6 +51,21 @@ def test_zero_class_lifts_trivially(a3):
     assert lift.omega_factor == weyl.identity(a3)
 
 
+def test_lift_is_an_immutable_value(a3):
+    lift = pw_lift(a3, (1, 2), {3: 1})
+    assert lift._fields == ("lambda_B", "delta_P_prime", "omega_factor")
+    assert repr(lift) == ("PWLift(lambda_B=(0, 0, 1), delta_P_prime=(1,), "
+                          "omega_factor=W[1,2])")
+    assert lift.length == lift.omega_factor.length == 2
+    same = pwlift.PWLift(tuple(lift.lambda_B), tuple(lift.delta_P_prime),
+                         weyl.word_to_element(a3, lift.omega_factor.word()))
+    assert same == lift and hash(same) == hash(lift)
+    assert same != pw_lift(a3, (1, 2), {})
+    for name in ("lambda_B", "length", "other"):
+        with pytest.raises(AttributeError):
+            setattr(lift, name, ())
+
+
 def test_a2_end_node_lift(a2):
     lift = pw_lift(a2, (1,), {2: 1})
     assert lift.lambda_B == (0, 1)

@@ -264,15 +264,36 @@ def test_explicit_order_must_permute():
 def test_negative_max_q_rejected():
     with pytest.raises(InvalidInputError, match="max-q"):
         setup_for("A2", (1,), max_q=-1)
+    with pytest.raises(InvalidInputError, match="max-q"):
+        VerificationSetup("A2", (1,), None, 100, -1)
+    with pytest.raises(InvalidInputError, match="max-q"):
+        setup_for("A2", (1,))._replace(max_q=-1)
     assert run_suite("psi-grading", setup_for("A2", (1,), max_q=0)).total == 1
+
+
+def test_setup_arguments_defaults_and_read_only():
+    setup = VerificationSetup("B3", (1, 2))
+    assert (setup.system, setup.parabolic, setup.order, setup.max_weyl,
+            setup.max_q, setup.seed) == ("B3", (1, 2), None, weyl.WEYL_CAP, 3, 0)
+    assert setup == VerificationSetup("B3", (1, 2), None, weyl.WEYL_CAP, 3, 0)
+    assert VerificationSetup("B3", (1, 2), (2, 1), 50, 1, 7) == VerificationSetup(
+        system="B3", parabolic=(1, 2), order=(2, 1), max_weyl=50, max_q=1, seed=7)
+    assert repr(setup) == ("VerificationSetup(system='B3', parabolic=(1, 2), "
+                           f"order=None, max_weyl={weyl.WEYL_CAP}, max_q=3, seed=0)")
+    assert setup._replace(seed=5).seed == 5
+    for name in ("max_q", "seed", "other"):
+        with pytest.raises(AttributeError):
+            setattr(setup, name, 1)
+    with pytest.raises(TypeError):
+        VerificationSetup("B3")
 
 
 def test_report_json_schema():
     rep = run_suite("key-lemma", setup_for("A2", (1,)))
     obj = rep.to_json_obj()
-    for key in ("suite", "system", "parabolic", "order", "total", "passes",
-                "failures", "elapsed_ms"):
-        assert key in obj
+    assert list(obj) == ["suite", "system", "parabolic", "order", "total",
+                         "passes", "failures", "elapsed_ms", "informational",
+                         "extra"]
     text = json.dumps(obj)
     back = json.loads(text)
     assert back["suite"] == "key-lemma"
@@ -313,6 +334,28 @@ def test_replay_reproduces_verdicts():
                 continue
             assert single.total == 1
             assert single.ok
+
+
+def test_replay_stops_its_suite_at_the_case():
+    # filtration sets extra["pairs"] after its last case; a replay of its
+    # first case ends the suite before that.
+    rep = replay_case("filtration", setup_for("A2", (1,)), "u=[];v=[]")
+    assert (rep.total, rep.passes, rep.extra) == (1, 1, {})
+
+
+def test_report_json_shares_no_list_or_dict():
+    rep = run_suite("referee-conjecture", setup_for("A3", (1, 2)))
+    rep.record("forced", False, lhs="l", rhs="r")
+    obj = rep.to_json_obj()
+    before = json.dumps(obj)
+    obj["parabolic"].append(9)
+    obj["order"].append(9)
+    obj["failures"][0]["case"] = "changed"
+    obj["failures"].append({})
+    obj["extra"]["verdicts"][0]["gamma"].append(9)
+    obj["extra"]["verdicts"].append({})
+    obj["extra"]["new"] = 1
+    assert json.dumps(rep.to_json_obj()) == before
 
 
 def test_replay_unknown_case():
