@@ -18,12 +18,14 @@ The full quantum product is computed in two stages:
     grouping by x keeps the recursion into sigma^u * sigma^x small.
 2.  sigma^u * sigma^v is evaluated by induction on l(v): replay on top of
     sigma^u the pivot products (i, x) that sigma^v's expression names, as the
-    quantum sigma^u * sigma^x * sigma^{s_i}, memoised per (u, i, x) and built
-    on first use, and subtract the recursively computed q-carrying
-    corrections, which involve strictly shorter Weyl elements by degree
-    homogeneity.  The product is commutative, so the factors are first ordered
-    with l(u) >= l(v) (ties by element index) and the recursion runs on the
-    shorter factor; the memo holds one entry per unordered pair.
+    quantum sigma^u * sigma^x * sigma^{s_i}, and subtract the recursively
+    computed q-carrying corrections, which involve strictly shorter Weyl
+    elements by degree homogeneity.  A pivot named by two or more
+    expressions of its degree is memoised per (u, i, x); any other is
+    applied straight into the sum, as no second product reads it.  The
+    product is commutative, so the factors are first ordered with l(u) >=
+    l(v) (ties by element index) and the recursion runs on the shorter
+    factor; the memo holds one entry per unordered pair.
 
 The elimination and the recursion work in the integers.  All coefficients
 are exact; the final structure constants are asserted to be nonnegative
@@ -36,7 +38,8 @@ Inside the ring a term q^lambda sigma^w is one integer key, (l(w)*D^n +
 lambda in base D)*|W| + idx(w) with D = l(w0) + 1.  Stored classes are
 homogeneous of degree at most 2 l(w0), so |lambda| <= l(w0) < D, no digit
 carries, and key order is canonical term order (``_canonical``).  D grows
-with the group, so the packing caps neither the rank nor l(w0).
+with the group, so the packing caps neither the rank nor l(w0).  Equal
+keys of stored classes are one int object, interned per ring.
 
 A class the ring serves holds the memo's packed entry and decodes its
 ``terms`` only when they are read.  ``sorted_terms`` and ``format_qclass``
@@ -220,9 +223,9 @@ class QuantumFlagRing:
         self._wkeys = tuple(l * self._qbase * self._nw + i
                             for i, l in enumerate(self.lengths))
         self._qkeys: Dict[int, Tuple[Tuple[int, ...], int]] = {}
-        # Read side of served classes: key -> (w, lambda), and
-        # (key, coeff) -> interned JSON term, both filled on first read.
-        self._term_keys: Dict[int, Tuple[WeylElt, Tuple[int, ...]]] = {}
+        # key of a stored class -> (the ring's one int object for it, its
+        # degree, (w, lambda)); (key, coeff) -> JSON term, on first read.
+        self._keys: Dict[int, Tuple[int, int, tuple]] = {}
         self._json_terms: Dict[Tuple[int, int], JsonTerm] = {}
         # Chevalley data per positive root: s_gamma, and <2 rho, gamma^vee>,
         # its q shift and the nonzero (i, <chi_i, gamma^vee>).
@@ -234,10 +237,12 @@ class QuantumFlagRing:
         # v index -> (den, [(pivot k, den*coeff)], [(x' idx, qshift, den*coeff)])
         self._int_expr: Dict[int, tuple] = {}
         self._pivots: Dict[int, list] = {}    # degree -> [(i, x idx)]
+        # degree -> per pivot, named by two or more of its expressions
+        self._shared: Dict[int, Tuple[bool, ...]] = {}
         self._expr_built_upto = 1
         self._prod: Dict[Tuple[int, int], Dict[int, int]] = {}
         self._units: Dict[int, Dict[int, int]] = {}  # u idx -> sigma^u
-        # (u idx, i, x idx) -> sigma^u * sigma^x * sigma^{s_i}, built on demand
+        # (u idx, i, x idx) -> sigma^u * sigma^x * sigma^{s_i}, shared (i, x)
         self._pivot_apps: Dict[Tuple[int, int, int], Dict[int, int]] = {}
 
     # -- packed term keys ----------------------------------------------------
@@ -276,16 +281,23 @@ class QuantumFlagRing:
         significant digit, and B = D^n.  Every class the ring stores (the
         products, the units and ``chevalley_product``) is homogeneous,
         l(w) + 2|lambda| = degree <= 2 l(w0), so |lambda| <= l(w0) < D and
-        no digit carries.  Within one class the
-        length fixes |lambda|, and the element index orders each length by
-        reduced word, so the integer order of the keys is the canonical
-        order (length, |lambda|, lambda, reduced word)."""
-        span, q_of = self._qbase * self._nw, self._q_of
-        for key in d:
-            if key // span + q_of(key)[1] != degree:
+        no digit carries.  Within one class the length fixes |lambda|, and
+        the element index orders each length by reduced word, so the integer
+        order of the keys is the canonical order (length, |lambda|, lambda,
+        reduced word).  Each key is interned in ``_keys``, with its degree."""
+        keys, out = self._keys, {}
+        for key in sorted(d):
+            hit = keys.get(key)
+            if hit is None:
+                lam, qdeg = self._q_of(key)
+                hit = keys.setdefault(key, (
+                    key, key // (self._qbase * self._nw) + qdeg,
+                    (self.elements[key % self._nw], lam)))
+            if hit[1] != degree:
                 raise InternalConsistencyError(
                     "quantum product term violates degree homogeneity")
-        return {k: d[k] for k in sorted(d)}
+            out[hit[0]] = d[key]
+        return out
 
     def _from_packed(self, d: Dict[int, int]) -> QClass:
         """The QClass of a stored class: it holds ``d``, in canonical order,
@@ -296,13 +308,8 @@ class QuantumFlagRing:
 
     def _term_list(self, d: Dict[int, int]) -> list:
         """The terms ((w, lambda), c) of a stored class, in its order."""
-        get = self._term_keys.get
-        return [(get(k) or self._term_of(k), c) for k, c in d.items()]
-
-    def _term_of(self, key: int) -> Tuple[WeylElt, Tuple[int, ...]]:
-        """(w, lambda) of a packed key, decoded into the ring's table."""
-        return self._term_keys.setdefault(
-            key, (self.elements[key % self._nw], self._q_of(key)[0]))
+        keys = self._keys
+        return [(keys[k][2], c) for k, c in d.items()]
 
     def _json_list(self, d: Dict[int, int]) -> List[JsonTerm]:
         """The interned JSON terms of a stored class, in its order."""
@@ -312,7 +319,7 @@ class QuantumFlagRing:
     def _json_of(self, kc: Tuple[int, int]) -> JsonTerm:
         """The interned JSON term of (packed key, coefficient)."""
         key, c = kc
-        w, lam = self._term_of(key)
+        w, lam = self._keys[key][2]
         return self._json_terms.setdefault(
             kc, JsonTerm(word=w.word(), q=lam, coeff=str(c)))
 
@@ -354,18 +361,20 @@ class QuantumFlagRing:
         return self._from_packed(self._canonical(
             self._chev_apply(i, {self._wkeys[ui]: 1}), self.lengths[ui] + 1))
 
-    def _chev_apply(self, i: int, cls: Dict[int, int]) -> Dict[int, int]:
-        """Right-multiply a packed class by sigma^{s_i} (quantum)."""
+    def _chev_apply(self, i: int, cls: Dict[int, int], scale: int = 1,
+                    out: Optional[Dict[int, int]] = None) -> Dict[int, int]:
+        """Right-multiply a packed class by sigma^{s_i} (quantum), times
+        ``scale``, added into ``out`` (a new class by default)."""
         nw, wkeys = self._nw, self._wkeys
-        out: Dict[int, int] = {}
+        out = {} if out is None else out
         get = out.get
         for key, val in cls.items():
-            widx = key % nw
+            widx, val = key % nw, scale * val
             base = key - wkeys[widx]  # the q part, shifted by |W|
             for widx2, qshift, c in self._chev_row(i, widx):
                 k2 = base + wkeys[widx2] + qshift
                 out[k2] = get(k2, 0) + c * val
-        return out  # positive inputs and coefficients leave no zero term
+        return out  # into a new class, positive inputs leave no zero term
 
     # -- divisor expressions ---------------------------------------------------
 
@@ -400,16 +409,19 @@ class QuantumFlagRing:
                 f"degree {d}: divisor classes fail to span "
                 f"({len(picked)} of {m})")
         pivots = self._pivots[d] = [candidates[k] for k in picked]
+        uses = [0] * m  # expressions naming each pivot
         for v, (den, comb) in zip(basis, rows):
             expr = [(k, a) for k, a in enumerate(comb) if a]
             corr: Dict[Tuple[int, int], int] = {}
             for k, a in expr:
+                uses[k] += 1
                 for widx2, qshift, c in self._chev_row(*pivots[k]):
                     if qshift:
                         key = (widx2, qshift)
                         corr[key] = corr.get(key, 0) + a * c
             self._int_expr[v] = (den, expr, [(w2, qs, a) for (w2, qs), a
                                              in sorted(corr.items()) if a])
+        self._shared[d] = tuple(c >= 2 for c in uses)
 
     # -- the quantum product -----------------------------------------------------
 
@@ -435,8 +447,12 @@ class QuantumFlagRing:
             den, expr, corr = self._int_expr[vi]
             acc: Dict[int, int] = {}
             get, apps = acc.get, self._pivot_apps
+            pivots, shared = self._pivots[lv], self._shared[lv]
             for k, ct in expr:
-                i, x = self._pivots[lv][k]
+                i, x = pivots[k]
+                if not shared[k]:  # no other expression reads it: fuse
+                    self._chev_apply(i, self._product(ui, x), ct, acc)
+                    continue
                 app = apps.get((ui, i, x))
                 if app is None:
                     app = apps[ui, i, x] = self._chev_apply(
@@ -503,6 +519,17 @@ class QuantumFlagRing:
         cap = self.max_length if max_length is None else max_length
         short = [u for u in self.elements if u.length <= cap]
         return ((u, v, self.quantum_product(u, v)) for u in short for v in short)
+
+    def stats(self) -> Dict[str, int]:
+        """Sizes of the ring's lazy tables: set by what was asked, not when."""
+        shared = [s for flags in self._shared.values() for s in flags]
+        return dict(
+            memo_entries=len(self._prod), pivot_apps=len(self._pivot_apps),
+            pivot_app_terms=sum(map(len, self._pivot_apps.values())),
+            pivots_named_once=shared.count(False),
+            pivots_named_twice_or_more=shared.count(True),
+            chevalley_rows=len(self._chev_rows), interned_keys=len(self._keys),
+            json_terms=len(self._json_terms))
 
 
 def independent_inverse(columns: Iterable[Sequence[int]], m: int

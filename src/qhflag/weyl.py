@@ -235,17 +235,16 @@ def parabolic_decompose(w: WeylElt, indices: Iterable[int]) -> Tuple[WeylElt, We
 
     Lengths add: l(w) = l(v) + l(u).
     """
-    rs = w.rs
-    ind = rs.check_parabolic(indices)
-    v = w
-    u = identity(rs)
-    while True:
-        j = next((i for i in ind if v.descends_right(i)), None)
-        if j is None:
-            break
-        s = simple_reflection(rs, j)
-        v = multiply(v, s)
-        u = multiply(s, u)
+    return _strip(w, w.rs.check_parabolic(indices))
+
+
+def _strip(w: WeylElt, ind: Sequence[int]) -> Tuple[WeylElt, WeylElt]:
+    """``parabolic_decompose`` over already checked simple indices: strip
+    right descents s_i, i in ``ind``, read from the signs of w's key."""
+    npos, gens = w._table.npos, w._table.gens
+    v, u = w, w._table.identity
+    while j := next((i for i in ind if v.key[i - 1] >= npos), 0):
+        v, u = multiply(v, gens[j - 1]), multiply(gens[j - 1], u)
     if v.length + u.length != w.length:
         raise InternalConsistencyError("parabolic decomposition lost length")
     return v, u
@@ -257,10 +256,7 @@ def longest_element(rs: RootSystem, indices: Optional[Iterable[int]] = None) -> 
         indices = range(1, rs.n + 1)
     ind = rs.check_parabolic(indices)
     x = identity(rs)
-    while True:
-        j = next((i for i in ind if not x.descends_right(i)), None)
-        if j is None:
-            break
+    while j := next((i for i in ind if not x.descends_right(i)), 0):
         x = multiply(x, simple_reflection(rs, j))
     if x.length != len(rs.positive_roots_within(ind)):
         raise InternalConsistencyError("longest element has wrong length")
@@ -274,15 +270,12 @@ def full_decomposition(w: WeylElt, order: Sequence[int]) -> List[WeylElt]:
     chain is Delta_j = {order[0..j-1]} and v_j is the minimal representative
     in W_{P_j} of v_j W_{P_{j-1}}.  Returns [v_1, ..., v_{r+1}].
     """
-    rs = w.rs
     order = tuple(order)
-    parts: List[WeylElt] = [identity(rs)] * (len(order) + 1)
-    rem = w
-    for j in range(len(order) + 1, 1, -1):
-        v, rem = parabolic_decompose(rem, order[:j - 1])
-        parts[j - 1] = v
-    parts[0] = rem
-    total = identity(rs)
+    w.rs.check_parabolic(order)
+    parts: List[WeylElt] = [w] * (len(order) + 1)
+    for j in range(len(order), 0, -1):
+        parts[j], parts[0] = _strip(parts[0], order[:j])
+    total = w._table.identity
     for v in reversed(parts):
         total = multiply(total, v)
     if total != w or sum(v.length for v in parts) != w.length:

@@ -4,6 +4,7 @@ import pickle
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -251,7 +252,7 @@ def test_products_apply_only_the_pivots_their_expressions_name():
     par = (1, 2, 3)
     reps = minimal_representatives(ring.rs, par)
     qhp_product(ring, par, reps[-1], reps[-2])
-    assert len(ring._pivot_apps) == 32
+    assert len(ring._pivot_apps) == 27
     for u in reps:
         for v in reps:
             qhp_product(ring, par, u, v)
@@ -261,16 +262,87 @@ def test_products_apply_only_the_pivots_their_expressions_name():
     assert set(ring._pivot_apps) <= named
 
 
-def test_d4_expressions_name_few_pivots():
-    # Picking pivots sparsest x first keeps the expressions short, and with
-    # them the pivot applications that all-pairs products replay.
+@pytest.fixture(scope="module")
+def d4_tables():
+    """A D4 ring after all pairs, and the JSON form of every product."""
     ring = QuantumFlagRing(build_root_system("D", 4))
-    ring._build_expressions_upto(ring.max_length)
+    return ring, {(u, v): qclass_to_json(ring.quantum_product(u, v))
+                  for u, v in all_pairs(ring)}
+
+
+def test_d4_expressions_name_few_pivots(d4_tables):
+    # Picking pivots sparsest x first keeps the expressions short, and with
+    # them the pivot applications that all-pairs products replay; only
+    # those of pivots named twice or more are kept.
+    ring, _ = d4_tables
     sizes = [len(expr) for _, expr, _ in ring._int_expr.values()]
     assert (len(sizes), sum(sizes), max(sizes)) == (187, 368, 9)
-    for u, v in all_pairs(ring):
-        ring.quantum_product(u, v)
-    assert sum(map(len, ring._pivot_apps.values())) == 200306
+    assert sum(map(len, ring._pivot_apps.values())) == 78556
+
+
+def test_d4_memo_keeps_only_pivots_named_twice(d4_tables):
+    # Counted here from the expressions themselves, not from the flags.
+    ring, _ = d4_tables
+    named = Counter((ring.lengths[v], k) for v, (_, expr, _)
+                    in ring._int_expr.items() for k, _ in expr)
+    assert min(named.values()) == 1
+    assert {(d, k): shared for d, flags in ring._shared.items()
+            for k, shared in enumerate(flags)} == {
+                dk: uses >= 2 for dk, uses in named.items()}
+    assert ring._pivot_apps
+    for ui, i, x in ring._pivot_apps:
+        d = ring.lengths[x] + 1
+        assert named[d, ring._pivots[d].index((i, x))] >= 2
+
+
+@pytest.mark.parametrize("series,rank", [("A", 3), ("B", 3), ("C", 3),
+                                         ("G", 2)])
+@pytest.mark.parametrize("shared", [True, False])
+def test_fused_and_memoised_pivots_give_the_same_products(series, rank,
+                                                          shared):
+    # All flags true memoises every pivot application, the rule before
+    # single-use pivots were fused; all false fuses every one.
+    rs = build_root_system(series, rank)
+    ring, forced = QuantumFlagRing(rs), QuantumFlagRing(rs)
+    forced._build_expressions_upto(forced.max_length)
+    for d, flags in forced._shared.items():
+        forced._shared[d] = (shared,) * len(flags)
+    pairs = all_pairs(ring)
+    assert json_table(forced, pairs) == json_table(ring, pairs)
+    assert bool(forced._pivot_apps) is shared
+
+
+def test_equal_keys_in_different_memo_entries_are_one_object(d4_tables):
+    ring, _ = d4_tables
+    first = {}
+    for entry in [*ring._prod.values(), *ring._units.values()]:
+        for key in entry:
+            assert first.setdefault(key, key) is key
+    assert len(first) == len(ring._keys) == 3452
+
+
+def test_d4_stats_after_all_pairs(d4_tables):
+    ring, _ = d4_tables
+    assert ring.stats() == {
+        "memo_entries": 18336, "pivot_apps": 7540, "pivot_app_terms": 78556,
+        "pivots_named_once": 117, "pivots_named_twice_or_more": 70,
+        "chevalley_rows": 768, "interned_keys": 3452, "json_terms": 4730}
+
+
+def test_stats_depend_only_on_what_was_asked():
+    rs = build_root_system("B", 3)
+    fresh = QuantumFlagRing(rs)
+    assert set(fresh.stats().values()) == {0}
+    pairs = all_pairs(fresh)
+    tables = []
+    for order in (pairs, pairs[::-1], random.Random(3).sample(pairs, len(pairs))):
+        ring = QuantumFlagRing(rs)
+        for u, v in order:
+            ring.quantum_product(u, v)
+        tables.append(ring.stats())
+    assert tables[0] == tables[1] == tables[2]
+    assert tables[0]["memo_entries"] == 1128
+    assert tables[0]["json_terms"] == 0
 
 
 @pytest.mark.parametrize("series,rank", [("A", 3), ("B", 3), ("C", 3),
@@ -783,10 +855,8 @@ def test_served_classes_compare_by_their_packed_entries(monkeypatch):
     assert all(x == y for x, y in verdicts) and not all(x for x, _ in verdicts)
 
 
-def test_d4_products_share_their_json_terms():
-    ring = QuantumFlagRing(build_root_system("D", 4))
-    tables = {(u, v): qclass_to_json(ring.quantum_product(u, v))
-              for u, v in all_pairs(ring)}
+def test_d4_products_share_their_json_terms(d4_tables):
+    ring, tables = d4_tables
     served = [t for table in tables.values() for t in table]
     assert len(served) == 267408
     assert len({id(t) for t in served}) == len(ring._json_terms) == 4730

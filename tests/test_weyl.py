@@ -195,6 +195,25 @@ def test_full_decomposition_examples(a2):
     assert full_decomposition(identity(a2), (1,)) == [identity(a2)] * 2
 
 
+@pytest.mark.parametrize("family,rank,order", [("A", 4, (2, 3, 1)),
+                                               ("B", 3, (3, 2)),
+                                               ("F", 4, (1, 2))])
+def test_full_decomposition_chains_parabolic_decompose(family, rank, order):
+    # The public parabolic_decompose, prefix by prefix, is the oracle.
+    rs = build_root_system(family, rank)
+    for w in enumerate_group(rs):
+        parts, rem = [], w
+        for j in range(len(order), 0, -1):
+            v, rem = parabolic_decompose(rem, order[:j])
+            parts.append(v)
+        assert full_decomposition(w, order) == [rem] + parts[::-1]
+
+
+def test_full_decomposition_checks_its_order(a2):
+    with pytest.raises(InvalidInputError, match="out of range"):
+        full_decomposition(word_to_element(a2, [2, 1]), (1, 3))
+
+
 def test_full_decomposition_layer_lengths(a3):
     # Derived cross-check: l(v_j) equals the inversion count in layer j.
     order = (1, 2)
