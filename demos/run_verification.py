@@ -7,8 +7,7 @@ Defaults to B3 with parabolic 1,2.
 import json
 import sys
 
-from qhflag.rootsys import parse_system_id
-from qhflag.verify import VerificationSetup, run_suite, select_suites
+from qhflag.verify import VerificationSetup, run_suites
 
 system = sys.argv[1] if len(sys.argv) > 1 else "B3"
 parabolic = tuple(int(x) for x in (sys.argv[2] if len(sys.argv) > 2
@@ -16,8 +15,7 @@ parabolic = tuple(int(x) for x in (sys.argv[2] if len(sys.argv) > 2
 
 setup = VerificationSetup(system=system, parabolic=parabolic)
 reports = []
-for name in select_suites("all", parse_system_id(system), parabolic):
-    rep = run_suite(name, setup)
+for rep in run_suites("all", setup):  # one root system and ring for all
     tag = "INFO" if rep.informational else ("PASS" if rep.ok else "FAIL")
     print(f"{tag} {rep.suite}: {rep.passes}/{rep.total} ({rep.elapsed_ms} ms)")
     reports.append(rep.to_json_obj())

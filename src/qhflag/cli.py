@@ -241,14 +241,11 @@ def _cmd_qhp(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rs = parse_system_id(args.system)
-    par = rs.check_parabolic(_parse_int_list(args.parabolic))
-    names = verify.select_suites(args.suites, rs, par)
     setup = verify.VerificationSetup(
-        system=rs.name, parabolic=par,
+        system=args.system, parabolic=_parse_int_list(args.parabolic),
         order=_parse_int_list(args.order) or None,
         max_weyl=args.max_weyl, max_q=args.max_q, seed=args.seed)
-    reports = [verify.run_suite(name, setup) for name in names]
+    reports = verify.run_suites(args.suites, setup)
     ok = all(r.ok for r in reports if not r.informational)
     payload = {"all_theorems_pass": ok,
                "reports": [r.to_json_obj() for r in reports]}

@@ -10,15 +10,16 @@ but its name and witness text are built only when it fails or is the case
 being replayed.
 
 Reports are deterministic functions of (setup, seed) apart from the wall
-time.  Suites are independent: each call builds fresh root-system, Weyl,
-and ring objects and shares no mutable state, so results cannot depend on
-scheduling.  The conjecture suite is informational and never gates a
-build.
+time.  One context per run: ``run_suites`` builds the root system, grading
+and ring once, and its suites only read them.  Products are identical in
+any call order, so no report depends on the suites run before it.  The
+conjecture suite is informational and never gates a build.
 
 JSON report schema, keys in this order:
     {suite, system, parabolic, order, total, passes,
      failures: [{case, lhs, rhs}], elapsed_ms, informational, extra}
-with suite-specific counters in the ``extra`` object.
+with suite-specific counters in the ``extra`` object.  ``elapsed_ms`` times
+the suite alone: the first to ask for a product in a run pays for it.
 """
 
 from __future__ import annotations
@@ -119,7 +120,8 @@ class Report:
 
 
 class _Context:
-    """Fresh per-suite objects; nothing here is shared between runs."""
+    """The system, grading and ring of one run, shared by its suites; the
+    first all-pairs suite builds the ring and pays for its product table."""
 
     def __init__(self, setup: VerificationSetup):
         self.setup = setup
@@ -216,8 +218,7 @@ def _ideal_and_quotient(ctx: _Context, rep: Report,
     """(a) The span of positively-graded basis elements is an ideal.
     (b) Quotient structure constants equal those of the flag ring built
     directly on the parabolic subsystem."""
-    rs, op, ring = ctx.rs, ctx.op, ctx.ring
-    par = ctx.parabolic
+    rs, op, ring, par = ctx.rs, ctx.op, ctx.ring, ctx.parabolic
     rtop = op.r  # index of the quotient coordinate in gr, 0-based
     wp_elements = weyl.enumerate_group(rs, indices=par, cap=ctx.setup.max_weyl)
     wp = set(wp_elements)  # for membership; the tuple is in (length, word) order
@@ -357,14 +358,14 @@ def _graded_iso(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
                                           cap=ctx.setup.max_weyl)
     comp = rs.complement(op.order)
     qbox = list(product(range(ctx.setup.max_q + 1), repeat=len(comp)))
-    pairs = [(u, lp, v, mp) for u in reps for lp in qbox
-             for v in reps for mp in qbox]
-    if len(pairs) > _PSI_SAMPLES * 4:
-        rng = random.Random(ctx.setup.seed)
-        pairs = rng.sample(pairs, _PSI_SAMPLES)
-        rep.extra["psi_regime"] = f"sampled:{len(pairs)}"
-    else:
-        rep.extra["psi_regime"] = f"exhaustive:{len(pairs)}"
+    # Pair k is side[k // n] + side[k % n]: the sample never lists all pairs.
+    side = [(u, lp) for u in reps for lp in qbox]
+    n, ks, regime = len(side), range(len(side) ** 2), "exhaustive"
+    if len(ks) > _PSI_SAMPLES * 4:
+        ks = random.Random(ctx.setup.seed).sample(ks, _PSI_SAMPLES)
+        regime = "sampled"
+    rep.extra["psi_regime"] = f"{regime}:{len(ks)}"
+    pairs = [side[k // n] + side[k % n] for k in ks]
 
     def lamp_dict(exps):
         return {j: e for j, e in zip(comp, exps) if e}
@@ -405,6 +406,8 @@ def _graded_iso(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
         m = _projective_space_model(rs, ctx.parabolic, reps)
         if m is not None:
             rep.extra["model"] = f"projective space P^{m}"
+            model_text = lambda d: str(sorted((ctx.word(w), e, c)
+                                              for (w, e), c in d.items()))
             for a in range(m + 1):
                 for b in range(m + 1):
                     case = lambda: f"model:a={a};b={b}"
@@ -417,18 +420,13 @@ def _graded_iso(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
                     else:
                         expect = {(reps[a + b - m - 1], (1,)): 1}
                     rep.record(case, got == expect,
-                               lhs=lambda: str(sorted(
-                                   (ctx.word(w), e, c)
-                                   for (w, e), c in got.items())),
-                               rhs=lambda: str(sorted(
-                                   (ctx.word(w), e, c)
-                                   for (w, e), c in expect.items())))
+                               lhs=lambda: model_text(got),
+                               rhs=lambda: model_text(expect))
         else:
             rep.extra["model"] = "none"
     else:
         # Conjectural for non-chain subsets: verdicts only, never gating.
-        agree = 0
-        mismatches = []
+        agree, mismatches = 0, []
         for u, lp, v, mp in pairs:
             ok, lhs, rhs = psi_mult_check(u, lp, v, mp)
             if ok:
@@ -446,12 +444,9 @@ def _graded_iso(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
 def _projective_space_model(rs: RootSystem, parabolic, reps):
     """m when G/P is the projective space P^m: type A with the complement a
     single end node of the chain."""
-    comp = rs.complement(parabolic)
-    if rs.series != "A" or len(comp) != 1 or comp[0] not in (1, rs.n):
-        return None
-    if sorted(w.length for w in reps) != list(range(rs.n + 1)):
-        return None
-    return rs.n
+    ok = (rs.series == "A" and rs.complement(parabolic) in ((1,), (rs.n,))
+          and sorted(w.length for w in reps) == list(range(rs.n + 1)))
+    return rs.n if ok else None
 
 
 def _basics(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
@@ -555,15 +550,6 @@ def _applies(name: str, rs: RootSystem, parabolic: Sequence[int]) -> bool:
     return name != "psi-grading" or is_a_chain(rs, parabolic)
 
 
-def _check_suite(name: str, rs: RootSystem, parabolic: Sequence[int]) -> None:
-    if name not in SUITES:
-        raise InvalidInputError(
-            f"unknown suite {name!r}; valid: {', '.join(ALL_SUITES)}")
-    if not _applies(name, rs, parabolic):
-        raise InvalidInputError(
-            f"{name} requires the parabolic subset to be a chain")
-
-
 def select_suites(spec: str, rs: RootSystem,
                   parabolic: Sequence[int]) -> List[str]:
     """The suites a comma-separated ``spec`` names, all checked before any
@@ -572,7 +558,12 @@ def select_suites(spec: str, rs: RootSystem,
         return [name for name in ALL_SUITES if _applies(name, rs, parabolic)]
     names = [s.strip() for s in spec.split(",")]
     for name in names:
-        _check_suite(name, rs, parabolic)
+        if name not in SUITES:
+            raise InvalidInputError(
+                f"unknown suite {name!r}; valid: {', '.join(ALL_SUITES)}")
+        if not _applies(name, rs, parabolic):
+            raise InvalidInputError(
+                f"{name} requires the parabolic subset to be a chain")
     return names
 
 
@@ -588,16 +579,29 @@ class _ReplayReport(Report):
         raise _Replayed
 
 
+def run_suites(spec: str, setup: VerificationSetup,
+               only_case: Optional[str] = None) -> List[Report]:
+    """Run the suites ``spec`` names, as ``select_suites`` reads it, on one
+    shared context; with ``only_case``, each suite stops at that case."""
+    ctx = _Context(setup)
+    reports = []
+    for name in select_suites(spec, ctx.rs, ctx.parabolic):
+        t0 = time.monotonic()
+        rep = (Report if only_case is None else _ReplayReport)(
+            name, ctx.rs.name, list(ctx.parabolic), list(ctx.op.order))
+        with contextlib.suppress(_Replayed):
+            SUITES[name](ctx, rep, only_case)
+        rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
+        reports.append(rep)
+    return reports
+
+
 def run_suite(name: str, setup: VerificationSetup,
               only_case: Optional[str] = None) -> Report:
-    t0 = time.monotonic()
-    ctx = _Context(setup)
-    _check_suite(name, ctx.rs, ctx.parabolic)
-    rep = (Report if only_case is None else _ReplayReport)(
-        name, setup.system, list(ctx.parabolic), list(ctx.op.order))
-    with contextlib.suppress(_Replayed):
-        SUITES[name](ctx, rep, only_case)
-    rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
+    """One suite on a context of its own."""
+    if name not in SUITES:  # "all" and lists are for run_suites
+        raise InvalidInputError(f"unknown suite {name!r}")
+    (rep,) = run_suites(name, setup, only_case)
     return rep
 
 

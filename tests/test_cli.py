@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -242,6 +243,18 @@ def test_verify_all_omits_psi_grading_off_a_chain(capsys):
     assert [s for s in suites if s != "graded-iso"] == [
         "filtration", "key-lemma", "ideal-quotient", "basics",
         "referee-conjecture"]
+
+
+def test_verify_names_the_parsed_system(capsys):
+    outs = []
+    for system in ("b3", "B3"):
+        code, out, _ = run(capsys, "verify", system, "--parabolic", "1,2",
+                           "--suites", "key-lemma,referee-conjecture",
+                           "--format", "json")
+        assert code == 0
+        outs.append(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out))
+    assert outs[0] == outs[1]
+    assert [r["system"] for r in json.loads(outs[0])["reports"]] == ["B3"] * 2
 
 
 def test_verify_checks_every_suite_before_running_any(capsys):

@@ -10,7 +10,7 @@ from qhflag.qchev import QuantumFlagRing
 from qhflag.rootsys import parse_system_id
 from qhflag.verify import (ALL_SUITES, Report, THEOREM_SUITES,
                            VerificationSetup, replay_case, run_suite,
-                           select_suites)
+                           run_suites, select_suites)
 
 
 def setup_for(system, parabolic, **kw):
@@ -213,6 +213,66 @@ def test_every_ring_and_enumeration_honours_max_weyl(monkeypatch):
         assert run_suite(suite, setup).total > 0
     assert len(rings) == 5  # ideal-quotient builds two
     assert set(rings) == set(caps) == {30}
+    # A shared run builds the G/B ring once, plus the subsystem ring.
+    rings.clear()
+    assert all(rep.total > 0 for rep in run_suites("all", setup))
+    assert rings == [30, 30]
+    # key-lemma enumerates W and builds no ring.
+    rings.clear()
+    assert run_suites("key-lemma", setup)[0].total > 0
+    assert rings == []
+    assert set(caps) == {30}
+
+
+def json_without_time(rep):
+    obj = rep.to_json_obj()
+    del obj["elapsed_ms"]
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("system,par", [("A3", (1, 2)), ("B3", (1, 2)),
+                                        ("B3", (2, 3))])
+@pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])
+def test_shared_run_reports_equal_per_suite_reports(system, par, reverse):
+    # B3/(1,2) carries graded-iso failures; B3/(2,3) is off a chain.
+    setup = setup_for(system, par)
+    names = select_suites("all", parse_system_id(system), par)
+    if reverse:
+        names.reverse()
+    shared = run_suites(",".join(names), setup)
+    assert [rep.suite for rep in shared] == names
+    for rep in shared:
+        assert json_without_time(rep) == json_without_time(
+            run_suite(rep.suite, setup))
+    failing = {rep.suite for rep in shared if not rep.ok}
+    assert failing == ({"graded-iso"} if system == "B3" else set())
+
+
+def test_reports_name_the_parsed_system():
+    setup = setup_for(" b3", (1, 2))
+    assert run_suite("referee-conjecture", setup).system == "B3"
+    assert [rep.system for rep in run_suites("key-lemma,basics", setup)] == [
+        "B3", "B3"]
+
+
+# The A3/(1) graded-iso report (elapsed_ms dropped) and the names of its 100
+# sampled psi-mult cases, in order, as the suite made them when it listed
+# every psi-multiplicativity pair and sampled 100 of the list.
+GRADED_ISO_A3_1_SHA256 = (
+    "840828c9ea1a1dd77004ea5b2c87be338b05c0ef22a160fccc13a31ee45f7ad9")
+PSI_SAMPLE_A3_1_SHA256 = (
+    "755c2c104fb0ca58decbb139d65830d2ab62afd65ab5c3fce3b5f0f696bb0959")
+
+
+def test_graded_iso_samples_pairs_by_index_as_from_the_list(monkeypatch):
+    cases = record_stream(monkeypatch)
+    obj = run_suite("graded-iso", setup_for("A3", (1,))).to_json_obj()
+    del obj["elapsed_ms"]
+    assert obj["extra"]["psi_regime"] == "sampled:100"
+    assert sha256_json(obj) == GRADED_ISO_A3_1_SHA256
+    sampled = [c[0] for c in cases if c[0].startswith("psi-mult:")]
+    assert len(sampled) == 100
+    assert sha256_json(sampled) == PSI_SAMPLE_A3_1_SHA256
 
 
 def test_ideal_quotient_a3():
@@ -234,8 +294,10 @@ def test_basics_b2():
 
 
 def test_unknown_suite_rejected():
-    with pytest.raises(InvalidInputError, match="unknown suite"):
-        run_suite("nope", setup_for("A2", (1,)))
+    # run_suite runs one suite: "all" and lists are for run_suites.
+    for name in ("nope", "all", "filtration,basics"):
+        with pytest.raises(InvalidInputError, match="unknown suite"):
+            run_suite(name, setup_for("A2", (1,)))
 
 
 def test_psi_grading_requires_chain():
