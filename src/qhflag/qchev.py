@@ -20,19 +20,21 @@ The full quantum product is computed in two stages:
     sigma^u the pivot products (i, x) that sigma^v's expression names, as the
     quantum sigma^u * sigma^x * sigma^{s_i}, and subtract the recursively
     computed q-carrying corrections, which involve strictly shorter Weyl
-    elements by degree homogeneity.  A pivot named by two or more
-    expressions of its degree is memoised per (u, i, x); any other is
-    applied straight into the sum, as no second product reads it.  The
-    product is commutative, so the factors are first ordered with l(u) >=
-    l(v) (ties by element index) and the recursion runs on the shorter
-    factor; the memo holds one entry per unordered pair.
+    elements by degree homogeneity.  The product is commutative, so the
+    factors are first ordered with l(u) >= l(v) (ties by element index)
+    and the recursion runs on the shorter factor; the memo holds one entry
+    per unordered pair.  Pivot (i, x) applied to sigma^u is read only by
+    the products sigma^u * sigma^v whose expression names it, with v <= u
+    when l(v) = l(u).  With two or more such readers the application is
+    stored with its count of reads left, per (u, i, x), and freed after
+    the last read; otherwise it is applied straight into the sum.
 
 The elimination and the recursion work in the integers.  All coefficients
 are exact; the final structure constants are asserted to be nonnegative
 integers (they are genus-zero Gromov-Witten invariants) and degree-
-homogeneous.  Product computation is pure; the memo caches make repeated
-all-pairs verification cheap, and each memo entry is stored once in
-canonical term order.  Results are bit-identical in any call order.
+homogeneous.  Product computation is pure; each product is memoised once
+per ring in canonical term order, and a pivot application lives only
+until its last reader.  Results are bit-identical in any call order.
 
 Inside the ring a term q^lambda sigma^w is one integer key, (l(w)*D^n +
 lambda in base D)*|W| + idx(w) with D = l(w0) + 1.  Stored classes are
@@ -41,18 +43,10 @@ carries, and key order is canonical term order (``_canonical``).  D grows
 with the group, so the packing caps neither the rank nor l(w0).  Equal
 keys of stored classes are one int object, interned per ring.
 
-A class the ring serves holds the memo's packed entry and decodes its
-``terms`` only when they are read.  ``sorted_terms`` and ``format_qclass``
-read it through the ring's table of decoded keys, and ``qclass_to_json``
-through the ring's table of interned JSON terms.
-
 JSON form of a QClass: a list of {"word": [...], "q": [...], "coeff": "c"}
-objects, with Weyl elements serialized as reduced words.  Each object is a
-read-only ``JsonTerm``; for a served class it is interned per ring, one per
-(term, coefficient), and shared by every product that holds that term.
-The "word" and "q" arrays are the ring's own shared, immutable tuples (the
-memoised reduced word and the lambda key), not copies; ``json.dumps``
-writes them exactly as it would write lists.
+read-only ``JsonTerm`` objects, with Weyl elements serialized as reduced
+words; a served class's objects are interned per ring, one per (term,
+coefficient), and shared by every product that holds that term.
 """
 
 from __future__ import annotations
@@ -83,8 +77,8 @@ class QClass:
     """Finite combination of basis elements q^lambda sigma^w.
 
     A class served by a ``QuantumFlagRing`` holds the memo's packed entry,
-    already in canonical order; ``terms`` is decoded from it on first read
-    and then kept.  ``ordered`` is true for such a class, which must not be
+    already in canonical order, read through the ring's tables of decoded
+    keys and JSON terms; ``terms`` is decoded on first read and then kept.  ``ordered`` is true for such a class, which must not be
     changed in place.
     """
 
@@ -216,7 +210,7 @@ class QuantumFlagRing:
         self.by_length: List[List[int]] = [[] for _ in range(self.max_length + 1)]
         for i, w in enumerate(self.elements):
             self.by_length[w.length].append(i)
-        # Packed term keys (see ``_canonical``): digit D, q range B = D^n.
+        # Packed term keys (module docstring): digit D, q range B = D^n.
         self._nw = len(self.elements)
         self._qdigit = self.max_length + 1
         self._qbase = self._qdigit ** self.n
@@ -237,13 +231,14 @@ class QuantumFlagRing:
         # v index -> (den, [(pivot k, den*coeff)], [(x' idx, qshift, den*coeff)])
         self._int_expr: Dict[int, tuple] = {}
         self._pivots: Dict[int, list] = {}    # degree -> [(i, x idx)]
-        # degree -> per pivot, named by two or more of its expressions
-        self._shared: Dict[int, Tuple[bool, ...]] = {}
+        # degree -> per pivot, the v idx whose expressions name it, ascending
+        self._readers: Dict[int, List[List[int]]] = {}
         self._expr_built_upto = 1
         self._prod: Dict[Tuple[int, int], Dict[int, int]] = {}
         self._units: Dict[int, Dict[int, int]] = {}  # u idx -> sigma^u
-        # (u idx, i, x idx) -> sigma^u * sigma^x * sigma^{s_i}, shared (i, x)
-        self._pivot_apps: Dict[Tuple[int, int, int], Dict[int, int]] = {}
+        # (u idx, i, x idx) -> [reads left, sigma^u * sigma^x * sigma^{s_i}]
+        self._pivot_apps: Dict[Tuple[int, int, int], list] = {}
+        self._apps_built = self._app_terms_built = 0  # stored so far
 
     # -- packed term keys ----------------------------------------------------
 
@@ -274,17 +269,14 @@ class QuantumFlagRing:
 
     def _canonical(self, d: Dict[int, int], degree: int) -> Dict[int, int]:
         """A packed class of the given degree, checked homogeneous and put
-        in canonical order.
+        in canonical order, each key interned in ``_keys`` with its degree.
 
-        The term q^lambda sigma^w has the key (l(w)*B + lam)*|W| + idx(w),
-        where lam writes lambda in base D = l(w0) + 1 with lambda_1 the most
-        significant digit, and B = D^n.  Every class the ring stores (the
-        products, the units and ``chevalley_product``) is homogeneous,
-        l(w) + 2|lambda| = degree <= 2 l(w0), so |lambda| <= l(w0) < D and
-        no digit carries.  Within one class the length fixes |lambda|, and
-        the element index orders each length by reduced word, so the integer
-        order of the keys is the canonical order (length, |lambda|, lambda,
-        reduced word).  Each key is interned in ``_keys``, with its degree."""
+        Every class the ring stores (the products, the units and
+        ``chevalley_product``) is homogeneous, so no digit of the packing
+        (module docstring) carries.  Within one class the length fixes
+        |lambda|, and the element index orders each length by reduced word,
+        so the integer order of the keys is the canonical order (length,
+        |lambda|, lambda, reduced word)."""
         keys, out = self._keys, {}
         for key in sorted(d):
             hit = keys.get(key)
@@ -409,19 +401,18 @@ class QuantumFlagRing:
                 f"degree {d}: divisor classes fail to span "
                 f"({len(picked)} of {m})")
         pivots = self._pivots[d] = [candidates[k] for k in picked]
-        uses = [0] * m  # expressions naming each pivot
+        readers = self._readers[d] = [[] for _ in range(m)]
         for v, (den, comb) in zip(basis, rows):
             expr = [(k, a) for k, a in enumerate(comb) if a]
             corr: Dict[Tuple[int, int], int] = {}
             for k, a in expr:
-                uses[k] += 1
+                readers[k].append(v)
                 for widx2, qshift, c in self._chev_row(*pivots[k]):
                     if qshift:
                         key = (widx2, qshift)
                         corr[key] = corr.get(key, 0) + a * c
             self._int_expr[v] = (den, expr, [(w2, qs, a) for (w2, qs), a
                                              in sorted(corr.items()) if a])
-        self._shared[d] = tuple(c >= 2 for c in uses)
 
     # -- the quantum product -----------------------------------------------------
 
@@ -447,17 +438,24 @@ class QuantumFlagRing:
             den, expr, corr = self._int_expr[vi]
             acc: Dict[int, int] = {}
             get, apps = acc.get, self._pivot_apps
-            pivots, shared = self._pivots[lv], self._shared[lv]
+            pivots, readers = self._pivots[lv], self._readers[lv]
             for k, ct in expr:
-                i, x = pivots[k]
-                if not shared[k]:  # no other expression reads it: fuse
-                    self._chev_apply(i, self._product(ui, x), ct, acc)
-                    continue
-                app = apps.get((ui, i, x))
-                if app is None:
-                    app = apps[ui, i, x] = self._chev_apply(
-                        i, self._product(ui, x))
-                for kk, vv in app.items():
+                (i, x), vs = pivots[k], readers[k]
+                entry = apps.get((ui, i, x)) if len(vs) > 1 else None
+                if entry is None:  # its readers: v in vs, v <= u if lv = lu
+                    left = (len(vs) if lv < lu else sum(v <= ui for v in vs)) - 1
+                    if left < 1:  # no other product reads it: fuse
+                        self._chev_apply(i, self._product(ui, x), ct, acc)
+                        continue
+                    entry = apps[ui, i, x] = [left, self._chev_apply(
+                        i, self._product(ui, x))]
+                    self._apps_built += 1
+                    self._app_terms_built += len(entry[1])
+                else:
+                    entry[0] -= 1
+                    if entry[0] < 1:  # its last reader: free it
+                        apps.pop((ui, i, x), None)
+                for kk, vv in entry[1].items():
                     acc[kk] = get(kk, 0) + ct * vv
             for x2, qshift, ct in corr:
                 for kk, vv in self._product(ui, x2).items():
@@ -522,12 +520,14 @@ class QuantumFlagRing:
 
     def stats(self) -> Dict[str, int]:
         """Sizes of the ring's lazy tables: set by what was asked, not when."""
-        shared = [s for flags in self._shared.values() for s in flags]
+        named = [len(r) for rs in self._readers.values() for r in rs]
         return dict(
             memo_entries=len(self._prod), pivot_apps=len(self._pivot_apps),
-            pivot_app_terms=sum(map(len, self._pivot_apps.values())),
-            pivots_named_once=shared.count(False),
-            pivots_named_twice_or_more=shared.count(True),
+            pivot_app_terms=sum(len(e[1]) for e in self._pivot_apps.values()),
+            pivot_apps_built=self._apps_built,
+            pivot_app_terms_built=self._app_terms_built,
+            pivots_named_once=named.count(1),
+            pivots_named_twice_or_more=sum(c >= 2 for c in named),
             chevalley_rows=len(self._chev_rows), interned_keys=len(self._keys),
             json_terms=len(self._json_terms))
 

@@ -240,11 +240,34 @@ def test_memo_holds_one_entry_per_unordered_pair(series, rank, entries):
     assert len(ring._prod) == (size - 1) * size // 2 == entries
     assert all(ring.lengths[ui] >= ring.lengths[vi]
                for ui, vi in ring._prod)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 3), ("B", 3)])
+def test_pivot_applications_are_keyed_by_a_pivot_of_a_shorter_degree(
+        series, rank):
     # Pivot applications are keyed (u, i, x) by a pivot (i, x) of degree
-    # l(x) + 1, never longer than u.
+    # l(x) + 1, never longer than u; read half way through all pairs, as
+    # none is left at the end.
+    ring = QuantumFlagRing(build_root_system(series, rank))
+    pairs = all_pairs(ring)
+    random.Random(4).shuffle(pairs)
+    for u, v in pairs[:len(pairs) // 2]:
+        ring.quantum_product(u, v)
+    assert ring._pivot_apps
     assert all((i, x) in ring._pivots[ring.lengths[x] + 1]
                and ring.lengths[x] + 1 <= ring.lengths[ui]
                for ui, i, x in ring._pivot_apps)
+
+
+def reads_left(ring, ui, i, x):
+    """The products sigma^u * sigma^v not computed yet whose expression
+    names the pivot (i, x), with v <= u when l(v) = l(u): counted from the
+    expressions and the product memo, not from the ring's reader lists."""
+    d = ring.lengths[x] + 1
+    k = ring._pivots[d].index((i, x))
+    return sum(1 for v in ring.by_length[d]
+               if (d, v) <= (ring.lengths[ui], ui) and (ui, v) not in ring._prod
+               and k in dict(ring._int_expr[v][1]))
 
 
 def test_products_apply_only_the_pivots_their_expressions_name():
@@ -252,14 +275,18 @@ def test_products_apply_only_the_pivots_their_expressions_name():
     par = (1, 2, 3)
     reps = minimal_representatives(ring.rs, par)
     qhp_product(ring, par, reps[-1], reps[-2])
-    assert len(ring._pivot_apps) == 27
+    assert ring.stats()["pivot_apps_built"] == 27
     for u in reps:
         for v in reps:
             qhp_product(ring, par, u, v)
     named = {(ui, *ring._pivots[ring.lengths[vi]][k])
              for ui, vi in ring._prod if ring.lengths[vi] >= 2
              for k, _ in ring._int_expr[vi][1]}
-    assert set(ring._pivot_apps) <= named
+    # Random access leaves applications live: each is one that a computed
+    # product named, kept exactly while another product will still read it.
+    assert ring._pivot_apps and set(ring._pivot_apps) <= named
+    for key, (left, _) in ring._pivot_apps.items():
+        assert left == reads_left(ring, *key) >= 1
 
 
 @pytest.fixture(scope="module")
@@ -273,43 +300,89 @@ def d4_tables():
 def test_d4_expressions_name_few_pivots(d4_tables):
     # Picking pivots sparsest x first keeps the expressions short, and with
     # them the pivot applications that all-pairs products replay; only
-    # those of pivots named twice or more are kept.
+    # those with two or more readers are stored.
     ring, _ = d4_tables
     sizes = [len(expr) for _, expr, _ in ring._int_expr.values()]
     assert (len(sizes), sum(sizes), max(sizes)) == (187, 368, 9)
-    assert sum(map(len, ring._pivot_apps.values())) == 78556
+    assert ring.stats()["pivot_app_terms_built"] == 75248
+
+
+def shared_applications(ring):
+    """The (u, i, x) that two or more products sigma^u * sigma^v with
+    (l(v), v) <= (l(u), u) read: counted from the expressions, not from the
+    ring's reader lists."""
+    ring._build_expressions_upto(ring.max_length)
+    named = Counter()
+    for ui, lu in enumerate(ring.lengths):
+        for vi, lv in enumerate(ring.lengths):
+            if 2 <= lv and (lv, vi) <= (lu, ui):
+                for k, _ in ring._int_expr[vi][1]:
+                    named[(ui, *ring._pivots[lv][k])] += 1
+    return {key for key, uses in named.items() if uses >= 2}
 
 
 def test_d4_memo_keeps_only_pivots_named_twice(d4_tables):
-    # Counted here from the expressions themselves, not from the flags.
+    # Counted here from the expressions themselves, not from the reader
+    # lists: a pivot's readers are the classes whose expressions name it.
     ring, _ = d4_tables
-    named = Counter((ring.lengths[v], k) for v, (_, expr, _)
-                    in ring._int_expr.items() for k, _ in expr)
-    assert min(named.values()) == 1
-    assert {(d, k): shared for d, flags in ring._shared.items()
-            for k, shared in enumerate(flags)} == {
-                dk: uses >= 2 for dk, uses in named.items()}
-    assert ring._pivot_apps
-    for ui, i, x in ring._pivot_apps:
-        d = ring.lengths[x] + 1
-        assert named[d, ring._pivots[d].index((i, x))] >= 2
+    named = {}
+    for v, (_, expr, _) in sorted(ring._int_expr.items()):
+        for k, _ in expr:
+            named.setdefault((ring.lengths[v], k), []).append(v)
+    assert min(map(len, named.values())) == 1
+    assert {(d, k): r for d, readers in ring._readers.items()
+            for k, r in enumerate(readers)} == named
+    # Each application read twice or more was stored once; none is left.
+    assert ring.stats()["pivot_apps_built"] == len(
+        shared_applications(ring)) == 7185
+    assert ring._pivot_apps == {}
 
 
 @pytest.mark.parametrize("series,rank", [("A", 3), ("B", 3), ("C", 3),
                                          ("G", 2)])
-@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("stored", [True, False])
 def test_fused_and_memoised_pivots_give_the_same_products(series, rank,
-                                                          shared):
-    # All flags true memoises every pivot application, the rule before
-    # single-use pivots were fused; all false fuses every one.
+                                                          stored):
+    # Every reader listed twice stores every pivot application and never
+    # frees it, the rule before applications were counted down; no readers
+    # fuses every one.
     rs = build_root_system(series, rank)
     ring, forced = QuantumFlagRing(rs), QuantumFlagRing(rs)
     forced._build_expressions_upto(forced.max_length)
-    for d, flags in forced._shared.items():
-        forced._shared[d] = (shared,) * len(flags)
+    for readers in forced._readers.values():
+        readers[:] = [r * 2 if stored else [] for r in readers]
     pairs = all_pairs(ring)
     assert json_table(forced, pairs) == json_table(ring, pairs)
-    assert bool(forced._pivot_apps) is shared
+    stats = forced.stats()
+    assert stats["pivot_apps"] == stats["pivot_apps_built"]
+    assert bool(stats["pivot_apps"]) is stored
+
+
+# Chevalley applications of all pairs, counted before pivot applications
+# were freed after their last reader: freeing one early would rebuild it.
+CHEV_APPLICATIONS = {("A", 3): 284, ("B", 3): 1156, ("C", 3): 1156,
+                     ("G", 2): 70, ("D", 4): 18864}
+
+
+@pytest.mark.parametrize("series,rank", sorted(CHEV_APPLICATIONS))
+def test_all_pairs_in_any_order_free_every_pivot_application(series, rank):
+    rs = build_root_system(series, rank)
+    tables, built = [], set()
+    pairs = all_pairs(QuantumFlagRing(rs))
+    for order in (pairs, pairs[::-1],
+                  random.Random(22).sample(pairs, len(pairs))):
+        ring, calls = QuantumFlagRing(rs), []
+        chev_apply = ring._chev_apply
+        ring._chev_apply = lambda *args: calls.append(1) or chev_apply(*args)
+        tables.append(json_table(ring, order))
+        stats = ring.stats()
+        assert stats["pivot_apps"] == stats["pivot_app_terms"] == 0
+        assert ring._pivot_apps == {}
+        assert len(calls) == CHEV_APPLICATIONS[series, rank]
+        built.add(stats["pivot_apps_built"])
+    assert tables[0] == tables[1] == tables[2]
+    # Each application read twice or more was built exactly once.
+    assert built == {len(shared_applications(ring))}
 
 
 def test_equal_keys_in_different_memo_entries_are_one_object(d4_tables):
@@ -324,7 +397,8 @@ def test_equal_keys_in_different_memo_entries_are_one_object(d4_tables):
 def test_d4_stats_after_all_pairs(d4_tables):
     ring, _ = d4_tables
     assert ring.stats() == {
-        "memo_entries": 18336, "pivot_apps": 7540, "pivot_app_terms": 78556,
+        "memo_entries": 18336, "pivot_apps": 0, "pivot_app_terms": 0,
+        "pivot_apps_built": 7185, "pivot_app_terms_built": 75248,
         "pivots_named_once": 117, "pivots_named_twice_or_more": 70,
         "chevalley_rows": 768, "interned_keys": 3452, "json_terms": 4730}
 
@@ -595,7 +669,10 @@ def qhp_table(ring, par, pairs):
 
 def test_threads_sharing_a_fresh_ring_agree_with_one_thread():
     # The shared ring sits on its own fresh system, so the threads also race
-    # on its lift and W^P tables.
+    # on its lift and W^P tables.  Each thread asks for all B3 pairs, so
+    # they race on every pivot application's count of reads left: one may
+    # be freed early and rebuilt, or kept longer, so only results are
+    # compared, never the ring's table sizes.
     par = (1, 2)
     single = QuantumFlagRing(build_root_system("B", 3))
     expected = json_table(single, all_pairs(single))
