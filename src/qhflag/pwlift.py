@@ -227,7 +227,7 @@ def qhp_product(ring: QuantumFlagRing, parabolic: Sequence[int],
     comp = rs.complement(par)
     undo: Dict[Tuple[int, ...], Optional[WeylElt]] = {}  # lam -> omega^{-1}
     out: Dict[Tuple[WeylElt, Tuple[int, ...]], int] = {}
-    for (x, lam), c in ring._product_terms(u, v):
+    for (x, lam), c in ring.quantum_product(u, v).sorted_terms():
         if lam not in undo:
             lift = pw_lift(rs, par, lam)
             undo[lam] = (lift.omega_factor.inverse()

@@ -6,28 +6,31 @@ lambda recorded over all simple-root positions.
 
 The full quantum product is computed in two stages:
 
-1.  The classical (q = 0) ring is divisor-generated, so each sigma^v is
-    expressed, degree by degree, over the classical Chevalley products
-    sigma^x * sigma^{s_i} with l(x) = l(v) - 1: ``independent_inverse``
-    picks the first independent ones and inverts them in one fraction-free
-    integer Gauss-Jordan pass.  Each expression, with its q-corrections,
-    is stored once, as integers over its least common denominator.
+1.  The classical (q = 0) ring is divisor-generated, so each sigma^v,
+    l(v) >= 1, is expressed, degree by degree, over the classical Chevalley
+    products sigma^x * sigma^{s_i} with l(x) = l(v) - 1 (sigma^{s_i} is the
+    pivot (i, e) itself): ``independent_inverse`` picks the first
+    independent ones and inverts them in one fraction-free integer
+    Gauss-Jordan pass.  Each expression, with its q-corrections, is stored
+    once, as integers over its least common denominator, naming the records
+    of its pivots; a degree has one record per pivot, listing its readers.
     Candidates are grouped by x, the x with the fewest classical terms over
     all i first, and within one x go sparsest column first (ties in element,
     then i, order): sparse pivots give short expressions to replay, and
     grouping by x keeps the recursion into sigma^u * sigma^x small.
-2.  sigma^u * sigma^v is evaluated by induction on l(v): replay on top of
-    sigma^u the pivot products (i, x) that sigma^v's expression names, as the
-    quantum sigma^u * sigma^x * sigma^{s_i}, and subtract the recursively
-    computed q-carrying corrections, which involve strictly shorter Weyl
-    elements by degree homogeneity.  The product is commutative, so the
-    factors are first ordered with l(u) >= l(v) (ties by element index)
-    and the recursion runs on the shorter factor; the memo holds one entry
-    per unordered pair.  Pivot (i, x) applied to sigma^u is read only by
-    the products sigma^u * sigma^v whose expression names it, with v <= u
-    when l(v) = l(u).  With two or more such readers the application is
-    stored with its count of reads left, per (u, i, x), and freed after
-    the last read; otherwise it is applied straight into the sum.
+2.  sigma^u * sigma^v is evaluated by induction on l(v), from the one base
+    case sigma^u * sigma^e = sigma^u: replay on top of sigma^u the pivot
+    products (i, x) that sigma^v's expression names, as the quantum
+    sigma^u * sigma^x * sigma^{s_i}, and subtract the recursively computed
+    q-carrying corrections, which involve strictly shorter Weyl elements by
+    degree homogeneity.  The product is commutative, so the factors are
+    first ordered with l(u) >= l(v) (ties by element index) and the
+    recursion runs on the shorter factor; the memo holds one entry per
+    unordered pair, the identity factor included.  Pivot (i, x) applied to
+    sigma^u is read only by the products sigma^u * sigma^v whose expression
+    names it, with v <= u when l(v) = l(u).  With two or more such readers
+    the application is stored with its count of reads left, per (u, i, x),
+    and freed after the last read; otherwise it is fused into the sum.
 
 The elimination and the recursion work in the integers.  All coefficients
 are exact; the final structure constants are asserted to be nonnegative
@@ -228,14 +231,12 @@ class QuantumFlagRing:
                             [(i, c) for i, c in enumerate(gv, 1) if c])
                            for g in rs.positive_roots for gv in [rs.coroot_of(g)]]
         self._chev_rows: Dict[Tuple[int, int], tuple] = {}
-        # v index -> (den, [(pivot k, den*coeff)], [(x' idx, qshift, den*coeff)])
+        # degree -> records (i, x idx, readers: the v idx naming it, ascending);
+        # v idx -> (den, [(record, den*coeff)], [(x' idx, qshift, den*coeff)])
+        self._pivots: Dict[int, List[Tuple[int, int, List[int]]]] = {}
         self._int_expr: Dict[int, tuple] = {}
-        self._pivots: Dict[int, list] = {}    # degree -> [(i, x idx)]
-        # degree -> per pivot, the v idx whose expressions name it, ascending
-        self._readers: Dict[int, List[List[int]]] = {}
-        self._expr_built_upto = 1
+        self._expr_built_upto = 0
         self._prod: Dict[Tuple[int, int], Dict[int, int]] = {}
-        self._units: Dict[int, Dict[int, int]] = {}  # u idx -> sigma^u
         # (u idx, i, x idx) -> [reads left, sigma^u * sigma^x * sigma^{s_i}]
         self._pivot_apps: Dict[Tuple[int, int, int], list] = {}
         self._apps_built = self._app_terms_built = 0  # stored so far
@@ -271,12 +272,11 @@ class QuantumFlagRing:
         """A packed class of the given degree, checked homogeneous and put
         in canonical order, each key interned in ``_keys`` with its degree.
 
-        Every class the ring stores (the products, the units and
-        ``chevalley_product``) is homogeneous, so no digit of the packing
-        (module docstring) carries.  Within one class the length fixes
-        |lambda|, and the element index orders each length by reduced word,
-        so the integer order of the keys is the canonical order (length,
-        |lambda|, lambda, reduced word)."""
+        Every class the ring stores, products and ``chevalley_product``, is
+        homogeneous, so no digit of the packing (module docstring) carries.
+        Within one class the length fixes |lambda|, and the element index
+        orders each length by reduced word, so the integer order of the keys
+        is the canonical order (length, |lambda|, lambda, reduced word)."""
         keys, out = self._keys, {}
         for key in sorted(d):
             hit = keys.get(key)
@@ -400,14 +400,13 @@ class QuantumFlagRing:
             raise InternalConsistencyError(
                 f"degree {d}: divisor classes fail to span "
                 f"({len(picked)} of {m})")
-        pivots = self._pivots[d] = [candidates[k] for k in picked]
-        readers = self._readers[d] = [[] for _ in range(m)]
+        pivots = self._pivots[d] = [(*candidates[k], []) for k in picked]
         for v, (den, comb) in zip(basis, rows):
-            expr = [(k, a) for k, a in enumerate(comb) if a]
+            expr = [(pivots[k], a) for k, a in enumerate(comb) if a]
             corr: Dict[Tuple[int, int], int] = {}
-            for k, a in expr:
-                readers[k].append(v)
-                for widx2, qshift, c in self._chev_row(*pivots[k]):
+            for (i, x, vs), a in expr:
+                vs.append(v)
+                for widx2, qshift, c in self._chev_row(i, x):
                     if qshift:
                         key = (widx2, qshift)
                         corr[key] = corr.get(key, 0) + a * c
@@ -420,27 +419,18 @@ class QuantumFlagRing:
         lu, lv = self.lengths[ui], self.lengths[vi]
         if (lu, ui) < (lv, vi):  # commutative: recurse on the shorter factor
             ui, vi, lu, lv = vi, ui, lv, lu
-        if lv == 0:
-            res = self._units.get(ui)
-            if res is None:
-                res = self._units[ui] = self._canonical(
-                    {self._wkeys[ui]: 1}, lu)
-            return res
         key = (ui, vi)
         res = self._prod.get(key)
         if res is not None:
             return res
-        if lv == 1:
-            i = self.elements[vi].word()[0]
-            res = self._chev_apply(i, {self._wkeys[ui]: 1})
+        if lv == 0:  # sigma^u * sigma^e = sigma^u
+            res = {self._wkeys[ui]: 1}
         else:
             self._build_expressions_upto(lv)
             den, expr, corr = self._int_expr[vi]
             acc: Dict[int, int] = {}
             get, apps = acc.get, self._pivot_apps
-            pivots, readers = self._pivots[lv], self._readers[lv]
-            for k, ct in expr:
-                (i, x), vs = pivots[k], readers[k]
+            for (i, x, vs), ct in expr:
                 entry = apps.get((ui, i, x)) if len(vs) > 1 else None
                 if entry is None:  # its readers: v in vs, v <= u if lv = lu
                     left = (len(vs) if lv < lu else sum(v <= ui for v in vs)) - 1
@@ -482,18 +472,13 @@ class QuantumFlagRing:
         """Cup product: the q = 0 part of the quantum product."""
         return self.quantum_product(u, v).classical_part()
 
-    def _product_terms(self, u: WeylElt, v: WeylElt):
-        """The terms ((w, lambda), c) of sigma^u * sigma^v in canonical
-        order, read without decoding the product into a dict."""
-        return self.quantum_product(u, v).sorted_terms()
-
     def product_with_class(self, qc: QClass, v: WeylElt) -> QClass:
         """Linear extension (sum c q^mu sigma^x) * sigma^v; mu may be any
         integer vector, since it shifts exponents, not packed keys."""
         self._idx(v)  # a foreign v is an error even when qc is zero
         acc: Dict[Tuple[WeylElt, Tuple[int, ...]], object] = {}
         for (x, mu), c in qc.terms.items():
-            for (w, lam), vv in self._product_terms(x, v):
+            for (w, lam), vv in self.quantum_product(x, v).sorted_terms():
                 key = (w, tuple(a + b for a, b in zip(lam, mu)))
                 acc[key] = acc.get(key, 0) + c * vv
         return QClass(self.rs, acc)
@@ -520,7 +505,7 @@ class QuantumFlagRing:
 
     def stats(self) -> Dict[str, int]:
         """Sizes of the ring's lazy tables: set by what was asked, not when."""
-        named = [len(r) for rs in self._readers.values() for r in rs]
+        named = [len(vs) for recs in self._pivots.values() for _, _, vs in recs]
         return dict(
             memo_entries=len(self._prod), pivot_apps=len(self._pivot_apps),
             pivot_app_terms=sum(len(e[1]) for e in self._pivot_apps.values()),

@@ -44,6 +44,9 @@ ALL_SUITES = THEOREM_SUITES + CONJECTURE_SUITES
 # graded-iso's lemma41 bound on graded coordinates, and the sample counts of
 # basics' associativity and psi-grading's multiplicativity cases.
 _GRADING_BOX, _ASSOC_SAMPLES, _PSI_SAMPLES = 6, 200, 100
+# The suites that enumerate the q-box (max_q + 1)^|complement|, and its cap:
+# 4^7 admits the default max_q = 3 on every proper parabolic up to rank 8.
+_QBOX_SUITES, _QBOX_CAP = {"graded-iso", "psi-grading"}, 4 ** 7
 
 # Case text: a string, or a zero-argument callable that builds it on demand.
 Text = Union[str, Callable[[], str]]
@@ -128,6 +131,7 @@ class _Context:
         self.rs = parse_system_id(setup.system)
         self.op = ordered_parabolic(self.rs, setup.parabolic, setup.order)
         self.parabolic = tuple(sorted(self.op.order))
+        self.comp = self.rs.complement(self.parabolic)
         self._ring: Optional[QuantumFlagRing] = None
 
     @property
@@ -163,7 +167,7 @@ def _filtration(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
                 continue
             bound = grading_add(gu, op.gr_weyl(v))
             bad = []
-            for (w, lam), c in ring._product_terms(u, v):
+            for (w, lam), c in ring.quantum_product(u, v).sorted_terms():
                 g = op.gr(w, lam)
                 if not g <= bound:
                     bad.append((w, lam, g))
@@ -230,7 +234,7 @@ def _ideal_and_quotient(ctx: _Context, rep: Report,
             case = lambda: f"ideal:u={ctx.word(u)};v={ctx.word(v)}"
             if not _want(only_case, case):
                 continue
-            bad = [(w, lam) for (w, lam), c in ring._product_terms(u, v)
+            bad = [(w, lam) for (w, lam), c in ring.quantum_product(u, v).sorted_terms()
                    if op.gr(w, lam)[rtop] <= 0]
             rep.record(case, not bad,
                        lhs=lambda: "; ".join(ctx.term_str(w, lam)
@@ -250,13 +254,13 @@ def _ideal_and_quotient(ctx: _Context, rep: Report,
             if not _want(only_case, case):
                 continue
             retained = {}
-            for (w, lam), c in ring._product_terms(u, v):
+            for (w, lam), c in ring.quantum_product(u, v).sorted_terms():
                 if w in wp and all(lam[k] == 0 or (k + 1) in par
                                    for k in range(rs.n)):
                     sub_lam = tuple(lam[rev[j] - 1] for j in
                                     range(1, sub.n + 1))
                     retained[(to_sub(w), sub_lam)] = c
-            direct = dict(sub_ring._product_terms(to_sub(u), to_sub(v)))
+            direct = dict(sub_ring.quantum_product(to_sub(u), to_sub(v)).sorted_terms())
             rep.record(case, retained == direct,
                        lhs=lambda: format_qclass(QClass(sub, retained)),
                        rhs=lambda: format_qclass(QClass(sub, direct)))
@@ -265,8 +269,7 @@ def _ideal_and_quotient(ctx: _Context, rep: Report,
 def _psi_grading(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
     """Lifts of pure quantum classes have zero grading below the top
     coordinate and nonnegative lifted exponents."""
-    rs, op = ctx.rs, ctx.op
-    comp = rs.complement(op.order)
+    rs, op, comp = ctx.rs, ctx.op, ctx.comp
     for exps in product(range(ctx.setup.max_q + 1), repeat=len(comp)):
         lam_p = {j: e for j, e in zip(comp, exps) if e}
         case = lambda: "lamP=" + ",".join(f"{j}:{e}"
@@ -307,7 +310,7 @@ def _graded_iso(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
     """Graded-piece structure: unique graded representatives, their
     multiplicative normalization, lift multiplicativity into the top graded
     piece, and agreement of the subquotient with QH*(G/P)."""
-    rs, op = ctx.rs, ctx.op
+    rs, op, comp = ctx.rs, ctx.op, ctx.comp
     s = op.sigma
     box = _GRADING_BOX
 
@@ -338,7 +341,7 @@ def _graded_iso(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
             target = tuple(x + y for x, y in zip(a, b))
             wc, lc = op.unique_basis_element(target)
             goal = tuple(x - y - z for x, y, z in zip(lc, la, lb))
-            prod = dict(ring._product_terms(wa, wb))
+            prod = dict(ring.quantum_product(wa, wb).sorted_terms())
             lead = prod.pop((wc, goal), 0)
             gtar = target + (0,) * (op.r + 1 - s)
             # gr is affine in lambda: gr(w, lam + la + lb) = gr(w, lam) + shift.
@@ -356,7 +359,6 @@ def _graded_iso(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
     # in ``extra`` without gating.
     reps = pwlift.minimal_representatives(rs, ctx.parabolic,
                                           cap=ctx.setup.max_weyl)
-    comp = rs.complement(op.order)
     qbox = list(product(range(ctx.setup.max_q + 1), repeat=len(comp)))
     # Pair k is side[k // n] + side[k % n]: the sample never lists all pairs.
     side = [(u, lp) for u in reps for lp in qbox]
@@ -375,7 +377,7 @@ def _graded_iso(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
         wv, lv = pwlift.psi_map(rs, ctx.parabolic, v, lamp_dict(mp))
         top = {}
         closure_ok = True
-        for (w, lam), c in ring._product_terms(wu, wv):
+        for (w, lam), c in ring.quantum_product(wu, wv).sorted_terms():
             lam = tuple(x + y + z for x, y, z in zip(lam, lu, lv))
             g = op.gr(w, lam)
             if all(x == 0 for x in g[:op.r]):
@@ -480,7 +482,7 @@ def _basics(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
             sj = weyl.simple_reflection(rs, idx)
             usj = weyl.multiply(u, sj)
             target = op.gr_weyl(usj)
-            prod = dict(ring._product_terms(u, sj))
+            prod = dict(ring.quantum_product(u, sj).sorted_terms())
             lead = prod.pop((usj, (0,) * rs.n), 0)
             rest_ok = all(op.gr(w, lam) < target for (w, lam) in prod)
             rep.record(case, lead == 1 and rest_ok,
@@ -503,7 +505,7 @@ def _basics(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
             if not _want(only_case, case):
                 continue
             bound = grading_add(gu, op.gr_weyl(v))
-            bad = [w for (w, lam), c in ring._product_terms(u, v)
+            bad = [w for (w, lam), c in ring.quantum_product(u, v).sorted_terms()
                    if lam == zero and not op.gr_weyl(w) <= bound]
             rep.record(case, not bad, lhs=lambda: "; ".join(map(ctx.word, bad)),
                        rhs=lambda: f"bound={bound}")
@@ -512,7 +514,7 @@ def _basics(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
             if not _want(only_case, case):
                 continue
             bad = []
-            for (w, lam), c in ring._product_terms(u, v):
+            for (w, lam), c in ring.quantum_product(u, v).sorted_terms():
                 homook = w.length + rs.two_rho_pairing(lam) == u.length + v.length
                 if not (isinstance(c, int) and c > 0 and homook):
                     bad.append((w, lam, c))
@@ -582,10 +584,15 @@ class _ReplayReport(Report):
 def run_suites(spec: str, setup: VerificationSetup,
                only_case: Optional[str] = None) -> List[Report]:
     """Run the suites ``spec`` names, as ``select_suites`` reads it, on one
-    shared context; with ``only_case``, each suite stops at that case."""
+    shared context, refusing first a q-box above the cap that one of them
+    enumerates; with ``only_case``, each suite stops at that case."""
     ctx = _Context(setup)
+    names, k = select_suites(spec, ctx.rs, ctx.parabolic), len(ctx.comp)
+    if _QBOX_SUITES & set(names) and (setup.max_q + 1) ** k > _QBOX_CAP:
+        raise InvalidInputError(f"max-q {setup.max_q} gives a q-box of "
+                                f"(max-q + 1)^{k} points; the cap is {_QBOX_CAP}")
     reports = []
-    for name in select_suites(spec, ctx.rs, ctx.parabolic):
+    for name in names:
         t0 = time.monotonic()
         rep = (Report if only_case is None else _ReplayReport)(
             name, ctx.rs.name, list(ctx.parabolic), list(ctx.op.order))

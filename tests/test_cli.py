@@ -225,6 +225,20 @@ def test_verify_negative_max_q_is_usage_error(tmp_path, capsys):
     assert err == "error: max-q must be nonnegative, got -2\n"
 
 
+@pytest.mark.parametrize("suite", ["psi-grading", "graded-iso"])
+def test_verify_q_box_above_the_cap_is_usage_error(tmp_path, capsys, suite):
+    # Exit 1 is kept for a failed theorem suite: a max-q whose q-box is too
+    # big to enumerate is a usage error, not an OverflowError traceback.
+    argv = ["verify", "A2", "--parabolic", "1", "--suites", suite]
+    big = "99999999999999999999"
+    want = (f"error: max-q {big} gives a q-box of (max-q + 1)^1 points; "
+            "the cap is 16384\n")
+    assert run(capsys, *argv, "--max-q", big) == (2, "", want)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"max-q={big}\n")
+    assert run(capsys, *argv, "--config", str(cfg)) == (2, "", want)
+
+
 def test_verify_all_small(capsys):
     code, out, _ = run(capsys, "verify", "--system", "A2", "--parabolic", "1",
                        "--suites", "all", "--format", "json")

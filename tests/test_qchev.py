@@ -135,10 +135,10 @@ class OrderedPairOracle:
     memoized per ordered pair.
 
     It reads only the ring's divisor expressions (``_int_expr``, turned
-    back into Fractions a/den, and ``_pivots``) and ``chevalley_product``,
-    and sums QClass terms with Fraction coefficients, so it shares neither
-    the canonical factor order nor the packed integer arithmetic of
-    ``QuantumFlagRing._product``.
+    back into Fractions a/den, with the pivot (i, x) each record names)
+    and ``chevalley_product``, and sums QClass terms with Fraction
+    coefficients, so it shares neither the canonical factor order nor the
+    packed integer arithmetic of ``QuantumFlagRing._product``.
     Computing u*v and v*u here really multiplies in both orders.
     """
 
@@ -175,10 +175,8 @@ class OrderedPairOracle:
         else:
             ring._build_expressions_upto(v.length)
             den, expr, corr = ring._int_expr[ring.index[v]]
-            pivots = ring._pivots[v.length]
             acc = {}
-            for k, a in expr:
-                i, x = pivots[k]
+            for (i, x, _), a in expr:
                 for (w, mu), c in self(u, ring.elements[x]).terms.items():
                     self._add(acc, ring.chevalley_product(w, i),
                               Fraction(a, den) * c, mu)
@@ -228,16 +226,16 @@ def json_table(ring, pairs):
         qclass_to_json(ring.quantum_product(u, v))) for u, v in pairs}
 
 
-@pytest.mark.parametrize("series,rank,entries", [("A", 3, 276),
-                                                 ("B", 3, 1128)])
+@pytest.mark.parametrize("series,rank,entries", [("A", 3, 300),
+                                                 ("B", 3, 1176)])
 def test_memo_holds_one_entry_per_unordered_pair(series, rank, entries):
     ring = QuantumFlagRing(build_root_system(series, rank))
     for u, v in all_pairs(ring):
         ring.quantum_product(u, v)
     size = len(ring.elements)
-    # Products with the identity are not stored; every other unordered
-    # pair, squares included, is stored once.
-    assert len(ring._prod) == (size - 1) * size // 2 == entries
+    # Every unordered pair, squares and the identity factor included, is
+    # stored once.
+    assert len(ring._prod) == size * (size + 1) // 2 == entries
     assert all(ring.lengths[ui] >= ring.lengths[vi]
                for ui, vi in ring._prod)
 
@@ -254,7 +252,7 @@ def test_pivot_applications_are_keyed_by_a_pivot_of_a_shorter_degree(
     for u, v in pairs[:len(pairs) // 2]:
         ring.quantum_product(u, v)
     assert ring._pivot_apps
-    assert all((i, x) in ring._pivots[ring.lengths[x] + 1]
+    assert all((i, x) in [rec[:2] for rec in ring._pivots[ring.lengths[x] + 1]]
                and ring.lengths[x] + 1 <= ring.lengths[ui]
                for ui, i, x in ring._pivot_apps)
 
@@ -264,10 +262,9 @@ def reads_left(ring, ui, i, x):
     names the pivot (i, x), with v <= u when l(v) = l(u): counted from the
     expressions and the product memo, not from the ring's reader lists."""
     d = ring.lengths[x] + 1
-    k = ring._pivots[d].index((i, x))
     return sum(1 for v in ring.by_length[d]
                if (d, v) <= (ring.lengths[ui], ui) and (ui, v) not in ring._prod
-               and k in dict(ring._int_expr[v][1]))
+               and (i, x) in [rec[:2] for rec, _ in ring._int_expr[v][1]])
 
 
 def test_products_apply_only_the_pivots_their_expressions_name():
@@ -279,9 +276,8 @@ def test_products_apply_only_the_pivots_their_expressions_name():
     for u in reps:
         for v in reps:
             qhp_product(ring, par, u, v)
-    named = {(ui, *ring._pivots[ring.lengths[vi]][k])
-             for ui, vi in ring._prod if ring.lengths[vi] >= 2
-             for k, _ in ring._int_expr[vi][1]}
+    named = {(ui, i, x) for ui, vi in ring._prod if ring.lengths[vi]
+             for (i, x, _), _ in ring._int_expr[vi][1]}
     # Random access leaves applications live: each is one that a computed
     # product named, kept exactly while another product will still read it.
     assert ring._pivot_apps and set(ring._pivot_apps) <= named
@@ -303,7 +299,7 @@ def test_d4_expressions_name_few_pivots(d4_tables):
     # those with two or more readers are stored.
     ring, _ = d4_tables
     sizes = [len(expr) for _, expr, _ in ring._int_expr.values()]
-    assert (len(sizes), sum(sizes), max(sizes)) == (187, 368, 9)
+    assert (len(sizes), sum(sizes), max(sizes)) == (191, 372, 9)
     assert ring.stats()["pivot_app_terms_built"] == 75248
 
 
@@ -315,23 +311,26 @@ def shared_applications(ring):
     named = Counter()
     for ui, lu in enumerate(ring.lengths):
         for vi, lv in enumerate(ring.lengths):
-            if 2 <= lv and (lv, vi) <= (lu, ui):
-                for k, _ in ring._int_expr[vi][1]:
-                    named[(ui, *ring._pivots[lv][k])] += 1
+            if 1 <= lv and (lv, vi) <= (lu, ui):
+                for (i, x, _), _ in ring._int_expr[vi][1]:
+                    named[(ui, i, x)] += 1
     return {key for key, uses in named.items() if uses >= 2}
 
 
 def test_d4_memo_keeps_only_pivots_named_twice(d4_tables):
     # Counted here from the expressions themselves, not from the reader
     # lists: a pivot's readers are the classes whose expressions name it.
+    # Each expression names its degree's own records.
     ring, _ = d4_tables
     named = {}
     for v, (_, expr, _) in sorted(ring._int_expr.items()):
-        for k, _ in expr:
-            named.setdefault((ring.lengths[v], k), []).append(v)
+        records = list(map(id, ring._pivots[ring.lengths[v]]))
+        for rec, _ in expr:
+            assert id(rec) in records
+            named.setdefault(rec[:2], []).append(v)
     assert min(map(len, named.values())) == 1
-    assert {(d, k): r for d, readers in ring._readers.items()
-            for k, r in enumerate(readers)} == named
+    assert {(i, x): vs for recs in ring._pivots.values()
+            for i, x, vs in recs} == named
     # Each application read twice or more was stored once; none is left.
     assert ring.stats()["pivot_apps_built"] == len(
         shared_applications(ring)) == 7185
@@ -349,8 +348,9 @@ def test_fused_and_memoised_pivots_give_the_same_products(series, rank,
     rs = build_root_system(series, rank)
     ring, forced = QuantumFlagRing(rs), QuantumFlagRing(rs)
     forced._build_expressions_upto(forced.max_length)
-    for readers in forced._readers.values():
-        readers[:] = [r * 2 if stored else [] for r in readers]
+    for records in forced._pivots.values():
+        for _, _, vs in records:
+            vs[:] = vs * 2 if stored else []
     pairs = all_pairs(ring)
     assert json_table(forced, pairs) == json_table(ring, pairs)
     stats = forced.stats()
@@ -388,7 +388,7 @@ def test_all_pairs_in_any_order_free_every_pivot_application(series, rank):
 def test_equal_keys_in_different_memo_entries_are_one_object(d4_tables):
     ring, _ = d4_tables
     first = {}
-    for entry in [*ring._prod.values(), *ring._units.values()]:
+    for entry in ring._prod.values():
         for key in entry:
             assert first.setdefault(key, key) is key
     assert len(first) == len(ring._keys) == 3452
@@ -397,9 +397,9 @@ def test_equal_keys_in_different_memo_entries_are_one_object(d4_tables):
 def test_d4_stats_after_all_pairs(d4_tables):
     ring, _ = d4_tables
     assert ring.stats() == {
-        "memo_entries": 18336, "pivot_apps": 0, "pivot_app_terms": 0,
+        "memo_entries": 18528, "pivot_apps": 0, "pivot_app_terms": 0,
         "pivot_apps_built": 7185, "pivot_app_terms_built": 75248,
-        "pivots_named_once": 117, "pivots_named_twice_or_more": 70,
+        "pivots_named_once": 121, "pivots_named_twice_or_more": 70,
         "chevalley_rows": 768, "interned_keys": 3452, "json_terms": 4730}
 
 
@@ -415,7 +415,7 @@ def test_stats_depend_only_on_what_was_asked():
             ring.quantum_product(u, v)
         tables.append(ring.stats())
     assert tables[0] == tables[1] == tables[2]
-    assert tables[0]["memo_entries"] == 1128
+    assert tables[0]["memo_entries"] == 1176
     assert tables[0]["json_terms"] == 0
 
 
@@ -429,8 +429,8 @@ def test_pivots_come_grouped_by_x_sparsest_x_first(series, rank):
         return sum(len(ring.chevalley_product(ring.elements[x], i)
                        .classical_part().terms) for i in range(1, ring.n + 1))
 
-    for d in range(2, ring.max_length + 1):
-        xs = [x for _, x in ring._pivots[d]]
+    for d in range(1, ring.max_length + 1):
+        xs = [x for _, x, _ in ring._pivots[d]]
         sizes = [x_size(x) for x in xs]
         assert sizes == sorted(sizes)
         runs = [x for k, x in enumerate(xs) if k == 0 or xs[k - 1] != x]
@@ -620,12 +620,13 @@ def fraction_expressions(ring, d):
 def test_integer_expressions_match_a_fraction_oracle(series, rank_):
     ring = QuantumFlagRing(build_root_system(series, rank_))
     ring._build_expressions_upto(ring.max_length)
-    for d in range(2, ring.max_length + 1):
+    for d in range(1, ring.max_length + 1):
         pivots, exprs = fraction_expressions(ring, d)
-        assert ring._pivots[d] == pivots
+        assert [rec[:2] for rec in ring._pivots[d]] == pivots
         for v, (den, expr, corr) in exprs.items():
             got_den, got_expr, got_corr = ring._int_expr[ring.index[v]]
-            assert (got_den, got_expr) == (den, expr)
+            assert (got_den, [(rec[:2], a) for rec, a in got_expr]) == (
+                den, [(pivots[k], a) for k, a in expr])
             assert [(x2, qs) for x2, qs, _ in got_corr] == sorted(
                 (x2, qs) for x2, qs, _ in got_corr)
             assert {(ring.elements[x2], ring._q_of(qs)[0]): a
@@ -642,13 +643,11 @@ def test_divisor_expressions_reproduce_each_class(series, rank_):
     zero = (0,) * ring.n
     checked = 0
     for vi, v in enumerate(ring.elements):
-        if v.length < 2:
+        if v.length < 1:
             continue
         den, expr, corr = ring._int_expr[vi]
-        pivots = ring._pivots[v.length]
         total = QClass(ring.rs, {})
-        for k, a in expr:
-            i, x = pivots[k]
+        for (i, x, _), a in expr:
             total = total + ring.chevalley_product(ring.elements[x], i).scale(
                 Fraction(a, den))
         assert total.classical_part().terms == {(v, zero): 1}
@@ -657,7 +656,7 @@ def test_divisor_expressions_reproduce_each_class(series, rank_):
             for x2, qs, a in corr}
         checked += 1
     assert checked == sum(len(ring.by_length[d])
-                          for d in range(2, ring.max_length + 1))
+                          for d in range(1, ring.max_length + 1))
 
 
 def qhp_table(ring, par, pairs):
@@ -751,7 +750,7 @@ def test_classical_ring_matches_borel_dimensions():
     for series, rank in [("A", 3), ("B", 3), ("G", 2)]:
         ring = QuantumFlagRing(build_root_system(series, rank))
         ring._build_expressions_upto(ring.max_length)
-        for d in range(2, ring.max_length + 1):
+        for d in range(1, ring.max_length + 1):
             assert len(ring._pivots[d]) == len(ring.by_length[d])
 
 
@@ -899,7 +898,7 @@ def test_served_classes_are_read_without_decoding(monkeypatch):
     assert qc.ordered and len(qclass_to_json(qc)) > 1
     format_qclass(qc)
     listed = qc.sorted_terms()
-    assert ring._product_terms(u, v) == listed
+    assert ring.quantum_product(v, u).sorted_terms() == listed
     assert reads == []
     assert list(qc.terms.items()) == listed
     assert len(reads) == 1

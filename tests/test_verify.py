@@ -333,6 +333,31 @@ def test_negative_max_q_rejected():
     assert run_suite("psi-grading", setup_for("A2", (1,), max_q=0)).total == 1
 
 
+def test_a_q_box_above_the_cap_is_refused_before_any_suite_runs(monkeypatch):
+    # The default max_q = 3 fits on a complement of 7, the largest that a
+    # proper parabolic of rank 8 leaves.
+    assert verify._QBOX_CAP >= 4 ** 7
+    ran = []
+    monkeypatch.setitem(verify.SUITES, "filtration",
+                        lambda ctx, rep, only_case: ran.append(rep.suite))
+    huge = setup_for("A2", (1,), max_q=99999999999999999999)
+    for spec in ("psi-grading", "graded-iso", "filtration,psi-grading", "all"):
+        with pytest.raises(InvalidInputError, match=r"q-box of \(max-q \+ 1\)\^1 "):
+            run_suites(spec, huge)
+    assert ran == []
+    # The suites that do not read max_q still run with it.
+    assert [r.suite for r in run_suites("filtration,basics", huge)] == [
+        "filtration", "basics"]
+    assert ran == ["filtration"]
+    # At the cap the suite runs; one point over, it is refused.  A3/(1)
+    # leaves a complement of 2.
+    monkeypatch.setattr(verify, "_QBOX_CAP", 9)
+    assert run_suite("psi-grading", setup_for("A3", (1,), max_q=2)).total == 9
+    with pytest.raises(InvalidInputError, match=r"\(max-q \+ 1\)\^2 points; "
+                       "the cap is 9"):
+        run_suite("graded-iso", setup_for("A3", (1,), max_q=3))
+
+
 def test_setup_arguments_defaults_and_read_only():
     setup = VerificationSetup("B3", (1, 2))
     assert (setup.system, setup.parabolic, setup.order, setup.max_weyl,
