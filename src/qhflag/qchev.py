@@ -25,22 +25,23 @@ The full quantum product is computed in two stages:
     q-carrying corrections, which involve strictly shorter Weyl elements by
     degree homogeneity.  The product is commutative, so the factors are
     first ordered with l(u) >= l(v) (ties by element index) and the
-    recursion runs on the shorter factor; the memo holds one entry per
-    unordered pair, the identity factor included.  Pivot (i, x) applied to
-    sigma^u is read only by the products sigma^u * sigma^v whose expression
-    names it, with v <= u when l(v) = l(u).  With two or more such readers
-    the application is stored with its count of reads left, per (u, i, x),
-    and freed after the last read; otherwise it is fused into the sum.
+    recursion runs on the shorter factor, keeping u.  Pivot (i, x) applied
+    to sigma^u is read only by the products sigma^u * sigma^v whose
+    expression names it, with v <= u when l(v) = l(u).  With two or more
+    such readers the application is stored with its count of reads left,
+    per (u, i, x), and freed after the last read; otherwise it is fused.
 
 The elimination and the recursion work in the integers.  All coefficients
 are exact; the final structure constants are asserted to be nonnegative
 integers (they are genus-zero Gromov-Witten invariants) and degree-
-homogeneous.  Product computation is pure; each product is memoised once
-per ring in canonical term order, and a pivot application lives only
-until its last reader.  Results are bit-identical in any call order.
+homogeneous.  Product computation is pure, and results are bit-identical
+in any call order.  The memo holds one row per longer factor u, mapping v
+to sigma^u * sigma^v (one entry per unordered pair, the identity factor
+included); every product the recursion of row u reads is in row u.
 
 Inside the ring a term q^lambda sigma^w is one integer key, (l(w)*D^n +
-lambda in base D)*|W| + idx(w) with D = l(w0) + 1.  Stored classes are
+lambda in base D)*|W| + idx(w) with D = l(w0) + 1, and a stored class is
+the flat tuple (key, coeff, key, coeff, ...).  Stored classes are
 homogeneous of degree at most 2 l(w0), so |lambda| <= l(w0) < D, no digit
 carries, and key order is canonical term order (``_canonical``).  D grows
 with the group, so the packing caps neither the rank nor l(w0).  Equal
@@ -228,15 +229,17 @@ class QuantumFlagRing:
         # its q shift and the nonzero (i, <chi_i, gamma^vee>).
         self._chev_data = [(weyl.reflection(rs, g), rs.two_rho_pairing(gv),
                             self._pack(gv),
-                            [(i, c) for i, c in enumerate(gv, 1) if c])
+                            [(i, c) for i, c in enumerate(gv) if c])
                            for g in rs.positive_roots for gv in [rs.coroot_of(g)]]
-        self._chev_rows: Dict[Tuple[int, int], tuple] = {}
+        # i - 1 -> element index -> sigma^w * sigma^{s_i} as (key delta, coeff)
+        self._chev_rows: List[Dict[int, tuple]] = [{} for _ in range(self.n)]
         # degree -> records (i, x idx, readers: the v idx naming it, ascending);
         # v idx -> (den, [(record, den*coeff)], [(x' idx, qshift, den*coeff)])
         self._pivots: Dict[int, List[Tuple[int, int, List[int]]]] = {}
         self._int_expr: Dict[int, tuple] = {}
         self._expr_built_upto = 0
-        self._prod: Dict[Tuple[int, int], Dict[int, int]] = {}
+        # u idx -> v idx -> sigma^u * sigma^v as (key, coeff, key, coeff, ...)
+        self._prod: Dict[int, Dict[int, tuple]] = {}
         # (u idx, i, x idx) -> [reads left, sigma^u * sigma^x * sigma^{s_i}]
         self._pivot_apps: Dict[Tuple[int, int, int], list] = {}
         self._apps_built = self._app_terms_built = 0  # stored so far
@@ -257,28 +260,31 @@ class QuantumFlagRing:
     def _q_of(self, key: int) -> Tuple[Tuple[int, ...], int]:
         """The exponents lambda of a packed term key or q shift, and its
         degree 2|lambda|."""
-        qkey = key // self._nw % self._qbase
+        qkey, digit = key // self._nw % self._qbase, self._qdigit
         hit = self._qkeys.get(qkey)
         if hit is None:
-            lam, rest = [], qkey
-            for _ in range(self.n):
-                rest, e = divmod(rest, self._qdigit)
-                lam.append(e)
-            lam.reverse()
-            hit = self._qkeys.setdefault(qkey, (tuple(lam), 2 * sum(lam)))
+            lam = tuple(qkey // digit ** j % digit for j in range(self.n - 1, -1, -1))
+            hit = self._qkeys.setdefault(qkey, (lam, 2 * sum(lam)))
         return hit
 
-    def _canonical(self, d: Dict[int, int], degree: int) -> Dict[int, int]:
-        """A packed class of the given degree, checked homogeneous and put
-        in canonical order, each key interned in ``_keys`` with its degree.
+    def _canonical(self, d: Dict[int, int], degree: int) -> tuple:
+        """A packed class of the given degree as the flat tuple (key, coeff,
+        key, coeff, ...) in canonical order, zero terms dropped, checked
+        positive and homogeneous, each key interned in ``_keys``.
 
         Every class the ring stores, products and ``chevalley_product``, is
         homogeneous, so no digit of the packing (module docstring) carries.
         Within one class the length fixes |lambda|, and the element index
         orders each length by reduced word, so the integer order of the keys
         is the canonical order (length, |lambda|, lambda, reduced word)."""
-        keys, out = self._keys, {}
+        keys, out = self._keys, []
         for key in sorted(d):
+            c = d[key]
+            if c < 1:
+                if c:
+                    raise InternalConsistencyError(
+                        "negative quantum structure constant")
+                continue
             hit = keys.get(key)
             if hit is None:
                 lam, qdeg = self._q_of(key)
@@ -288,25 +294,25 @@ class QuantumFlagRing:
             if hit[1] != degree:
                 raise InternalConsistencyError(
                     "quantum product term violates degree homogeneity")
-            out[hit[0]] = d[key]
-        return out
+            out += hit[0], c
+        return tuple(out)
 
-    def _from_packed(self, d: Dict[int, int]) -> QClass:
+    def _from_packed(self, d: tuple) -> QClass:
         """The QClass of a stored class: it holds ``d``, in canonical order,
         and decodes its terms only when ``terms`` is read."""
         qc = QClass.__new__(QClass)
         qc.rs, qc._terms, qc._ring, qc._packed = self.rs, None, self, d
         return qc
 
-    def _term_list(self, d: Dict[int, int]) -> list:
+    def _term_list(self, d: tuple) -> list:
         """The terms ((w, lambda), c) of a stored class, in its order."""
-        keys = self._keys
-        return [(keys[k][2], c) for k, c in d.items()]
+        keys, it = self._keys, iter(d)
+        return [(keys[k][2], c) for k, c in zip(it, it)]
 
-    def _json_list(self, d: Dict[int, int]) -> List[JsonTerm]:
+    def _json_list(self, d: tuple) -> List[JsonTerm]:
         """The interned JSON terms of a stored class, in its order."""
-        get = self._json_terms.get
-        return [get(kc) or self._json_of(kc) for kc in d.items()]
+        get, it = self._json_terms.get, iter(d)
+        return [get(kc) or self._json_of(kc) for kc in zip(it, it)]
 
     def _json_of(self, kc: Tuple[int, int]) -> JsonTerm:
         """The interned JSON term of (packed key, coefficient)."""
@@ -329,44 +335,44 @@ class QuantumFlagRing:
     # -- quantum Chevalley ----------------------------------------------------
 
     def _chev_row(self, i: int, widx: int) -> tuple:
-        """Expansion of sigma^{w} * sigma^{s_i} as (widx', qshift, coeff).
-        The n rows of w are built together, from one w s_gamma per gamma."""
-        row = self._chev_rows.get((i, widx))
-        if row is None:
-            lw = self.lengths[widx]
-            rows = {j: [] for j in range(1, self.n + 1)}
+        """Expansion of sigma^{w} * sigma^{s_i} as (key delta, coeff): times
+        q^mu, a term's key is that of q^mu sigma^w plus its delta.  The n
+        rows of w are built together, from one w s_gamma per gamma."""
+        if widx not in self._chev_rows[i - 1]:
+            lw, wkeys = self.lengths[widx], self._wkeys
+            rows = [[] for _ in range(self.n)]
             w = self.elements[widx]
             for sref, tworho, qkey, support in self._chev_data:
                 widx2 = self.index[weyl.multiply(w, sref)]
                 l2 = self.lengths[widx2]
                 if l2 == lw + 1 or l2 == lw + 1 - tworho:
+                    delta = wkeys[widx2] - wkeys[widx] + (0 if l2 == lw + 1 else qkey)
                     for j, c in support:
-                        rows[j].append((widx2, 0 if l2 == lw + 1 else qkey, c))
-            self._chev_rows.update(((j, widx), tuple(out)) for j, out in rows.items())
-            row = self._chev_rows[i, widx]
-        return row
+                        rows[j].append((delta, c))
+            for table, out in zip(self._chev_rows, rows):
+                table[widx] = tuple(out)
+        return self._chev_rows[i - 1][widx]
 
     def chevalley_product(self, u: WeylElt, i: int) -> QClass:
         """sigma^u * sigma^{s_i}: the two Chevalley sums, nothing else."""
         self.rs._check_index(i)
         ui = self._idx(u)
         return self._from_packed(self._canonical(
-            self._chev_apply(i, {self._wkeys[ui]: 1}), self.lengths[ui] + 1))
+            self._chev_apply(i, (self._wkeys[ui], 1)), self.lengths[ui] + 1))
 
-    def _chev_apply(self, i: int, cls: Dict[int, int], scale: int = 1,
+    def _chev_apply(self, i: int, cls: tuple, scale: int = 1,
                     out: Optional[Dict[int, int]] = None) -> Dict[int, int]:
-        """Right-multiply a packed class by sigma^{s_i} (quantum), times
-        ``scale``, added into ``out`` (a new class by default)."""
-        nw, wkeys = self._nw, self._wkeys
+        """Right-multiply a stored class by sigma^{s_i} (quantum), times
+        ``scale``, added into ``out`` (a new dict by default)."""
+        nw, rows = self._nw, self._chev_rows[i - 1]
         out = {} if out is None else out
-        get = out.get
-        for key, val in cls.items():
-            widx, val = key % nw, scale * val
-            base = key - wkeys[widx]  # the q part, shifted by |W|
-            for widx2, qshift, c in self._chev_row(i, widx):
-                k2 = base + wkeys[widx2] + qshift
+        get, it = out.get, iter(cls)
+        for key, val in zip(it, it):
+            val *= scale
+            for delta, c in rows.get(key % nw) or self._chev_row(i, key % nw):
+                k2 = key + delta
                 out[k2] = get(k2, 0) + c * val
-        return out  # into a new class, positive inputs leave no zero term
+        return out  # into a new dict, positive inputs leave no zero term
 
     # -- divisor expressions ---------------------------------------------------
 
@@ -378,10 +384,10 @@ class QuantumFlagRing:
             self._expr_built_upto = d
 
     def _build_expressions_degree(self, d: int) -> None:
-        basis = self.by_length[d]
-        pos = {widx: row for row, widx in enumerate(basis)}
+        basis, wkeys = self.by_length[d], self._wkeys
+        pos = {wkeys[widx]: row for row, widx in enumerate(basis)}  # q^0 keys
         m = len(basis)
-        size = {(i, x): sum(not qs for _, qs, _ in self._chev_row(i, x))
+        size = {(i, x): sum(wkeys[x] + dk in pos for dk, _ in self._chev_row(i, x))
                 for x in self.by_length[d - 1] for i in range(1, self.n + 1)}
         xsize = {x: sum(size[i, x] for i in range(1, self.n + 1))
                  for x in self.by_length[d - 1]}
@@ -390,9 +396,9 @@ class QuantumFlagRing:
         def columns():  # classical sigma^x * sigma^{s_i} over the degree-d basis
             for i, x in candidates:
                 col = [0] * m
-                for widx2, qshift, c in self._chev_row(i, x):
-                    if qshift == 0:
-                        col[pos[widx2]] += c
+                for dk, c in self._chev_row(i, x):
+                    if wkeys[x] + dk in pos:
+                        col[pos[wkeys[x] + dk]] += c
                 yield col
 
         picked, rows = independent_inverse(columns(), m)
@@ -403,42 +409,43 @@ class QuantumFlagRing:
         pivots = self._pivots[d] = [(*candidates[k], []) for k in picked]
         for v, (den, comb) in zip(basis, rows):
             expr = [(pivots[k], a) for k, a in enumerate(comb) if a]
-            corr: Dict[Tuple[int, int], int] = {}
+            corr: Dict[Tuple[int, int], int] = {}  # (x' idx, qshift) -> coeff
             for (i, x, vs), a in expr:
                 vs.append(v)
-                for widx2, qshift, c in self._chev_row(i, x):
-                    if qshift:
-                        key = (widx2, qshift)
+                for dk, c in self._chev_row(i, x):
+                    k2 = wkeys[x] + dk
+                    if k2 not in pos:
+                        key = (k2 % self._nw, k2 - wkeys[k2 % self._nw])
                         corr[key] = corr.get(key, 0) + a * c
             self._int_expr[v] = (den, expr, [(w2, qs, a) for (w2, qs), a
                                              in sorted(corr.items()) if a])
 
     # -- the quantum product -----------------------------------------------------
 
-    def _product(self, ui: int, vi: int) -> Dict[int, int]:
+    def _product(self, ui: int, vi: int) -> tuple:
         lu, lv = self.lengths[ui], self.lengths[vi]
         if (lu, ui) < (lv, vi):  # commutative: recurse on the shorter factor
             ui, vi, lu, lv = vi, ui, lv, lu
-        key = (ui, vi)
-        res = self._prod.get(key)
+        row = self._prod.get(ui) or self._prod.setdefault(ui, {})
+        res = row.get(vi)
         if res is not None:
             return res
+        acc: Dict[int, int] = {}
         if lv == 0:  # sigma^u * sigma^e = sigma^u
-            res = {self._wkeys[ui]: 1}
-        else:
+            acc[self._wkeys[ui]] = 1
+        else:  # each x below is shorter than u: sigma^u * sigma^x is in row u
             self._build_expressions_upto(lv)
             den, expr, corr = self._int_expr[vi]
-            acc: Dict[int, int] = {}
             get, apps = acc.get, self._pivot_apps
             for (i, x, vs), ct in expr:
                 entry = apps.get((ui, i, x)) if len(vs) > 1 else None
                 if entry is None:  # its readers: v in vs, v <= u if lv = lu
                     left = (len(vs) if lv < lu else sum(v <= ui for v in vs)) - 1
+                    ux = row.get(x) or self._product(ui, x)
                     if left < 1:  # no other product reads it: fuse
-                        self._chev_apply(i, self._product(ui, x), ct, acc)
+                        self._chev_apply(i, ux, ct, acc)
                         continue
-                    entry = apps[ui, i, x] = [left, self._chev_apply(
-                        i, self._product(ui, x))]
+                    entry = apps[ui, i, x] = [left, self._chev_apply(i, ux)]
                     self._apps_built += 1
                     self._app_terms_built += len(entry[1])
                 else:
@@ -448,7 +455,8 @@ class QuantumFlagRing:
                 for kk, vv in entry[1].items():
                     acc[kk] = get(kk, 0) + ct * vv
             for x2, qshift, ct in corr:
-                for kk, vv in self._product(ui, x2).items():
+                it = iter(row.get(x2) or self._product(ui, x2))
+                for kk, vv in zip(it, it):
                     k2 = kk + qshift
                     acc[k2] = get(k2, 0) - ct * vv
             if den != 1:
@@ -457,11 +465,7 @@ class QuantumFlagRing:
                     if r:
                         raise InternalConsistencyError(
                             "non-integer quantum structure constant")
-            res = {kk: vv for kk, vv in acc.items() if vv}
-            if min(res.values(), default=0) < 0:
-                raise InternalConsistencyError(
-                    "negative quantum structure constant")
-        res = self._prod[key] = self._canonical(res, lu + lv)
+        res = row[vi] = self._canonical(acc, lu + lv)
         return res
 
     def quantum_product(self, u: WeylElt, v: WeylElt) -> QClass:
@@ -492,7 +496,8 @@ class QuantumFlagRing:
         ui, vi, wi = self._idx(u), self._idx(v), self._idx(w)
         if max(lam) >= self._qdigit:  # homogeneity: no exponent exceeds l(w0)
             return 0
-        return self._product(ui, vi).get(self._wkeys[wi] + self._pack(lam), 0)
+        key, it = self._wkeys[wi] + self._pack(lam), iter(self._product(ui, vi))
+        return next((c for k, c in zip(it, it) if k == key), 0)
 
     def multiplication_table(self, max_length: Optional[int] = None):
         """All pairwise products, deterministically ordered."""
@@ -506,15 +511,17 @@ class QuantumFlagRing:
     def stats(self) -> Dict[str, int]:
         """Sizes of the ring's lazy tables: set by what was asked, not when."""
         named = [len(vs) for recs in self._pivots.values() for _, _, vs in recs]
+        entries = [p for row in self._prod.values() for p in row.values()]
         return dict(
-            memo_entries=len(self._prod), pivot_apps=len(self._pivot_apps),
+            memo_entries=len(entries), memo_terms=sum(map(len, entries)) // 2,
+            pivot_apps=len(self._pivot_apps),
             pivot_app_terms=sum(len(e[1]) for e in self._pivot_apps.values()),
             pivot_apps_built=self._apps_built,
             pivot_app_terms_built=self._app_terms_built,
             pivots_named_once=named.count(1),
             pivots_named_twice_or_more=sum(c >= 2 for c in named),
-            chevalley_rows=len(self._chev_rows), interned_keys=len(self._keys),
-            json_terms=len(self._json_terms))
+            chevalley_rows=sum(map(len, self._chev_rows)),
+            interned_keys=len(self._keys), json_terms=len(self._json_terms))
 
 
 def independent_inverse(columns: Iterable[Sequence[int]], m: int

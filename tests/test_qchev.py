@@ -234,10 +234,13 @@ def test_memo_holds_one_entry_per_unordered_pair(series, rank, entries):
         ring.quantum_product(u, v)
     size = len(ring.elements)
     # Every unordered pair, squares and the identity factor included, is
-    # stored once.
-    assert len(ring._prod) == size * (size + 1) // 2 == entries
-    assert all(ring.lengths[ui] >= ring.lengths[vi]
-               for ui, vi in ring._prod)
+    # stored once, in the row of its longer factor u (ties by index).
+    stored = [(ui, vi) for ui, row in ring._prod.items() for vi in row]
+    assert len(stored) == size * (size + 1) // 2 == entries
+    assert all((ring.lengths[ui], ui) >= (ring.lengths[vi], vi)
+               for ui, vi in stored)
+    assert all(type(p) is tuple for row in ring._prod.values()
+               for p in row.values())
 
 
 @pytest.mark.parametrize("series,rank", [("A", 3), ("B", 3)])
@@ -263,7 +266,8 @@ def reads_left(ring, ui, i, x):
     expressions and the product memo, not from the ring's reader lists."""
     d = ring.lengths[x] + 1
     return sum(1 for v in ring.by_length[d]
-               if (d, v) <= (ring.lengths[ui], ui) and (ui, v) not in ring._prod
+               if (d, v) <= (ring.lengths[ui], ui)
+               and v not in ring._prod.get(ui, ())
                and (i, x) in [rec[:2] for rec, _ in ring._int_expr[v][1]])
 
 
@@ -276,8 +280,8 @@ def test_products_apply_only_the_pivots_their_expressions_name():
     for u in reps:
         for v in reps:
             qhp_product(ring, par, u, v)
-    named = {(ui, i, x) for ui, vi in ring._prod if ring.lengths[vi]
-             for (i, x, _), _ in ring._int_expr[vi][1]}
+    named = {(ui, i, x) for ui, row in ring._prod.items() for vi in row
+             if ring.lengths[vi] for (i, x, _), _ in ring._int_expr[vi][1]}
     # Random access leaves applications live: each is one that a computed
     # product named, kept exactly while another product will still read it.
     assert ring._pivot_apps and set(ring._pivot_apps) <= named
@@ -388,16 +392,18 @@ def test_all_pairs_in_any_order_free_every_pivot_application(series, rank):
 def test_equal_keys_in_different_memo_entries_are_one_object(d4_tables):
     ring, _ = d4_tables
     first = {}
-    for entry in ring._prod.values():
-        for key in entry:
-            assert first.setdefault(key, key) is key
+    for row in ring._prod.values():
+        for entry in row.values():
+            for key in entry[::2]:  # (key, coeff, key, coeff, ...)
+                assert first.setdefault(key, key) is key
     assert len(first) == len(ring._keys) == 3452
 
 
 def test_d4_stats_after_all_pairs(d4_tables):
     ring, _ = d4_tables
     assert ring.stats() == {
-        "memo_entries": 18528, "pivot_apps": 0, "pivot_app_terms": 0,
+        "memo_entries": 18528, "memo_terms": 134422,
+        "pivot_apps": 0, "pivot_app_terms": 0,
         "pivot_apps_built": 7185, "pivot_app_terms_built": 75248,
         "pivots_named_once": 121, "pivots_named_twice_or_more": 70,
         "chevalley_rows": 768, "interned_keys": 3452, "json_terms": 4730}
@@ -448,7 +454,8 @@ def test_products_hold_no_zero_coefficients():
         w = ring.elements[rng.randrange(len(ring.elements))]
         qc = ring.product_with_class(ring.quantum_product(u, v), w)
         assert 0 not in qc.terms.values()
-    assert all(0 not in res.values() for res in ring._prod.values())
+    assert all(0 not in res[1::2] for row in ring._prod.values()
+               for res in row.values())
 
 
 def test_products_do_not_depend_on_call_order():
@@ -735,6 +742,19 @@ def test_structure_constant_beyond_the_packing_range_is_zero(a2_ring):
     assert a2_ring.structure_constant(s1, s1, one, (1, 0)) == 1
 
 
+def test_structure_constants_are_the_coefficients_of_the_product():
+    # Every B3 triple (u, v, w), at each lambda of sigma^u * sigma^v and at
+    # lambda = 0: absent terms read 0.
+    ring = QuantumFlagRing(build_root_system("B", 3))
+    zero = (0,) * ring.n
+    for u, v in all_pairs(ring):
+        qc = ring.quantum_product(u, v)
+        for lam in {lam for _, lam in qc.terms} | {zero}:
+            for w in ring.elements:
+                assert ring.structure_constant(u, v, w, lam) == qc.coefficient(
+                    w, lam)
+
+
 @pytest.mark.parametrize("lam", [(1.5, 0), (True, 0), (1.0, 0), (0, None)])
 def test_structure_constant_rejects_non_integer_multidegree(a2_ring, lam):
     # (1.5, 0) used to read as a zero constant instead of an error.
@@ -835,13 +855,43 @@ def test_a_term_of_the_wrong_degree_is_refused(planted):
     s1 = ring.element_from_word([1])
     row = ring._chev_row(1, ring.index[s1])
     if planted == "classical":  # sigma^{w0}: degree 3, not 2
-        extra = (ring.index[ring.elements[-1]], 0, 1)
+        delta = ring._wkeys[-1] - ring._wkeys[ring.index[s1]]
     else:  # q1 * sigma^{s1}: degree 3, not 2
-        extra = (ring.index[s1], ring._pack((1, 0)), 1)
-    ring._chev_rows[1, ring.index[s1]] = row + (extra,)
+        delta = ring._pack((1, 0))
+    ring._chev_rows[0][ring.index[s1]] = row + ((delta, 1),)
     with pytest.raises(InternalConsistencyError, match="homogeneity"):
         ring.chevalley_product(s1, 1)
     with pytest.raises(InternalConsistencyError, match="homogeneity"):
+        ring.quantum_product(s1, s1)
+
+
+@pytest.mark.parametrize("planted,message", [("signs", "negative"),
+                                             ("denominator", "non-integer")])
+def test_a_wrong_divisor_expression_is_refused(planted, message):
+    # Plant a wrong expression for one A3 class of degree 2: with its signs
+    # flipped every structure constant of a product with it comes out
+    # negative; over three times its denominator, a third of each one.
+    ring = QuantumFlagRing(build_root_system("A", 3))
+    ring._build_expressions_upto(2)
+    vi = ring.by_length[2][0]
+    den, expr, corr = ring._int_expr[vi]
+    if planted == "signs":
+        ring._int_expr[vi] = (den, [(rec, -a) for rec, a in expr],
+                              [(x2, qs, -a) for x2, qs, a in corr])
+    else:
+        ring._int_expr[vi] = (3 * den, expr, corr)
+    with pytest.raises(InternalConsistencyError, match=message):
+        ring.quantum_product(ring.elements[-1], ring.elements[vi])
+
+
+def test_divisor_classes_that_fail_to_span_are_refused():
+    # Plant sigma^{s_1} as the row of sigma^e * sigma^{s_2}: the degree-1
+    # pivots then span one class of two.
+    ring = QuantumFlagRing(build_root_system("A", 2))
+    e = ring.index[weyl.identity(ring.rs)]
+    ring._chev_rows[1][e] = ring._chev_row(1, e)
+    s1 = ring.element_from_word([1])
+    with pytest.raises(InternalConsistencyError, match="fail to span"):
         ring.quantum_product(s1, s1)
 
 
