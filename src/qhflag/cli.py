@@ -343,8 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_flags(parser, command: str, path: str) -> List[str]:
     """Each config line key=value as the flag --key=value, checked by the
     subcommand's parser; flags the subcommand lacks are skipped."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(
+            f"config file {path} is not UTF-8 text (byte {exc.start})")
     flags = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -12,8 +12,7 @@ The full quantum product is computed in two stages:
     pivot (i, e) itself): ``independent_inverse`` picks the first
     independent ones and inverts them in one fraction-free integer
     Gauss-Jordan pass.  Each expression, with its q-corrections, is stored
-    once, as integers over its least common denominator, naming the records
-    of its pivots; a degree has one record per pivot, listing its readers.
+    once, as integers over its least common denominator, naming its pivots.
     Candidates are grouped by x, the x with the fewest classical terms over
     all i first, and within one x go sparsest column first (ties in element,
     then i, order): sparse pivots give short expressions to replay, and
@@ -25,11 +24,9 @@ The full quantum product is computed in two stages:
     q-carrying corrections, which involve strictly shorter Weyl elements by
     degree homogeneity.  The product is commutative, so the factors are
     first ordered with l(u) >= l(v) (ties by element index) and the
-    recursion runs on the shorter factor, keeping u.  Pivot (i, x) applied
-    to sigma^u is read only by the products sigma^u * sigma^v whose
-    expression names it, with v <= u when l(v) = l(u).  With two or more
-    such readers the application is stored with its count of reads left,
-    per (u, i, x), and freed after the last read; otherwise it is fused.
+    recursion runs on the shorter factor, keeping u.  Each pivot product is
+    applied straight into the sum of the product that reads it; none is
+    stored.
 
 The elimination and the recursion work in the integers.  All coefficients
 are exact; the final structure constants are asserted to be nonnegative
@@ -82,8 +79,8 @@ class QClass:
 
     A class served by a ``QuantumFlagRing`` holds the memo's packed entry,
     already in canonical order, read through the ring's tables of decoded
-    keys and JSON terms; ``terms`` is decoded on first read and then kept.  ``ordered`` is true for such a class, which must not be
-    changed in place.
+    keys and JSON terms; ``terms`` is decoded on first read and then kept.
+    ``ordered`` is true for such a class, which must not be changed in place.
     """
 
     __slots__ = ("rs", "_terms", "_ring", "_packed")
@@ -233,16 +230,13 @@ class QuantumFlagRing:
                            for g in rs.positive_roots for gv in [rs.coroot_of(g)]]
         # i - 1 -> element index -> sigma^w * sigma^{s_i} as (key delta, coeff)
         self._chev_rows: List[Dict[int, tuple]] = [{} for _ in range(self.n)]
-        # degree -> records (i, x idx, readers: the v idx naming it, ascending);
-        # v idx -> (den, [(record, den*coeff)], [(x' idx, qshift, den*coeff)])
-        self._pivots: Dict[int, List[Tuple[int, int, List[int]]]] = {}
+        # degree -> pivots (i, x idx);
+        # v idx -> (den, [(pivot, den*coeff)], [(x' idx, qshift, den*coeff)])
+        self._pivots: Dict[int, List[Tuple[int, int]]] = {}
         self._int_expr: Dict[int, tuple] = {}
         self._expr_built_upto = 0
         # u idx -> v idx -> sigma^u * sigma^v as (key, coeff, key, coeff, ...)
         self._prod: Dict[int, Dict[int, tuple]] = {}
-        # (u idx, i, x idx) -> [reads left, sigma^u * sigma^x * sigma^{s_i}]
-        self._pivot_apps: Dict[Tuple[int, int, int], list] = {}
-        self._apps_built = self._app_terms_built = 0  # stored so far
 
     # -- packed term keys ----------------------------------------------------
 
@@ -358,21 +352,20 @@ class QuantumFlagRing:
         self.rs._check_index(i)
         ui = self._idx(u)
         return self._from_packed(self._canonical(
-            self._chev_apply(i, (self._wkeys[ui], 1)), self.lengths[ui] + 1))
+            self._chev_apply(i, (self._wkeys[ui], 1), 1, {}), self.lengths[ui] + 1))
 
-    def _chev_apply(self, i: int, cls: tuple, scale: int = 1,
-                    out: Optional[Dict[int, int]] = None) -> Dict[int, int]:
+    def _chev_apply(self, i: int, cls: tuple, scale: int,
+                    out: Dict[int, int]) -> Dict[int, int]:
         """Right-multiply a stored class by sigma^{s_i} (quantum), times
-        ``scale``, added into ``out`` (a new dict by default)."""
+        ``scale``, added into ``out``."""
         nw, rows = self._nw, self._chev_rows[i - 1]
-        out = {} if out is None else out
         get, it = out.get, iter(cls)
         for key, val in zip(it, it):
             val *= scale
             for delta, c in rows.get(key % nw) or self._chev_row(i, key % nw):
                 k2 = key + delta
                 out[k2] = get(k2, 0) + c * val
-        return out  # into a new dict, positive inputs leave no zero term
+        return out
 
     # -- divisor expressions ---------------------------------------------------
 
@@ -406,12 +399,11 @@ class QuantumFlagRing:
             raise InternalConsistencyError(
                 f"degree {d}: divisor classes fail to span "
                 f"({len(picked)} of {m})")
-        pivots = self._pivots[d] = [(*candidates[k], []) for k in picked]
+        pivots = self._pivots[d] = [candidates[k] for k in picked]
         for v, (den, comb) in zip(basis, rows):
             expr = [(pivots[k], a) for k, a in enumerate(comb) if a]
             corr: Dict[Tuple[int, int], int] = {}  # (x' idx, qshift) -> coeff
-            for (i, x, vs), a in expr:
-                vs.append(v)
+            for (i, x), a in expr:
                 for dk, c in self._chev_row(i, x):
                     k2 = wkeys[x] + dk
                     if k2 not in pos:
@@ -436,24 +428,9 @@ class QuantumFlagRing:
         else:  # each x below is shorter than u: sigma^u * sigma^x is in row u
             self._build_expressions_upto(lv)
             den, expr, corr = self._int_expr[vi]
-            get, apps = acc.get, self._pivot_apps
-            for (i, x, vs), ct in expr:
-                entry = apps.get((ui, i, x)) if len(vs) > 1 else None
-                if entry is None:  # its readers: v in vs, v <= u if lv = lu
-                    left = (len(vs) if lv < lu else sum(v <= ui for v in vs)) - 1
-                    ux = row.get(x) or self._product(ui, x)
-                    if left < 1:  # no other product reads it: fuse
-                        self._chev_apply(i, ux, ct, acc)
-                        continue
-                    entry = apps[ui, i, x] = [left, self._chev_apply(i, ux)]
-                    self._apps_built += 1
-                    self._app_terms_built += len(entry[1])
-                else:
-                    entry[0] -= 1
-                    if entry[0] < 1:  # its last reader: free it
-                        apps.pop((ui, i, x), None)
-                for kk, vv in entry[1].items():
-                    acc[kk] = get(kk, 0) + ct * vv
+            for (i, x), ct in expr:
+                self._chev_apply(i, row.get(x) or self._product(ui, x), ct, acc)
+            get = acc.get
             for x2, qshift, ct in corr:
                 it = iter(row.get(x2) or self._product(ui, x2))
                 for kk, vv in zip(it, it):
@@ -510,16 +487,9 @@ class QuantumFlagRing:
 
     def stats(self) -> Dict[str, int]:
         """Sizes of the ring's lazy tables: set by what was asked, not when."""
-        named = [len(vs) for recs in self._pivots.values() for _, _, vs in recs]
         entries = [p for row in self._prod.values() for p in row.values()]
         return dict(
             memo_entries=len(entries), memo_terms=sum(map(len, entries)) // 2,
-            pivot_apps=len(self._pivot_apps),
-            pivot_app_terms=sum(len(e[1]) for e in self._pivot_apps.values()),
-            pivot_apps_built=self._apps_built,
-            pivot_app_terms_built=self._app_terms_built,
-            pivots_named_once=named.count(1),
-            pivots_named_twice_or_more=sum(c >= 2 for c in named),
             chevalley_rows=sum(map(len, self._chev_rows)),
             interned_keys=len(self._keys), json_terms=len(self._json_terms))
 

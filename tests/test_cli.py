@@ -481,6 +481,14 @@ def test_config_line_without_equals_is_usage_error(tmp_path, capsys):
         2, "", "error: config line 4: expected key=value, got 'just some text'\n")
 
 
+def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"system=A2\n\xff\xfe=1\n")
+    assert run(capsys, "qprod", "--config", str(cfg), "--u", "1",
+               "--v", "1") == (
+        2, "", f"error: config file {cfg} is not UTF-8 text (byte 10)\n")
+
+
 @pytest.mark.parametrize("text", ["suites=key-lemma\nlambda=2:1\n",
                                   'suites=key-lemma, basics\nlambda={"2": 1}\n',
                                   "parabolic=1,9\norder=2\nmax-q=x\nseed=x\n"])

@@ -4,7 +4,6 @@ import pickle
 import random
 import sys
 import threading
-from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -135,7 +134,7 @@ class OrderedPairOracle:
     memoized per ordered pair.
 
     It reads only the ring's divisor expressions (``_int_expr``, turned
-    back into Fractions a/den, with the pivot (i, x) each record names)
+    back into Fractions a/den, with the pivots (i, x) they name)
     and ``chevalley_product``, and sums QClass terms with Fraction
     coefficients, so it shares neither the canonical factor order nor the
     packed integer arithmetic of ``QuantumFlagRing._product``.
@@ -176,7 +175,7 @@ class OrderedPairOracle:
             ring._build_expressions_upto(v.length)
             den, expr, corr = ring._int_expr[ring.index[v]]
             acc = {}
-            for (i, x, _), a in expr:
+            for (i, x), a in expr:
                 for (w, mu), c in self(u, ring.elements[x]).terms.items():
                     self._add(acc, ring.chevalley_product(w, i),
                               Fraction(a, den) * c, mu)
@@ -243,50 +242,26 @@ def test_memo_holds_one_entry_per_unordered_pair(series, rank, entries):
                for p in row.values())
 
 
-@pytest.mark.parametrize("series,rank", [("A", 3), ("B", 3)])
-def test_pivot_applications_are_keyed_by_a_pivot_of_a_shorter_degree(
-        series, rank):
-    # Pivot applications are keyed (u, i, x) by a pivot (i, x) of degree
-    # l(x) + 1, never longer than u; read half way through all pairs, as
-    # none is left at the end.
-    ring = QuantumFlagRing(build_root_system(series, rank))
-    pairs = all_pairs(ring)
-    random.Random(4).shuffle(pairs)
-    for u, v in pairs[:len(pairs) // 2]:
-        ring.quantum_product(u, v)
-    assert ring._pivot_apps
-    assert all((i, x) in [rec[:2] for rec in ring._pivots[ring.lengths[x] + 1]]
-               and ring.lengths[x] + 1 <= ring.lengths[ui]
-               for ui, i, x in ring._pivot_apps)
-
-
-def reads_left(ring, ui, i, x):
-    """The products sigma^u * sigma^v not computed yet whose expression
-    names the pivot (i, x), with v <= u when l(v) = l(u): counted from the
-    expressions and the product memo, not from the ring's reader lists."""
-    d = ring.lengths[x] + 1
-    return sum(1 for v in ring.by_length[d]
-               if (d, v) <= (ring.lengths[ui], ui)
-               and v not in ring._prod.get(ui, ())
-               and (i, x) in [rec[:2] for rec, _ in ring._int_expr[v][1]])
+def counted_applications(ring):
+    """A list that grows by one on each Chevalley application of ``ring``."""
+    calls, chev_apply = [], ring._chev_apply
+    ring._chev_apply = lambda *args: calls.append(1) or chev_apply(*args)
+    return calls
 
 
 def test_products_apply_only_the_pivots_their_expressions_name():
+    # Each product sigma^u * sigma^v with l(v) >= 1 applies sigma^{s_i} once
+    # per pivot (i, x) that v's expression names, and nothing else does.
     ring = QuantumFlagRing(build_root_system("B", 4))
+    calls = counted_applications(ring)
     par = (1, 2, 3)
     reps = minimal_representatives(ring.rs, par)
-    qhp_product(ring, par, reps[-1], reps[-2])
-    assert ring.stats()["pivot_apps_built"] == 27
     for u in reps:
         for v in reps:
             qhp_product(ring, par, u, v)
-    named = {(ui, i, x) for ui, row in ring._prod.items() for vi in row
-             if ring.lengths[vi] for (i, x, _), _ in ring._int_expr[vi][1]}
-    # Random access leaves applications live: each is one that a computed
-    # product named, kept exactly while another product will still read it.
-    assert ring._pivot_apps and set(ring._pivot_apps) <= named
-    for key, (left, _) in ring._pivot_apps.items():
-        assert left == reads_left(ring, *key) >= 1
+    named = [len(ring._int_expr[vi][1]) for row in ring._prod.values()
+             for vi in row if ring.lengths[vi]]
+    assert len(calls) == sum(named) > 0
 
 
 @pytest.fixture(scope="module")
@@ -299,94 +274,30 @@ def d4_tables():
 
 def test_d4_expressions_name_few_pivots(d4_tables):
     # Picking pivots sparsest x first keeps the expressions short, and with
-    # them the pivot applications that all-pairs products replay; only
-    # those with two or more readers are stored.
+    # them the pivot applications that all-pairs products replay.
     ring, _ = d4_tables
     sizes = [len(expr) for _, expr, _ in ring._int_expr.values()]
     assert (len(sizes), sum(sizes), max(sizes)) == (191, 372, 9)
-    assert ring.stats()["pivot_app_terms_built"] == 75248
 
 
-def shared_applications(ring):
-    """The (u, i, x) that two or more products sigma^u * sigma^v with
-    (l(v), v) <= (l(u), u) read: counted from the expressions, not from the
-    ring's reader lists."""
-    ring._build_expressions_upto(ring.max_length)
-    named = Counter()
-    for ui, lu in enumerate(ring.lengths):
-        for vi, lv in enumerate(ring.lengths):
-            if 1 <= lv and (lv, vi) <= (lu, ui):
-                for (i, x, _), _ in ring._int_expr[vi][1]:
-                    named[(ui, i, x)] += 1
-    return {key for key, uses in named.items() if uses >= 2}
-
-
-def test_d4_memo_keeps_only_pivots_named_twice(d4_tables):
-    # Counted here from the expressions themselves, not from the reader
-    # lists: a pivot's readers are the classes whose expressions name it.
-    # Each expression names its degree's own records.
-    ring, _ = d4_tables
-    named = {}
-    for v, (_, expr, _) in sorted(ring._int_expr.items()):
-        records = list(map(id, ring._pivots[ring.lengths[v]]))
-        for rec, _ in expr:
-            assert id(rec) in records
-            named.setdefault(rec[:2], []).append(v)
-    assert min(map(len, named.values())) == 1
-    assert {(i, x): vs for recs in ring._pivots.values()
-            for i, x, vs in recs} == named
-    # Each application read twice or more was stored once; none is left.
-    assert ring.stats()["pivot_apps_built"] == len(
-        shared_applications(ring)) == 7185
-    assert ring._pivot_apps == {}
-
-
-@pytest.mark.parametrize("series,rank", [("A", 3), ("B", 3), ("C", 3),
-                                         ("G", 2)])
-@pytest.mark.parametrize("stored", [True, False])
-def test_fused_and_memoised_pivots_give_the_same_products(series, rank,
-                                                          stored):
-    # Every reader listed twice stores every pivot application and never
-    # frees it, the rule before applications were counted down; no readers
-    # fuses every one.
-    rs = build_root_system(series, rank)
-    ring, forced = QuantumFlagRing(rs), QuantumFlagRing(rs)
-    forced._build_expressions_upto(forced.max_length)
-    for records in forced._pivots.values():
-        for _, _, vs in records:
-            vs[:] = vs * 2 if stored else []
-    pairs = all_pairs(ring)
-    assert json_table(forced, pairs) == json_table(ring, pairs)
-    stats = forced.stats()
-    assert stats["pivot_apps"] == stats["pivot_apps_built"]
-    assert bool(stats["pivot_apps"]) is stored
-
-
-# Chevalley applications of all pairs, counted before pivot applications
-# were freed after their last reader: freeing one early would rebuild it.
-CHEV_APPLICATIONS = {("A", 3): 284, ("B", 3): 1156, ("C", 3): 1156,
-                     ("G", 2): 70, ("D", 4): 18864}
+# Chevalley applications of all pairs: one per pivot each product's
+# expression names, in any call order.
+CHEV_APPLICATIONS = {("A", 3): 376, ("B", 3): 1859, ("C", 3): 1859,
+                     ("G", 2): 90, ("D", 4): 39370}
 
 
 @pytest.mark.parametrize("series,rank", sorted(CHEV_APPLICATIONS))
-def test_all_pairs_in_any_order_free_every_pivot_application(series, rank):
+def test_all_pairs_in_any_order_give_one_table_and_one_count(series, rank):
     rs = build_root_system(series, rank)
-    tables, built = [], set()
+    tables = []
     pairs = all_pairs(QuantumFlagRing(rs))
     for order in (pairs, pairs[::-1],
                   random.Random(22).sample(pairs, len(pairs))):
-        ring, calls = QuantumFlagRing(rs), []
-        chev_apply = ring._chev_apply
-        ring._chev_apply = lambda *args: calls.append(1) or chev_apply(*args)
+        ring = QuantumFlagRing(rs)
+        calls = counted_applications(ring)
         tables.append(json_table(ring, order))
-        stats = ring.stats()
-        assert stats["pivot_apps"] == stats["pivot_app_terms"] == 0
-        assert ring._pivot_apps == {}
         assert len(calls) == CHEV_APPLICATIONS[series, rank]
-        built.add(stats["pivot_apps_built"])
     assert tables[0] == tables[1] == tables[2]
-    # Each application read twice or more was built exactly once.
-    assert built == {len(shared_applications(ring))}
 
 
 def test_equal_keys_in_different_memo_entries_are_one_object(d4_tables):
@@ -403,9 +314,6 @@ def test_d4_stats_after_all_pairs(d4_tables):
     ring, _ = d4_tables
     assert ring.stats() == {
         "memo_entries": 18528, "memo_terms": 134422,
-        "pivot_apps": 0, "pivot_app_terms": 0,
-        "pivot_apps_built": 7185, "pivot_app_terms_built": 75248,
-        "pivots_named_once": 121, "pivots_named_twice_or_more": 70,
         "chevalley_rows": 768, "interned_keys": 3452, "json_terms": 4730}
 
 
@@ -436,7 +344,7 @@ def test_pivots_come_grouped_by_x_sparsest_x_first(series, rank):
                        .classical_part().terms) for i in range(1, ring.n + 1))
 
     for d in range(1, ring.max_length + 1):
-        xs = [x for _, x, _ in ring._pivots[d]]
+        xs = [x for _, x in ring._pivots[d]]
         sizes = [x_size(x) for x in xs]
         assert sizes == sorted(sizes)
         runs = [x for k, x in enumerate(xs) if k == 0 or xs[k - 1] != x]
@@ -629,10 +537,10 @@ def test_integer_expressions_match_a_fraction_oracle(series, rank_):
     ring._build_expressions_upto(ring.max_length)
     for d in range(1, ring.max_length + 1):
         pivots, exprs = fraction_expressions(ring, d)
-        assert [rec[:2] for rec in ring._pivots[d]] == pivots
+        assert ring._pivots[d] == pivots
         for v, (den, expr, corr) in exprs.items():
             got_den, got_expr, got_corr = ring._int_expr[ring.index[v]]
-            assert (got_den, [(rec[:2], a) for rec, a in got_expr]) == (
+            assert (got_den, got_expr) == (
                 den, [(pivots[k], a) for k, a in expr])
             assert [(x2, qs) for x2, qs, _ in got_corr] == sorted(
                 (x2, qs) for x2, qs, _ in got_corr)
@@ -654,7 +562,7 @@ def test_divisor_expressions_reproduce_each_class(series, rank_):
             continue
         den, expr, corr = ring._int_expr[vi]
         total = QClass(ring.rs, {})
-        for (i, x, _), a in expr:
+        for (i, x), a in expr:
             total = total + ring.chevalley_product(ring.elements[x], i).scale(
                 Fraction(a, den))
         assert total.classical_part().terms == {(v, zero): 1}
@@ -675,10 +583,8 @@ def qhp_table(ring, par, pairs):
 
 def test_threads_sharing_a_fresh_ring_agree_with_one_thread():
     # The shared ring sits on its own fresh system, so the threads also race
-    # on its lift and W^P tables.  Each thread asks for all B3 pairs, so
-    # they race on every pivot application's count of reads left: one may
-    # be freed early and rebuilt, or kept longer, so only results are
-    # compared, never the ring's table sizes.
+    # on its lift and W^P tables.  Each thread asks for all B3 pairs, and
+    # the ring's table sizes depend only on what was asked.
     par = (1, 2)
     single = QuantumFlagRing(build_root_system("B", 3))
     expected = json_table(single, all_pairs(single))
@@ -720,6 +626,7 @@ def test_threads_sharing_a_fresh_ring_agree_with_one_thread():
     assert len(expected_qhp) == 8 * 8
     assert (shared.rs._cache["pw_lift"].keys()
             == single.rs._cache["pw_lift"].keys())
+    assert shared.stats() == single.stats()
 
 
 def test_product_with_class_shifts_exponents_not_packed_keys(a2_ring):
