@@ -11,11 +11,11 @@ Peterson's comparison formula, a G/P product is the part of the G/B
 product that lies in the image of psi, read back through psi^{-1}.
 
 The solver inverts the parabolic Cartan block once, as integers over one
-denominator, with the fraction-free elimination that also writes Schubert
-classes over divisors (``qchev.independent_inverse``).  It applies that to
-each of the 2^r sign patterns for the simple-root pairings, keeps the
-solutions the denominator divides, and filters by the full positive-root
-condition; exactly one survivor is required.
+denominator, with the sparse, exactly checked elimination that also writes
+Schubert classes over divisors (``qchev.independent_inverse``).  It applies
+that to each of the 2^r sign patterns for the simple-root pairings, keeps
+the solutions the denominator divides, and filters by the full
+positive-root condition; exactly one survivor is required.
 
 A lift depends only on the system, the parabolic and the coset of the
 curve class, and W^P only on the system and the parabolic, so each is
@@ -121,10 +121,10 @@ def _solve_lift(rs: RootSystem, par: Tuple[int, ...],
         # a = M^{-1} (eps - base), M the parabolic block of the Cartan
         # pairing; inv = den * M^{-1} is integral, and a is iff den | den * a.
         base = [rs.pairing(rs.simple_root(i), rep) for i in par]
-        _, rows = independent_inverse(
-            ([rs.cartan[j - 1][i - 1] for i in par] for j in par), len(par))
+        _, rows = independent_inverse(({r: rs.cartan[j - 1][i - 1] for r, i
+                                        in enumerate(par)} for j in par), len(par))
         den = prod(d for d, _ in rows)
-        inv = [[comb[k] * (den // d) for d, comb in rows]
+        inv = [[comb.get(k, 0) * (den // d) for d, comb in rows]
                for k in range(len(par))]
         for eps in iproduct((0, -1), repeat=len(par)):
             rhs = [e - b for e, b in zip(eps, base)]

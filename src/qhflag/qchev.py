@@ -9,10 +9,11 @@ The full quantum product is computed in two stages:
 1.  The classical (q = 0) ring is divisor-generated, so each sigma^v,
     l(v) >= 1, is expressed, degree by degree, over the classical Chevalley
     products sigma^x * sigma^{s_i} with l(x) = l(v) - 1 (sigma^{s_i} is the
-    pivot (i, e) itself): ``independent_inverse`` picks the first
-    independent ones and inverts them in one fraction-free integer
-    Gauss-Jordan pass.  Each expression, with its q-corrections, is stored
-    once, as integers over its least common denominator, naming its pivots.
+    pivot (i, e) itself), each a sparse column over the degree's basis:
+    ``independent_inverse`` picks the first independent ones and inverts
+    them in one sparse fraction-free integer Gauss-Jordan pass, checked
+    exactly.  Each expression, with its q-corrections, is stored once, as
+    integers over its least common denominator, naming its pivots.
     Candidates are grouped by x, the x with the fewest classical terms over
     all i first, and within one x go sparsest column first (ties in element,
     then i, order): sparse pivots give short expressions to replay, and
@@ -222,12 +223,11 @@ class QuantumFlagRing:
         # degree, (w, lambda)); (key, coeff) -> JSON term, on first read.
         self._keys: Dict[int, Tuple[int, int, tuple]] = {}
         self._json_terms: Dict[Tuple[int, int], JsonTerm] = {}
-        # Chevalley data per positive root: s_gamma, and <2 rho, gamma^vee>,
-        # its q shift and the nonzero (i, <chi_i, gamma^vee>).
-        self._chev_data = [(weyl.reflection(rs, g), rs.two_rho_pairing(gv),
-                            self._pack(gv),
+        # Chevalley data per positive root gamma: <2 rho, gamma^vee>, its q
+        # shift and the nonzero (i, <chi_i, gamma^vee>).
+        self._chev_data = [(rs.two_rho_pairing(gv), self._pack(gv),
                             [(i, c) for i, c in enumerate(gv) if c])
-                           for g in rs.positive_roots for gv in [rs.coroot_of(g)]]
+                           for gv in map(rs.coroot_of, rs.positive_roots)]
         # i - 1 -> element index -> sigma^w * sigma^{s_i} as (key delta, coeff)
         self._chev_rows: List[Dict[int, tuple]] = [{} for _ in range(self.n)]
         # degree -> pivots (i, x idx);
@@ -331,16 +331,16 @@ class QuantumFlagRing:
     def _chev_row(self, i: int, widx: int) -> tuple:
         """Expansion of sigma^{w} * sigma^{s_i} as (key delta, coeff): times
         q^mu, a term's key is that of q^mu sigma^w plus its delta.  The n
-        rows of w are built together, from one w s_gamma per gamma."""
+        rows of w are built together, from all w s_gamma at once."""
         if widx not in self._chev_rows[i - 1]:
-            lw, wkeys = self.lengths[widx], self._wkeys
+            lengths, wkeys, up = self.lengths, self._wkeys, self.lengths[widx] + 1
             rows = [[] for _ in range(self.n)]
-            w = self.elements[widx]
-            for sref, tworho, qkey, support in self._chev_data:
-                widx2 = self.index[weyl.multiply(w, sref)]
-                l2 = self.lengths[widx2]
-                if l2 == lw + 1 or l2 == lw + 1 - tworho:
-                    delta = wkeys[widx2] - wkeys[widx] + (0 if l2 == lw + 1 else qkey)
+            for widx2, (tworho, qkey, support) in zip(map(
+                    self.index.__getitem__,
+                    weyl.times_reflections(self.elements[widx])), self._chev_data):
+                drop = up - lengths[widx2]
+                if drop == 0 or drop == tworho:
+                    delta = wkeys[widx2] - wkeys[widx] + (qkey if drop else 0)
                     for j, c in support:
                         rows[j].append((delta, c))
             for table, out in zip(self._chev_rows, rows):
@@ -379,32 +379,28 @@ class QuantumFlagRing:
     def _build_expressions_degree(self, d: int) -> None:
         basis, wkeys = self.by_length[d], self._wkeys
         pos = {wkeys[widx]: row for row, widx in enumerate(basis)}  # q^0 keys
-        m = len(basis)
-        size = {(i, x): sum(wkeys[x] + dk in pos for dk, _ in self._chev_row(i, x))
-                for x in self.by_length[d - 1] for i in range(1, self.n + 1)}
-        xsize = {x: sum(size[i, x] for i in range(1, self.n + 1))
-                 for x in self.by_length[d - 1]}
-        candidates = sorted(size, key=lambda ix: (xsize[ix[1]], ix[1], size[ix]))
-
-        def columns():  # classical sigma^x * sigma^{s_i} over the degree-d basis
-            for i, x in candidates:
-                col = [0] * m
+        cols = {}  # classical sigma^x * sigma^{s_i}, sparse over the basis
+        for x in self.by_length[d - 1]:
+            for i in range(1, self.n + 1):
+                col = cols[i, x] = {}
                 for dk, c in self._chev_row(i, x):
-                    if wkeys[x] + dk in pos:
-                        col[pos[wkeys[x] + dk]] += c
-                yield col
-
-        picked, rows = independent_inverse(columns(), m)
+                    row = pos.get(wkeys[x] + dk)
+                    if row is not None:
+                        col[row] = col.get(row, 0) + c
+        xsize = {x: sum(len(cols[i, x]) for i in range(1, self.n + 1))
+                 for x in self.by_length[d - 1]}
+        candidates = sorted(cols, key=lambda ix: (xsize[ix[1]], ix[1], len(cols[ix])))
+        picked, rows = independent_inverse(map(cols.get, candidates), len(basis))
         if rows is None:
             raise InternalConsistencyError(
                 f"degree {d}: divisor classes fail to span "
-                f"({len(picked)} of {m})")
+                f"({len(picked)} of {len(basis)})")
         pivots = self._pivots[d] = [candidates[k] for k in picked]
         for v, (den, comb) in zip(basis, rows):
-            expr = [(pivots[k], a) for k, a in enumerate(comb) if a]
+            expr = [(pivots[k], a) for k, a in sorted(comb.items())]
             corr: Dict[Tuple[int, int], int] = {}  # (x' idx, qshift) -> coeff
             for (i, x), a in expr:
-                for dk, c in self._chev_row(i, x):
+                for dk, c in self._chev_rows[i - 1][x]:
                     k2 = wkeys[x] + dk
                     if k2 not in pos:
                         key = (k2 % self._nw, k2 - wkeys[k2 % self._nw])
@@ -491,63 +487,92 @@ class QuantumFlagRing:
         return dict(
             memo_entries=len(entries), memo_terms=sum(map(len, entries)) // 2,
             chevalley_rows=sum(map(len, self._chev_rows)),
+            expression_degrees=self._expr_built_upto,
             interned_keys=len(self._keys), json_terms=len(self._json_terms))
 
 
-def independent_inverse(columns: Iterable[Sequence[int]], m: int
-                        ) -> Tuple[List[int], Optional[List[tuple]]]:
-    """Keep the first m linearly independent integer vectors of ``columns``
-    (each of length m, read in order and only as far as needed) and invert
-    them without leaving the integers.
+def independent_inverse(columns: Iterable[Dict[int, int]], m: int) -> Tuple[
+        List[int], Optional[List[Tuple[int, Dict[int, int]]]]]:
+    """Keep the first m linearly independent sparse integer vectors {row in
+    0..m-1: coefficient} of ``columns``, read in order and only as far as
+    needed, and invert them without leaving the integers.
 
-    Returns (picked positions, rows) with den_r * e_r = sum_k comb_r[k] *
-    (k-th picked column) for rows[r] = (den_r, comb_r), den_r > 0 and
-    gcd(den_r, comb_r) = 1, or rows = None when fewer than m columns are
-    independent.  One fraction-free Gauss-Jordan pass (Bareiss): each kept
-    row is an integer reduced vector with the combination of picked columns
-    it equals; eliminating against a row cross-multiplies, and every updated
-    row is divided by its content and given a positive lead.
-    """
-    picked: List[int] = []
-    rows: List[list] = []  # [lead, reduced vector, combination]
+    Returns (picked positions, rows), rows[r] = (den_r, comb_r) with den_r *
+    e_r = sum_k comb_r[k] * (k-th picked column) checked exactly, comb_r a
+    sparse {k: coefficient}, den_r > 0 and gcd(den_r, comb_r) = 1; rows is
+    None when fewer than m columns are independent.  One sparse fraction-free
+    Gauss-Jordan pass (Bareiss): each kept row, keyed by its lead, is a
+    reduced vector with the combination of picked columns it equals.  Kept
+    rows vanish at each other's leads, so a column is eliminated (by
+    cross-multiplying) only at the leads it touches; updated rows are made
+    primitive with a positive lead."""
+    picked, kept = [], []  # positions and columns picked
+    rows: Dict[int, Tuple[dict, dict]] = {}  # lead -> (vector, combination)
+    where: Dict[int, set] = {}  # row -> leads of kept rows maybe nonzero there
+    basis, ints = frozenset(range(m)), {int}
     for pos, col in enumerate(columns):
-        vec = list(col)
+        if not (col.keys() <= basis and set(map(type, col.values())) <= ints):
+            raise InternalConsistencyError(
+                f"column {pos} is not a sparse integer vector of length {m}")
+        vec = {r: a for r, a in col.items() if a} if 0 in col.values() else dict(col)
+        comb = {len(picked): 1}
         steps = []
-        for j, (lead, rvec, _) in enumerate(rows):
-            f = vec[lead]
-            if f:
-                p = rvec[lead]
-                vec = [p * a - f * b for a, b in zip(vec, rvec)]
-                steps.append((j, p, f))
-        lead = next((r for r, a in enumerate(vec) if a), None)
-        if lead is None:
+        for r in vec.keys() & rows.keys():
+            p, f = rows[r][0][r], vec[r]
+            _combine(p, vec, f, rows[r][0])
+            steps.append((p, f, r))
+        if not vec:
             continue
-        # Independent: replay the steps on e_k to get the combination.
-        comb = [int(k == len(picked)) for k in range(m)]
-        for j, p, f in steps:
-            comb = [p * a - f * b for a, b in zip(comb, rows[j][2])]
-        new = _primitive(lead, vec, comb)
-        _, vec, comb = new
-        for row in rows:
-            g = row[1][lead]
+        for p, f, r in steps:  # independent: the combination too
+            _combine(p, comb, f, rows[r][1])
+        lead = min(vec)
+        _primitive(lead, vec, comb)
+        updated = [lead]
+        for r in where.pop(lead, ()):
+            g = rows[r][0].get(lead)
             if g:
-                p = vec[lead]
-                row[:] = _primitive(
-                    row[0], [p * a - g * b for a, b in zip(row[1], vec)],
-                    [p * a - g * b for a, b in zip(row[2], comb)])
-        rows.append(new)
+                _combine(vec[lead], rows[r][0], g, vec)
+                _combine(vec[lead], rows[r][1], g, comb)
+                _primitive(r, *rows[r])
+                updated.append(r)
+        for r in vec.keys() - {lead}:  # the updated rows may be nonzero here
+            where.setdefault(r, set()).update(updated)
+        rows[lead] = vec, comb
         picked.append(pos)
+        kept.append(col)
         if len(picked) == m:
             break
     if len(picked) < m:
         return picked, None
-    rows.sort(key=lambda row: row[0])  # the leads are now 0..m-1
-    return picked, [(vec[r], comb) for r, (_, vec, comb) in enumerate(rows)]
+    out = [(rows[r][0][r], rows[r][1]) for r in range(m)]
+    for r, (den, comb) in enumerate(out):  # exact, whatever eliminated
+        acc: Dict[int, int] = {}
+        for k, a in comb.items():
+            for r2, c in kept[k].items():
+                acc[r2] = acc.get(r2, 0) + a * c
+        if den < 1 or {r2: a for r2, a in acc.items() if a} != {r: den}:
+            raise InternalConsistencyError(
+                f"exact elimination: row {r} fails den * e_r = comb * columns")
+    return picked, out
 
 
-def _primitive(lead: int, vec: List[int], comb: List[int]) -> list:
-    """The row divided by the gcd of all its entries, with a positive lead."""
-    g = gcd(*vec, *comb) if vec[lead] > 0 else -gcd(*vec, *comb)
+def _combine(p: int, vec: dict, f: int, other: dict) -> None:
+    """vec <- p * vec - f * other, in place, zero entries dropped."""
+    if p != 1:
+        for k in vec:
+            vec[k] *= p
+    for k, b in other.items():
+        a = vec.get(k, 0) - f * b
+        if a:
+            vec[k] = a
+        else:
+            vec.pop(k, None)
+
+
+def _primitive(lead: int, vec: dict, comb: dict) -> None:
+    """Divide the row by the gcd of its entries, signed to make its lead > 0."""
+    g = gcd(*vec.values(), *comb.values()) * (-1 if vec[lead] < 0 else 1)
     if g != 1:
-        vec, comb = [a // g for a in vec], [a // g for a in comb]
-    return [lead, vec, comb]
+        for d in vec, comb:
+            for k in d:
+                d[k] //= g

@@ -197,39 +197,26 @@ class RootSystem:
 
     # -- reflections and pairings ------------------------------------------
 
-    def root_coroot_pairing_simple(self, beta: Root, i: int) -> int:
-        """<beta, alpha_i^vee>."""
-        row = self.cartan[i - 1]
-        return sum(row[k] * beta[k] for k in range(self.n))
-
     def reflect_root(self, i: int, beta: Root) -> Root:
-        """s_i(beta) on the root lattice."""
-        c = self.root_coroot_pairing_simple(beta, i)
-        if c == 0:
-            return tuple(beta)
-        return tuple(beta[k] - (c if k == i - 1 else 0) for k in range(self.n))
+        """s_i(beta) = beta - <beta, alpha_i^vee> alpha_i on the root lattice."""
+        c = sum(a * b for a, b in zip(self.cartan[i - 1], beta))
+        return tuple(b - c * (k == i - 1) for k, b in enumerate(beta))
 
     def pairing(self, beta: Root, lam: Coroot) -> int:
         """<beta, lam> for a root-lattice vector and a coroot-lattice vector."""
         if len(beta) != self.n or len(lam) != self.n:
             raise InvalidInputError("pairing: dimension mismatch")
-        a = self.cartan
-        n = self.n
-        return sum(lam[j] * sum(a[j][k] * beta[k] for k in range(n))
-                   for j in range(n))
-
-    def bilinear(self, beta: Root, gamma: Root) -> int:
-        """Symmetrized invariant form (beta, gamma) = sum d_i a_ij b_i c_j."""
-        a, d, n = self.cartan, self.symmetrizer, self.n
-        return sum(d[i] * a[i][j] * beta[i] * gamma[j]
-                   for i in range(n) for j in range(n))
+        return sum(e * sum(a * b for a, b in zip(row, beta))
+                   for e, row in zip(lam, self.cartan))
 
     def coroot_of(self, gamma: Root) -> Coroot:
         """gamma^vee in simple-coroot coordinates (symmetrizer formula)."""
         gamma = tuple(gamma)
         if not self.is_root(gamma):
             raise InvalidInputError(f"{gamma} is not a root")
-        norm2 = self.bilinear(gamma, gamma)
+        norm2 = sum(d * a * gamma[i] * gamma[j]  # (gamma, gamma), symmetrized
+                    for i, d in enumerate(self.symmetrizer)
+                    for j, a in enumerate(self.cartan[i]))
         if norm2 <= 0 or norm2 % 2:
             raise InternalConsistencyError(f"bad root norm {norm2} for {gamma}")
         dg = norm2 // 2

@@ -18,6 +18,7 @@ Weyl elements serialize as reduced words: arrays of 1-based simple indices.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapExceededError, InternalConsistencyError, InvalidInputError
@@ -51,6 +52,7 @@ class _Table:
             for i in range(1, rs.n + 1))
         self.reflections = dict(zip(map(self.roots.__getitem__, self.simple),
                                     self.gens))  # root -> s_root, filled lazily
+        self.reflection_getter: Optional[Callable] = None  # ``times_reflections``
 
 
 def _table(rs: RootSystem) -> _Table:
@@ -168,6 +170,19 @@ def _reflection(table: _Table, k: int) -> WeylElt:
             raise InternalConsistencyError("reflection does not negate its root")
         r = table.reflections.setdefault(table.roots[k], r)
     return r
+
+
+def times_reflections(w: WeylElt) -> Tuple[WeylElt, ...]:
+    """w s_gamma for every positive root gamma, in ``rs.positive_roots``
+    order, with the keys of all of them from one composition."""
+    table = w._table
+    if table.reflection_getter is None:  # the keys of all s_gamma, joined, and
+        table.reflection_getter = itemgetter(*sum(  # 0, so A1 gets a tuple too
+            (_reflection(table, k).key for k in range(table.npos)), ()), 0)
+    images = iter(table.reflection_getter(w.perm))
+    out = tuple(map(table.intern.get, zip(*[images] * len(w.key))))[:table.npos]
+    return out if all(out) else tuple(  # some product is not interned yet
+        x or multiply(w, _reflection(table, k)) for k, x in enumerate(out))
 
 
 def inversion_set(w: WeylElt) -> FrozenSet[Root]:

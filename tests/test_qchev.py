@@ -14,7 +14,7 @@ from qhflag.pwlift import minimal_representatives, qhp_product
 from qhflag.qchev import (JsonTerm, QClass, QuantumFlagRing, _term_order,
                           format_qclass, independent_inverse, qclass_to_json)
 from qhflag.rootsys import build_root_system
-from qhflag import weyl
+from qhflag import qchev, weyl
 
 
 @pytest.fixture(scope="module")
@@ -314,7 +314,8 @@ def test_d4_stats_after_all_pairs(d4_tables):
     ring, _ = d4_tables
     assert ring.stats() == {
         "memo_entries": 18528, "memo_terms": 134422,
-        "chevalley_rows": 768, "interned_keys": 3452, "json_terms": 4730}
+        "chevalley_rows": 768, "expression_degrees": 12,
+        "interned_keys": 3452, "json_terms": 4730}
 
 
 def test_stats_depend_only_on_what_was_asked():
@@ -434,6 +435,116 @@ def random_columns(rng, m, count, spanning):
     return cols
 
 
+def dense_independent_inverse(columns, m):
+    """The dense fraction-free Gauss-Jordan pass (Bareiss) that
+    ``independent_inverse`` replaced, kept as an oracle: columns are
+    length-m lists and each combination comes back as a length-m list."""
+    picked, rows = [], []  # rows: [lead, reduced vector, combination]
+    for pos, col in enumerate(columns):
+        vec, steps = list(col), []
+        for j, (lead, rvec, _) in enumerate(rows):
+            f = vec[lead]
+            if f:
+                p = rvec[lead]
+                vec = [p * a - f * b for a, b in zip(vec, rvec)]
+                steps.append((j, p, f))
+        lead = next((r for r, a in enumerate(vec) if a), None)
+        if lead is None:
+            continue
+        comb = [int(k == len(picked)) for k in range(m)]
+        for j, p, f in steps:
+            comb = [p * a - f * b for a, b in zip(comb, rows[j][2])]
+        new = dense_primitive(lead, vec, comb)
+        _, vec, comb = new
+        for row in rows:
+            g = row[1][lead]
+            if g:
+                p = vec[lead]
+                row[:] = dense_primitive(
+                    row[0], [p * a - g * b for a, b in zip(row[1], vec)],
+                    [p * a - g * b for a, b in zip(row[2], comb)])
+        rows.append(new)
+        picked.append(pos)
+        if len(picked) == m:
+            break
+    if len(picked) < m:
+        return picked, None
+    rows.sort(key=lambda row: row[0])
+    return picked, [(vec[r], comb) for r, (_, vec, comb) in enumerate(rows)]
+
+
+def dense_primitive(lead, vec, comb):
+    g = gcd(*vec, *comb) if vec[lead] > 0 else -gcd(*vec, *comb)
+    if g != 1:
+        vec, comb = [a // g for a in vec], [a // g for a in comb]
+    return [lead, vec, comb]
+
+
+def sparse(col):
+    return {r: a for r, a in enumerate(col) if a}
+
+
+def dense(col, m):
+    return [col.get(r, 0) for r in range(m)]
+
+
+def assert_matches_dense(columns, m):
+    """Sparse and dense elimination pick the same columns and return the
+    same (den, combination) rows."""
+    picked, rows = independent_inverse(iter(columns), m)
+    want_picked, want_rows = dense_independent_inverse(
+        [dense(col, m) for col in columns], m)
+    assert picked == want_picked
+    if want_rows is None:
+        assert rows is None
+    else:
+        assert [(den, dense(comb, m)) for den, comb in rows] == want_rows
+        assert all(a for _, comb in rows for a in comb.values())
+    return picked
+
+
+@pytest.fixture
+def recorded_eliminations(monkeypatch):
+    """Every (columns, m) a ring hands to ``independent_inverse``."""
+    calls = []
+
+    def record(columns, m):
+        columns = list(columns)
+        calls.append((columns, m))
+        return independent_inverse(iter(columns), m)
+
+    monkeypatch.setattr(qchev, "independent_inverse", record)
+    return calls
+
+
+@pytest.mark.parametrize("series,rank_", [
+    ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3), ("A", 4),
+    ("B", 4), ("C", 4), ("D", 4), ("F", 4)])
+def test_sparse_elimination_matches_the_dense_oracle_on_every_degree(
+        recorded_eliminations, series, rank_):
+    ring = QuantumFlagRing(build_root_system(series, rank_))
+    ring._build_expressions_upto(ring.max_length)
+    assert len(recorded_eliminations) == ring.max_length
+    for d, (columns, m) in enumerate(recorded_eliminations, 1):
+        assert m == len(ring.by_length[d])
+        picked = assert_matches_dense(columns, m)
+        assert len(picked) == m
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_sparse_elimination_matches_the_dense_oracle_on_random_streams(seed):
+    # Zero, repeated, dependent and (every fourth seed) non-spanning
+    # columns; some sparse columns also carry explicit zero entries.
+    rng = random.Random(1000 + seed)
+    m = rng.randint(1, 10)
+    cols = [sparse(col) for col in random_columns(
+        rng, m, rng.randint(m, 4 * m + 4), seed % 4 != 0)]
+    for col in cols:
+        if rng.random() < 0.2:
+            col[rng.randrange(m)] = 0
+    assert_matches_dense(cols, m)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_independent_inverse_matches_a_rank_scan(seed):
     rng = random.Random(seed)
@@ -445,7 +556,7 @@ def test_independent_inverse_matches_a_rank_scan(seed):
         chosen = [cols[p] for p in expected]
         if len(expected) < m and rank(chosen + [col]) > len(expected):
             expected.append(pos)
-    stream = iter(cols)
+    stream = iter(map(sparse, cols))
     picked, rows = independent_inverse(stream, m)
     assert picked == expected
     if not spanning:
@@ -458,12 +569,42 @@ def test_independent_inverse_matches_a_rank_scan(seed):
     assert len(rows) == m
     for r, (den, comb) in enumerate(rows):
         # den_r * e_r = sum_k comb_r[k] * (k-th picked column), exactly,
-        # in lowest terms with a positive denominator.
-        assert all(type(x) is int for x in (den, *comb)) and len(comb) == m
-        assert den > 0 and gcd(den, *comb) == 1
+        # in lowest terms with a positive denominator; comb_r is sparse.
+        assert all(type(x) is int for x in (den, *comb, *comb.values()))
+        assert set(comb) <= set(range(m)) and 0 not in comb.values()
+        assert den > 0 and gcd(den, *comb.values()) == 1
         for r2 in range(m):
-            got = sum(a * cols[p][r2] for a, p in zip(comb, picked))
+            got = sum(a * cols[picked[k]][r2] for k, a in comb.items())
             assert got == (den if r2 == r else 0)
+
+
+@pytest.mark.parametrize("planted", [{2: 1}, {-1: 1}, {0: Fraction(1)},
+                                     {0: 1.0}, {0: True}, {"0": 1}])
+def test_a_column_outside_the_basis_or_not_integer_is_refused(planted):
+    # Without the check, a row index m would become a lead >= m and end in
+    # a KeyError; a non-integer coefficient would leave the integers.
+    columns = iter([{0: 1}, planted, {1: 1}])
+    with pytest.raises(InternalConsistencyError, match="sparse integer vector"):
+        independent_inverse(columns, 2)
+
+
+def test_a_corrupted_combination_is_refused(monkeypatch):
+    # A combination corrupted inside the elimination fails the final check
+    # den_r * e_r = sum_k comb_r[k] * column_k, which reads only the columns.
+    primitive = qchev._primitive
+
+    def corrupt(lead, vec, comb):
+        primitive(lead, vec, comb)
+        comb[0] = comb.get(0, 0) + 1
+
+    columns = [{0: 2, 1: 1}, {0: 1, 1: 3}]
+    assert independent_inverse(iter(columns), 2)[1] == [(5, {0: 3, 1: -1}),
+                                                       (5, {0: -1, 1: 2})]
+    monkeypatch.setattr(qchev, "_primitive", corrupt)
+    with pytest.raises(InternalConsistencyError, match="exact elimination"):
+        independent_inverse(iter(columns), 2)
+    with pytest.raises(InternalConsistencyError, match="exact elimination"):
+        QuantumFlagRing(build_root_system("A", 3))._build_expressions_upto(3)
 
 
 def fraction_expressions(ring, d):

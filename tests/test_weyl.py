@@ -242,6 +242,25 @@ def test_inversion_counter_matches_inversion_sets(family, rank):
         assert count(w) == tuple(len(inv & set(g)) for g in groups)
 
 
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 3), ("B", 3),
+                                         ("G", 2)])
+def test_times_reflections_is_w_times_each_reflection(family, rank):
+    rs = build_root_system(family, rank)
+    for w in enumerate_group(rs):
+        assert weyl.times_reflections(w) == tuple(
+            multiply(w, reflection(rs, g)) for g in rs.positive_roots)
+
+
+def test_times_reflections_interns_products_not_reached_yet():
+    # On a fresh E6 nothing past a few words is interned: the products come
+    # from the composition, and equal the ones built one at a time.
+    rs = build_root_system("E", 6)
+    w = word_to_element(rs, [1, 3, 4, 5, 6, 2, 4, 3])
+    got = weyl.times_reflections(w)
+    assert got == tuple(multiply(w, reflection(rs, g)) for g in rs.positive_roots)
+    assert all(x is y for x, y in zip(got, weyl.times_reflections(w)))
+
+
 def test_reduced_words(a2):
     assert identity(a2).word() == ()
     assert simple_reflection(a2, 1).word() == (1,)
