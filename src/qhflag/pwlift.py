@@ -224,16 +224,16 @@ def qhp_product(ring: QuantumFlagRing, parabolic: Sequence[int],
     rs = ring.rs
     par = rs.check_parabolic(parabolic)
     _check_representatives(par, u, v)
-    comp = rs.complement(par)
     undo: Dict[Tuple[int, ...], Optional[WeylElt]] = {}  # lam -> omega^{-1}
     out: Dict[Tuple[WeylElt, Tuple[int, ...]], int] = {}
     for (x, lam), c in ring.quantum_product(u, v).sorted_terms():
         if lam not in undo:
-            lift = pw_lift(rs, par, lam)
+            lift = _lift(rs, par, lam)
             undo[lam] = (lift.omega_factor.inverse()
                          if lift.lambda_B == lam else None)
         if undo[lam] is not None:
             w = weyl.multiply(x, undo[lam])
-            if weyl.is_minimal_representative(w, par):
-                out[(w, tuple(lam[j - 1] for j in comp))] = c
+            if not any(map(w.descends_right, par)):
+                lam_P = tuple(e for j, e in enumerate(lam, 1) if j not in par)
+                out[(w, lam_P)] = c
     return out

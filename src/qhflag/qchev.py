@@ -81,7 +81,6 @@ class QClass:
     A class served by a ``QuantumFlagRing`` holds the memo's packed entry,
     already in canonical order, read through the ring's tables of decoded
     keys and JSON terms; ``terms`` is decoded on first read and then kept.
-    ``ordered`` is true for such a class, which must not be changed in place.
     """
 
     __slots__ = ("rs", "_terms", "_ring", "_packed")
@@ -97,10 +96,6 @@ class QClass:
             self._terms = dict(self._ring._term_list(self._packed))
         return self._terms
 
-    @property
-    def ordered(self) -> bool:
-        return self._packed is not None
-
     def __eq__(self, other):
         if isinstance(other, QClass) and other._ring is self._ring is not None:
             return self._packed == other._packed  # one ring, one packing
@@ -109,33 +104,6 @@ class QClass:
 
     def __hash__(self):
         return hash((self.rs.key(), frozenset(self.terms.items())))
-
-    def __add__(self, other: "QClass") -> "QClass":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return QClass(self.rs, out)
-
-    def __sub__(self, other: "QClass") -> "QClass":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "QClass":
-        return QClass(self.rs, {k: c * v for k, v in self.terms.items()})
-
-    def q_shift(self, lam: Sequence[int]) -> "QClass":
-        """Multiply by the monomial q^lam."""
-        lam = tuple(lam)
-        return QClass(self.rs, {
-            (w, tuple(a + b for a, b in zip(mu, lam))): c
-            for (w, mu), c in self.terms.items()})
-
-    def coefficient(self, w: WeylElt, lam: Sequence[int]):
-        return self.terms.get((w, tuple(lam)), 0)
-
-    def classical_part(self) -> "QClass":
-        zero = (0,) * self.rs.n
-        return QClass(self.rs, {k: v for k, v in self.terms.items()
-                                if k[1] == zero})
 
     def sorted_terms(self):
         """Terms ordered by (length, |lambda|, lambda, reduced word)."""
@@ -444,10 +412,6 @@ class QuantumFlagRing:
     def quantum_product(self, u: WeylElt, v: WeylElt) -> QClass:
         """sigma^u * sigma^v in QH*(G/B)."""
         return self._from_packed(self._product(self._idx(u), self._idx(v)))
-
-    def classical_product(self, u: WeylElt, v: WeylElt) -> QClass:
-        """Cup product: the q = 0 part of the quantum product."""
-        return self.quantum_product(u, v).classical_part()
 
     def product_with_class(self, qc: QClass, v: WeylElt) -> QClass:
         """Linear extension (sum c q^mu sigma^x) * sigma^v; mu may be any

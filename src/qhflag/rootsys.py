@@ -100,9 +100,8 @@ class RootSystem:
     """Root and coroot tables for one Cartan type and rank."""
 
     def __init__(self, series: str, rank: int, cartan, symmetrizer,
-                 check_counts: bool = True, name: Optional[str] = None):
+                 name: Optional[str] = None):
         self.series = series
-        self.rank = rank
         self.n = rank
         self._name = name if name is not None else f"{series}{rank}"
         self.cartan = tuple(tuple(row) for row in cartan)
@@ -110,13 +109,13 @@ class RootSystem:
         self._validate_cartan()
         self.positive_roots: Tuple[Root, ...] = self._generate_positive_roots()
         self._posset = frozenset(self.positive_roots)
-        if check_counts:
+        if series in _RANK_RANGE:
             expected = _expected_positive_count(series, rank)
             if len(self.positive_roots) != expected:
                 raise InternalConsistencyError(
                     f"{series}{rank}: generated {len(self.positive_roots)} "
                     f"positive roots, tables say {expected}")
-        self._key = (self.series, self.rank, self.cartan)
+        self._key = (self.series, self.n, self.cartan)
         self._cache: Dict = {}  # lazy per-system tables (Weyl, lifts, W^P)
 
     # -- construction ------------------------------------------------------
@@ -311,5 +310,5 @@ def parabolic_subsystem(rs: RootSystem, indices: Sequence[int]) -> Tuple[RootSys
     cartan = tuple(tuple(rs.cartan[i - 1][j - 1] for j in ind) for i in ind)
     d = tuple(rs.symmetrizer[i - 1] for i in ind)
     label = f"{rs.name}[{','.join(map(str, ind))}]"
-    sub = RootSystem("sub", len(ind), cartan, d, check_counts=False, name=label)
+    sub = RootSystem("sub", len(ind), cartan, d, name=label)
     return sub, index_map

@@ -94,9 +94,6 @@ class WeylElt:
     def __hash__(self):
         return self._hash
 
-    def __mul__(self, other: "WeylElt") -> "WeylElt":
-        return multiply(self, other)
-
     def __repr__(self):
         return "W[%s]" % ",".join(map(str, self.word()))
 

@@ -1,7 +1,8 @@
 import pytest
 
-from qhflag.errors import InvalidInputError
-from qhflag.rootsys import build_root_system, parabolic_subsystem, parse_system_id
+from qhflag.errors import InternalConsistencyError, InvalidInputError
+from qhflag.rootsys import (RootSystem, build_root_system, parabolic_subsystem,
+                            parse_system_id)
 from qhflag import weyl
 from test_weyl import apply_coroot, apply_root, reflect_coroot
 
@@ -167,6 +168,14 @@ def test_parabolic_subsystem_matches_standard():
     b2 = build_root_system("B", 2)
     assert sub2.cartan == b2.cartan
     assert len(sub2.positive_roots) == 4
+
+
+def test_positive_root_count_is_checked_for_named_types_only():
+    g2 = build_root_system("G", 2)
+    with pytest.raises(InternalConsistencyError, match="tables say 3"):
+        RootSystem("A", 2, g2.cartan, g2.symmetrizer)
+    sub = RootSystem("sub", 2, g2.cartan, g2.symmetrizer, name="G2-like")
+    assert len(sub.positive_roots) == 6 and sub.name == "G2-like"
 
 
 def test_length_bound_up_to_rank_4():
