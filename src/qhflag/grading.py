@@ -308,7 +308,7 @@ class OrderedParabolic:
         if g is None:
             if w.rs != self.rs:
                 raise InvalidInputError("Weyl element of another root system")
-            parts = weyl.full_decomposition(w, self.order)
+            parts = weyl._full_decomposition(w, self.order)  # order checked
             via_dec = tuple(p.length for p in parts)
             via_inv = self._inversions_per_layer(w)
             if via_dec != via_inv:

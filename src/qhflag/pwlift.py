@@ -21,7 +21,7 @@ A lift depends only on the system, the parabolic and the coset of the
 curve class, and W^P only on the system and the parabolic, so each is
 solved once and kept in the root system's lazy table (``rs._cache``,
 beside the Weyl table).  Input is validated once per public call.  The
-entries are immutable (``PWLift`` named tuples and tuples) and written only
+entries are immutable (tuples: lift with omega^{-1}, W^P) and written only
 through ``dict.setdefault``, so threads sharing a system share them too.
 
 Curve classes serialize as a JSON map from non-parabolic simple index to a
@@ -97,22 +97,23 @@ def pw_lift(rs: RootSystem, parabolic: Iterable[int],
     The representative may be any member of the coset; the lift is solved
     once per (parabolic, coset) and kept in the system's lift table.
     """
-    return _lift(rs, rs.check_parabolic(parabolic), lam_P)
+    par = rs.check_parabolic(parabolic)
+    return _lift(rs, par, lambda_rep(rs, par, lam_P))[0]
 
 
 def _lift(rs: RootSystem, par: Tuple[int, ...],
-          lam_P: Union[Mapping[int, int], Sequence[int]]) -> PWLift:
-    """``pw_lift`` over a checked parabolic."""
+          lam: Tuple[int, ...]) -> Tuple[PWLift, WeylElt]:
+    """The lift of lam's coset, and omega^{-1}; ``par`` is checked and lam
+    normalized (``lambda_rep``), or a G/B product's q-exponent."""
     # One entry per coset: its representative with the parabolic part zeroed.
-    rep = tuple(0 if i in par else e
-                for i, e in enumerate(lambda_rep(rs, par, lam_P), 1))
+    rep = tuple(0 if i in par else e for i, e in enumerate(lam, 1))
     lifts = _system_table(rs, "pw_lift")
     key = (par, rep)
     return lifts.get(key) or lifts.setdefault(key, _solve_lift(rs, par, rep))
 
 
 def _solve_lift(rs: RootSystem, par: Tuple[int, ...],
-                rep: Tuple[int, ...]) -> PWLift:
+                rep: Tuple[int, ...]) -> Tuple[PWLift, WeylElt]:
     roots_p = rs.positive_roots_within(par)
     solutions: List[Tuple[int, ...]] = []
     if not par:
@@ -151,7 +152,7 @@ def _solve_lift(rs: RootSystem, par: Tuple[int, ...],
     if omega.length != expected:
         raise InternalConsistencyError(
             f"omega factor has length {omega.length}, expected {expected}")
-    return PWLift(lam_B, dpp, omega)
+    return PWLift(lam_B, dpp, omega), omega.inverse()
 
 
 def minimal_representatives(rs: RootSystem, parabolic: Sequence[int],
@@ -169,7 +170,7 @@ def psi_map(rs: RootSystem, parabolic: Sequence[int], v: WeylElt,
     """The injective lift of q^{lam_P} sigma^v into the G/B basis."""
     par = rs.check_parabolic(parabolic)
     _check_representatives(par, v)
-    lift = _lift(rs, par, lam_P)
+    lift, _ = _lift(rs, par, lambda_rep(rs, par, lam_P))
     return weyl.multiply(v, lift.omega_factor), lift.lambda_B
 
 
@@ -207,7 +208,7 @@ def qhp_structure_constant(ring: QuantumFlagRing, parabolic: Sequence[int],
     rs = ring.rs
     par = rs.check_parabolic(parabolic)
     _check_representatives(par, u, v, w)
-    lift = _lift(rs, par, lam_P)
+    lift, _ = _lift(rs, par, lambda_rep(rs, par, lam_P))
     return ring.structure_constant(u, v, weyl.multiply(w, lift.omega_factor),
                                    lift.lambda_B)
 
@@ -228,9 +229,8 @@ def qhp_product(ring: QuantumFlagRing, parabolic: Sequence[int],
     out: Dict[Tuple[WeylElt, Tuple[int, ...]], int] = {}
     for (x, lam), c in ring.quantum_product(u, v).sorted_terms():
         if lam not in undo:
-            lift = _lift(rs, par, lam)
-            undo[lam] = (lift.omega_factor.inverse()
-                         if lift.lambda_B == lam else None)
+            lift, inverse = _lift(rs, par, lam)
+            undo[lam] = inverse if lift.lambda_B == lam else None
         if undo[lam] is not None:
             w = weyl.multiply(x, undo[lam])
             if not any(map(w.descends_right, par)):

@@ -451,7 +451,7 @@ class QuantumFlagRing:
         return dict(
             memo_entries=len(entries), memo_terms=sum(map(len, entries)) // 2,
             chevalley_rows=sum(map(len, self._chev_rows)),
-            expression_degrees=self._expr_built_upto,
+            expression_degrees=len(self._pivots),  # a raced counter can lag
             interned_keys=len(self._keys), json_terms=len(self._json_terms))
 
 

@@ -182,13 +182,14 @@ def _key_lemma(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
     """Dominance of Chevalley terms: for every u, positive root gamma and
     index i pairing nontrivially with gamma^vee, whichever length hypothesis
     applies forces gr(u s_gamma) (resp. gr(q^{gamma^vee} u s_gamma)) to stay
-    <= gr(u) + gr(s_i)."""
+    <= gr(u) + gr(s_i).  All u s_gamma of one u come from one composition,
+    ``weyl.times_reflections(u)``, in the order of ``rs.positive_roots``."""
     rs, op = ctx.rs, ctx.op
     elements = weyl.enumerate_group(rs, cap=ctx.setup.max_weyl)
-    # (gamma, s_gamma, <2 rho, gv>, gr(q^gv), support of gv), gv = gamma^vee;
+    # (gamma, <2 rho, gv>, gr(q^gv), support of gv), gv = gamma^vee;
     # gr(q^gv u s_gamma) = gr(u s_gamma) + gr(q^gv), as gr is affine in lambda.
-    roots = [(gamma, weyl.reflection(rs, gamma), rs.two_rho_pairing(gv),
-              op.gr_q_lambda(gv), [i for i, c in enumerate(gv, 1) if c])
+    roots = [(gamma, rs.two_rho_pairing(gv), op.gr_q_lambda(gv),
+              [i for i, c in enumerate(gv, 1) if c])
              for gamma in rs.positive_roots for gv in [rs.coroot_of(gamma)]]
     gr_simple = [op.gr_weyl(weyl.simple_reflection(rs, i))
                  for i in range(1, rs.n + 1)]
@@ -201,8 +202,8 @@ def _key_lemma(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
     for u in elements:
         gu = op.gr_weyl(u)
         bounds = [grading_add(gu, gs) for gs in gr_simple]
-        for gamma, sg, tworho, gq, support in roots:
-            usg = weyl.multiply(u, sg)
+        for usg, (gamma, tworho, gq, support) in zip(
+                weyl.times_reflections(u), roots, strict=True):
             if usg.length == u.length + 1:
                 part, g = "a", op.gr_weyl(usg)
             elif usg.length == u.length + 1 - tworho:

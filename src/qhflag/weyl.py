@@ -254,9 +254,13 @@ def _strip(w: WeylElt, ind: Sequence[int]) -> Tuple[WeylElt, WeylElt]:
     """``parabolic_decompose`` over already checked simple indices: strip
     right descents s_i, i in ``ind``, read from the signs of w's key."""
     npos, gens = w._table.npos, w._table.gens
-    v, u = w, w._table.identity
-    while j := next((i for i in ind if v.key[i - 1] >= npos), 0):
-        v, u = multiply(v, gens[j - 1]), multiply(gens[j - 1], u)
+    v, u, k = w, w._table.identity, 0
+    while k < len(ind):  # strip the lowest descent left, then scan again
+        i = ind[k]
+        if v.key[i - 1] < npos:
+            k += 1
+        else:
+            v, u, k = multiply(v, gens[i - 1]), multiply(gens[i - 1], u), 0
     if v.length + u.length != w.length:
         raise InternalConsistencyError("parabolic decomposition lost length")
     return v, u
@@ -284,6 +288,11 @@ def full_decomposition(w: WeylElt, order: Sequence[int]) -> List[WeylElt]:
     """
     order = tuple(order)
     w.rs.check_parabolic(order)
+    return _full_decomposition(w, order)
+
+
+def _full_decomposition(w: WeylElt, order: Tuple[int, ...]) -> List[WeylElt]:
+    """``full_decomposition`` along an already checked order."""
     parts: List[WeylElt] = [w] * (len(order) + 1)
     for j in range(len(order), 0, -1):
         parts[j], parts[0] = _strip(parts[0], order[:j])

@@ -5,7 +5,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from qhflag.errors import InvalidInputError
+from qhflag.errors import InternalConsistencyError, InvalidInputError
 from qhflag.grading import (OrderedParabolic, canonical_order,
                             connected_components, is_a_chain,
                             ordered_parabolic)
@@ -132,6 +132,31 @@ def test_gr_weyl_two_routes_agree_many_orders():
         for w in weyl.enumerate_group(rs):
             g = op.gr_weyl(w)
             assert sum(g) == w.length
+
+
+@pytest.mark.parametrize("route", ["inversions", "decomposition"])
+def test_gr_weyl_catches_one_route_off_by_one(monkeypatch, route):
+    # A mutation check of the cross-check: either route off by one on a
+    # single element makes gr_weyl raise there, and only there.
+    rs = build_root_system("B", 3)
+    op = OrderedParabolic(rs, (1, 2))
+    target = word_to_element(rs, (3, 2, 1, 2))
+    assert target not in op._grw
+    if route == "inversions":
+        count = op._inversions_per_layer
+        monkeypatch.setattr(op, "_inversions_per_layer", lambda w: tuple(
+            x + (w is target and k == 0) for k, x in enumerate(count(w))))
+    else:
+        decompose, s1 = weyl._full_decomposition, weyl.simple_reflection(rs, 1)
+        monkeypatch.setattr(weyl, "_full_decomposition", lambda w, order: [
+            weyl.multiply(v, s1) if w is target and k == 0 else v
+            for k, v in enumerate(decompose(w, order))])
+    for w in weyl.enumerate_group(rs):
+        if w is target:
+            with pytest.raises(InternalConsistencyError, match="disagree"):
+                op.gr_weyl(w)
+        else:
+            assert sum(op.gr_weyl(w)) == w.length
 
 
 def test_gr_weyl_rejects_an_element_of_another_system():

@@ -368,6 +368,27 @@ def test_all_qhp_pairs_read_off_the_g_b_product(monkeypatch):
     assert checks == [par] * 256
 
 
+def test_qhp_product_inverts_each_distinct_lift_once(monkeypatch):
+    # omega^{-1} is kept beside its lift, so neither a cold nor a warm pass
+    # over W^P x W^P inverts a Weyl factor twice.
+    b4 = build_root_system("B", 4)  # fresh, so its tables start empty
+    ring = QuantumFlagRing(b4)
+    par = (1, 2, 3)
+    reps = minimal_representatives(b4, par)
+    solves = count_solves(monkeypatch)
+    inverted = []
+    inverse = weyl.WeylElt.inverse
+    monkeypatch.setattr(weyl.WeylElt, "inverse",
+                        lambda w: inverted.append(w) or inverse(w))
+    for _ in range(2):
+        for u in reps:
+            for v in reps:
+                qhp_product(ring, par, u, v)
+        assert len(inverted) == len(solves) == 3
+    assert inverted == [lift.omega_factor
+                        for lift, _ in b4._cache["pw_lift"].values()]
+
+
 def test_lift_cache_keys_the_coset_not_its_representative(monkeypatch):
     a2 = build_root_system("A", 2)
     solves = count_solves(monkeypatch)

@@ -772,6 +772,16 @@ def test_threads_sharing_a_fresh_ring_agree_with_one_thread():
     assert shared.stats() == single.stats()
 
 
+def test_stats_count_the_degrees_built_after_a_late_counter_write():
+    # Two threads build degrees d and d + 1 on one ring; the one that built
+    # d may write the counter last, which made the thread test above read
+    # expression_degrees 8 against 9 on B3 now and then.
+    ring = QuantumFlagRing(build_root_system("A", 2))
+    ring._build_expressions_upto(3)
+    ring._expr_built_upto = 2  # the late write of the thread that built 2
+    assert ring.stats()["expression_degrees"] == 3
+
+
 def test_product_with_class_shifts_exponents_not_packed_keys(a2_ring):
     s1 = a2_ring.element_from_word([1])
     assert a2_ring.quantum_product(s1, s1) == cls(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -151,6 +152,24 @@ def test_passing_key_lemma_builds_no_text(monkeypatch):
     assert replay_case("key-lemma", setup,
                        "u=[1];gamma=(0, 1, 0);i=2;part=a").total == 1
     assert len(built) == 5 and words
+
+
+def test_key_lemma_loop_composes_no_u_s_gamma_itself(monkeypatch):
+    # All u s_gamma of one u come from weyl.times_reflections(u), one
+    # composition over interned elements: neither the (u, gamma) loop nor
+    # times_reflections under it calls weyl.multiply.
+    callers = []
+    multiply = weyl.multiply
+
+    def counted(w1, w2):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return multiply(w1, w2)
+
+    monkeypatch.setattr(weyl, "multiply", counted)
+    rep = run_suite("key-lemma", setup_for("B3", (1, 2)))
+    assert rep.ok and rep.total == 372
+    assert callers  # gr_weyl's decompositions still multiply
+    assert callers.count("_key_lemma") == callers.count("times_reflections") == 0
 
 
 def bump_grading(monkeypatch):
