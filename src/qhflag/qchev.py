@@ -48,11 +48,13 @@ keys of stored classes are one int object, interned per ring.
 JSON form of a QClass: a list of {"word": [...], "q": [...], "coeff": "c"}
 read-only ``JsonTerm`` objects, with Weyl elements serialized as reduced
 words; a served class's objects are interned per ring, one per (term,
-coefficient), and shared by every product that holds that term.
+coefficient), and shared by every product that holds that term, in one
+read-only ``JsonList`` per stored class, shared by every serve of it.
 """
 
 from __future__ import annotations
 
+import threading
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -136,17 +138,17 @@ def format_qclass(qc: QClass) -> str:
                       for (w, lam), c in terms)
 
 
+def _read_only(self, *args, **kwargs):
+    raise TypeError("served JSON is shared and read-only; dict(term) and "
+                    "list(terms) give editable copies")
+
+
 class JsonTerm(dict):
     """One {"word", "q", "coeff"} object of ``qclass_to_json``, read-only:
     a served class's terms are shared by every product that holds them.
     ``copy``, ``copy.copy``, ``copy.deepcopy`` and pickle give plain dicts."""
 
     __slots__ = ()
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("JSON terms are shared and read-only; "
-                        "dict(term) gives an editable copy")
-
     __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
 
@@ -154,12 +156,26 @@ class JsonTerm(dict):
         return dict, (dict(self),)
 
 
+class JsonList(list):
+    """The ``qclass_to_json`` list of a served class, read-only: one per
+    stored class, returned by every serve of it.  ``copy``, ``copy.copy``,
+    ``copy.deepcopy`` and pickle give plain lists."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = clear = reverse = sort = _read_only
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
 def qclass_to_json(qc: QClass) -> List[JsonTerm]:
     """The JSON form of a class, one object per term in canonical order.
 
     "word" is the element's memoised ``w.word()`` and "q" the class's own
     lambda key: shared tuples, not copies.  A served class gets the ring's
-    interned term objects; any other class gets fresh ones.
+    one ``JsonList`` of its interned terms, the same object on every call;
+    any other class gets a fresh plain list of fresh terms.
     """
     if qc._packed is not None:
         return qc._ring._json_list(qc._packed)
@@ -188,9 +204,10 @@ class QuantumFlagRing:
                             for i, l in enumerate(self.lengths))
         self._qkeys: Dict[int, Tuple[Tuple[int, ...], int]] = {}
         # key of a stored class -> (the ring's one int object for it, its
-        # degree, (w, lambda)); (key, coeff) -> JSON term, on first read.
+        # degree, (w, lambda)); (key, coeff) -> JSON term, class -> its list.
         self._keys: Dict[int, Tuple[int, int, tuple]] = {}
         self._json_terms: Dict[Tuple[int, int], JsonTerm] = {}
+        self._json_lists: Dict[tuple, JsonList] = {}
         # Chevalley data per positive root gamma: <2 rho, gamma^vee>, its q
         # shift and the nonzero (i, <chi_i, gamma^vee>).
         self._chev_data = [(rs.two_rho_pairing(gv), self._pack(gv),
@@ -202,7 +219,8 @@ class QuantumFlagRing:
         # v idx -> (den, [(pivot, den*coeff)], [(x' idx, qshift, den*coeff)])
         self._pivots: Dict[int, List[Tuple[int, int]]] = {}
         self._int_expr: Dict[int, tuple] = {}
-        self._expr_built_upto = 0
+        self._expr_built_upto = 0  # grows only, under _expr_lock
+        self._expr_lock = threading.Lock()
         # u idx -> v idx -> sigma^u * sigma^v as (key, coeff, key, coeff, ...)
         self._prod: Dict[int, Dict[int, tuple]] = {}
 
@@ -271,10 +289,15 @@ class QuantumFlagRing:
         keys, it = self._keys, iter(d)
         return [(keys[k][2], c) for k, c in zip(it, it)]
 
-    def _json_list(self, d: tuple) -> List[JsonTerm]:
-        """The interned JSON terms of a stored class, in its order."""
-        get, it = self._json_terms.get, iter(d)
-        return [get(kc) or self._json_of(kc) for kc in zip(it, it)]
+    def _json_list(self, d: tuple) -> JsonList:
+        """The shared list of a stored class's interned JSON terms, in its
+        order, built on the first serve."""
+        hit = self._json_lists.get(d)
+        if hit is None:
+            get, it = self._json_terms.get, iter(d)
+            hit = self._json_lists.setdefault(d, JsonList(  # sized exactly
+                [get(kc) or self._json_of(kc) for kc in zip(it, it)]))
+        return hit
 
     def _json_of(self, kc: Tuple[int, int]) -> JsonTerm:
         """The interned JSON term of (packed key, coefficient)."""
@@ -338,11 +361,13 @@ class QuantumFlagRing:
     # -- divisor expressions ---------------------------------------------------
 
     def _build_expressions_upto(self, degree: int) -> None:
-        """Express every sigma^v with l(v) <= degree over divisor pivots."""
-        while self._expr_built_upto < degree:
-            d = self._expr_built_upto + 1
-            self._build_expressions_degree(d)
-            self._expr_built_upto = d
+        """Express every sigma^v with l(v) <= degree over divisor pivots, each
+        degree once (under the lock, not taken once the counter is there)."""
+        if self._expr_built_upto < degree:
+            with self._expr_lock:
+                for d in range(self._expr_built_upto + 1, degree + 1):
+                    self._build_expressions_degree(d)
+                    self._expr_built_upto = d
 
     def _build_expressions_degree(self, d: int) -> None:
         basis, wkeys = self.by_length[d], self._wkeys
@@ -451,8 +476,8 @@ class QuantumFlagRing:
         return dict(
             memo_entries=len(entries), memo_terms=sum(map(len, entries)) // 2,
             chevalley_rows=sum(map(len, self._chev_rows)),
-            expression_degrees=len(self._pivots),  # a raced counter can lag
-            interned_keys=len(self._keys), json_terms=len(self._json_terms))
+            expression_degrees=len(self._pivots), interned_keys=len(self._keys),
+            json_terms=len(self._json_terms), json_lists=len(self._json_lists))
 
 
 def independent_inverse(columns: Iterable[Dict[int, int]], m: int) -> Tuple[

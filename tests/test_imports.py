@@ -23,7 +23,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # The standard-library modules named by the sources `import qhflag` loads
 # (cli.py, which it does not load, is not among them).
 STDLIB = {"__future__", "contextlib", "itertools", "math", "operator",
-          "random", "time", "typing"}
+          "random", "threading", "time", "typing"}
 # Heavy modules kept off the import path: a @dataclass loads dataclasses
 # and through it inspect, ast, dis, tokenize, linecache and copy; the exact
 # elimination works in the integers, so fractions and decimal are unneeded.

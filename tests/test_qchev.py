@@ -1,5 +1,6 @@
 import copy
 import json
+import operator
 import pickle
 import random
 import sys
@@ -11,8 +12,9 @@ import pytest
 
 from qhflag.errors import InternalConsistencyError, InvalidInputError
 from qhflag.pwlift import minimal_representatives, qhp_product
-from qhflag.qchev import (JsonTerm, QClass, QuantumFlagRing, _term_order,
-                          format_qclass, independent_inverse, qclass_to_json)
+from qhflag.qchev import (JsonList, JsonTerm, QClass, QuantumFlagRing,
+                          _term_order, format_qclass, independent_inverse,
+                          qclass_to_json)
 from qhflag.rootsys import build_root_system
 from qhflag import qchev, weyl
 
@@ -315,7 +317,7 @@ def test_d4_stats_after_all_pairs(d4_tables):
     assert ring.stats() == {
         "memo_entries": 18528, "memo_terms": 134422,
         "chevalley_rows": 768, "expression_degrees": 12,
-        "interned_keys": 3452, "json_terms": 4730}
+        "interned_keys": 3452, "json_terms": 4730, "json_lists": 15329}
 
 
 def test_stats_depend_only_on_what_was_asked():
@@ -782,6 +784,36 @@ def test_stats_count_the_degrees_built_after_a_late_counter_write():
     assert ring.stats()["expression_degrees"] == 3
 
 
+def test_concurrent_expression_builds_build_each_degree_once(monkeypatch):
+    # One thread is paused inside degree 1 while another asks for degree 3.
+    # The second waits for the first instead of building degree 1 again,
+    # and the counter ends at 3 whichever thread writes last.
+    ring = QuantumFlagRing(build_root_system("A", 3))
+    built, inside, resume = [], threading.Event(), threading.Event()
+    build = ring._build_expressions_degree
+
+    def paused(d):
+        built.append(d)
+        if d == 1 and not inside.is_set():
+            inside.set()
+            resume.wait(timeout=60)
+        build(d)
+
+    monkeypatch.setattr(ring, "_build_expressions_degree", paused)
+    first = threading.Thread(target=ring._build_expressions_upto, args=(1,))
+    second = threading.Thread(target=ring._build_expressions_upto, args=(3,))
+    first.start()
+    assert inside.wait(timeout=60)
+    second.start()
+    second.join(timeout=0.5)  # time enough to rebuild degree 1 unlocked
+    resume.set()
+    for t in (first, second):
+        t.join(timeout=60)
+    assert not first.is_alive() and not second.is_alive()
+    assert built == [1, 2, 3]
+    assert ring._expr_built_upto == 3 and sorted(ring._pivots) == [1, 2, 3]
+
+
 def test_product_with_class_shifts_exponents_not_packed_keys(a2_ring):
     s1 = a2_ring.element_from_word([1])
     assert a2_ring.quantum_product(s1, s1) == cls(
@@ -961,9 +993,15 @@ def test_unordered_class_serialises_like_the_product():
     assert qclass_to_json(backwards) == qclass_to_json(qc)
     assert json.dumps(qclass_to_json(backwards)) == json.dumps(
         qclass_to_json(qc))
-    # same type on both paths; a built class gets fresh term objects
+    # same term type on both paths; a built class gets a fresh, editable
+    # plain list of fresh term objects, a served one the ring's JsonList
     fresh, interned = qclass_to_json(backwards), qclass_to_json(qc)
     assert {type(t) for t in fresh + interned} == {JsonTerm}
+    assert type(fresh) is list and type(interned) is JsonList
+    assert qclass_to_json(backwards) is not fresh
+    fresh.append(fresh.pop(0))
+    both = fresh + interned
+    assert type(both) is list and len(both) == 2 * len(qc.terms)
     assert not set(map(id, fresh)) & set(map(id, interned))
     assert format_qclass(backwards) == format_qclass(qc)
     # a class built by hand sorts on the way out
@@ -1045,6 +1083,50 @@ def test_d4_products_share_their_json_terms(d4_tables):
     assert len({id(t) for t in served}) == len(ring._json_terms) == 4730
     for (u, v), table in tables.items():
         assert list(map(id, table)) == list(map(id, tables[v, u]))
+
+
+def test_d4_products_share_one_json_list_per_stored_class(d4_tables):
+    # 36,864 products, 18,528 memo entries, 15,329 distinct classes among
+    # them: a list is keyed by the class's value, so equal products share it.
+    ring, tables = d4_tables
+    entries = [p for row in ring._prod.values() for p in row.values()]
+    assert len(tables) == 36864 and len(entries) == 18528
+    lists = {id(table): table for table in tables.values()}
+    assert len(lists) == len(set(entries)) == len(ring._json_lists) == 15329
+    assert all(type(table) is JsonList for table in lists.values())
+    assert len({id(t) for table in lists.values() for t in table}) == 4730
+    for (u, v), table in tables.items():
+        assert table is tables[v, u]
+        assert qclass_to_json(ring.quantum_product(u, v)) is table
+
+
+def test_json_lists_are_read_only_and_copy_to_plain_lists(a2_ring):
+    s1, s2 = a2_ring.element_from_word([1]), a2_ring.element_from_word([2])
+    terms = qclass_to_json(a2_ring.quantum_product(s1, s2))
+    assert qclass_to_json(a2_ring.quantum_product(s2, s1)) is terms
+    want = [{"word": (1, 2), "q": (0, 0), "coeff": "1"},
+            {"word": (2, 1), "q": (0, 0), "coeff": "1"}]
+    text = json.dumps(want)
+    mutations = [lambda t: operator.setitem(t, 0, {}),
+                 lambda t: operator.setitem(t, slice(0, 1), []),
+                 lambda t: operator.delitem(t, 0),
+                 lambda t: operator.delitem(t, slice(None)),
+                 lambda t: operator.iadd(t, [{}]),
+                 lambda t: operator.imul(t, 2),
+                 lambda t: t.append({}), lambda t: t.extend([{}]),
+                 lambda t: t.insert(0, {}), lambda t: t.pop(),
+                 lambda t: t.remove(t[0]), lambda t: t.clear(),
+                 lambda t: t.reverse(), lambda t: t.sort(key=str)]
+    for mutate in mutations:
+        with pytest.raises(TypeError, match="read-only"):
+            mutate(terms)
+    assert terms == want and json.dumps(terms) == text
+    copies = [list(terms), terms.copy(), terms[:], copy.copy(terms),
+              copy.deepcopy(terms), pickle.loads(pickle.dumps(terms))]
+    for plain in copies:
+        assert type(plain) is list and plain == want
+        plain.append(plain.pop(0))
+    assert terms == want and json.dumps(terms) == text
 
 
 def test_json_terms_are_read_only_and_copy_to_plain_dicts(a2_ring):
