@@ -10,19 +10,21 @@ q^{lambda_P} sigma^v to q^{lambda_B} sigma^{v omega_P omega_{P'}}.  By
 Peterson's comparison formula, a G/P product is the part of the G/B
 product that lies in the image of psi, read back through psi^{-1}.
 
-The solver inverts the parabolic Cartan block once, as integers over one
-denominator, with the sparse, exactly checked elimination that also writes
-Schubert classes over divisors (``qchev.independent_inverse``).  It applies
-that to each of the 2^r sign patterns for the simple-root pairings, keeps
-the solutions the denominator divides, and filters by the full
-positive-root condition; exactly one survivor is required.
+The solver inverts the parabolic Cartan block once per (system,
+parabolic), as integers over one denominator, with the sparse, exactly
+checked elimination that also writes Schubert classes over divisors
+(``qchev.independent_inverse``).  It applies that to each of the 2^r sign
+patterns for the simple-root pairings, keeps the solutions the denominator
+divides, and filters by the full positive-root condition; exactly one
+survivor is required.
 
 A lift depends only on the system, the parabolic and the coset of the
-curve class, and W^P only on the system and the parabolic, so each is
-solved once and kept in the root system's lazy table (``rs._cache``,
-beside the Weyl table).  Input is validated once per public call.  The
-entries are immutable (tuples: lift with omega^{-1}, W^P) and written only
-through ``dict.setdefault``, so threads sharing a system share them too.
+curve class; W^P, the inverse, P's positive roots and w0_P only on the
+system and the parabolic.  So each is derived once and kept in the root
+system's lazy table (``rs._cache``, beside the Weyl table).  Input is
+validated once per public call.  The entries are immutable tuples and
+written only through ``dict.setdefault``, so threads sharing a system
+share them too.
 
 Curve classes serialize as a JSON map from non-parabolic simple index to a
 nonnegative integer exponent.
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 from math import prod
+from operator import mul
 from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
@@ -112,32 +115,42 @@ def _lift(rs: RootSystem, par: Tuple[int, ...],
     return lifts.get(key) or lifts.setdefault(key, _solve_lift(rs, par, rep))
 
 
-def _solve_lift(rs: RootSystem, par: Tuple[int, ...],
-                rep: Tuple[int, ...]) -> Tuple[PWLift, WeylElt]:
-    roots_p = rs.positive_roots_within(par)
-    solutions: List[Tuple[int, ...]] = []
-    if not par:
-        solutions.append(rep)
-    else:
-        # a = M^{-1} (eps - base), M the parabolic block of the Cartan
-        # pairing; inv = den * M^{-1} is integral, and a is iff den | den * a.
-        base = [rs.pairing(rs.simple_root(i), rep) for i in par]
+def _parabolic(rs: RootSystem, par: Tuple[int, ...]) -> tuple:
+    """(P's positive roots beta as the forms lam -> <beta, lam>, den, den *
+    M^{-1}, w0_P) for a checked parabolic, M its block of the Cartan
+    pairing: one entry per (system, parabolic), kept beside the lifts."""
+    table = _system_table(rs, "parabolic")
+    hit = table.get(par)
+    if hit is None:
         _, rows = independent_inverse(({r: rs.cartan[j - 1][i - 1] for r, i
                                         in enumerate(par)} for j in par), len(par))
         den = prod(d for d, _ in rows)
-        inv = [[comb.get(k, 0) * (den // d) for d, comb in rows]
-               for k in range(len(par))]
-        for eps in iproduct((0, -1), repeat=len(par)):
-            rhs = [e - b for e, b in zip(eps, base)]
-            a = [sum(x * y for x, y in zip(row, rhs)) for row in inv]
-            if any(x % den for x in a):
-                continue
-            lam = list(rep)
-            for i, x in zip(par, a):
-                lam[i - 1] += x // den
-            lam_t = tuple(lam)
-            if all(rs.pairing(beta, lam_t) in (0, -1) for beta in roots_p):
-                solutions.append(lam_t)
+        inv = tuple(tuple(comb.get(k, 0) * (den // d) for d, comb in rows)
+                    for k in range(len(par)))
+        forms = tuple(tuple(sum(map(mul, row, beta)) for row in rs.cartan)
+                      for beta in rs.positive_roots_within(par))
+        hit = table.setdefault(par, (forms, den, inv, weyl.longest_element(rs, par)))
+    return hit
+
+
+def _solve_lift(rs: RootSystem, par: Tuple[int, ...],
+                rep: Tuple[int, ...]) -> Tuple[PWLift, WeylElt]:
+    # a = M^{-1} (eps - base), M the parabolic block of the Cartan pairing;
+    # inv = den * M^{-1} is integral, and a is iff den | den * a.
+    forms, den, inv, w0_p = _parabolic(rs, par)
+    base = [rs.pairing(rs.simple_root(i), rep) for i in par]
+    solutions: List[Tuple[int, ...]] = []
+    for eps in iproduct((0, -1), repeat=len(par)):
+        rhs = [e - b for e, b in zip(eps, base)]
+        a = [sum(x * y for x, y in zip(row, rhs)) for row in inv]
+        if any(x % den for x in a):
+            continue
+        lam = list(rep)
+        for i, x in zip(par, a):
+            lam[i - 1] += x // den
+        lam_t = tuple(lam)
+        if all(sum(map(mul, f, lam_t)) in (0, -1) for f in forms):
+            solutions.append(lam_t)
     uniq = sorted(set(solutions))
     if len(uniq) != 1:
         raise InternalConsistencyError(
@@ -146,9 +159,9 @@ def _solve_lift(rs: RootSystem, par: Tuple[int, ...],
     lam_B = uniq[0]
     dpp = tuple(i for i in par
                 if rs.pairing(rs.simple_root(i), lam_B) == 0)
-    omega = weyl.multiply(weyl.longest_element(rs, par),
-                          weyl.longest_element(rs, dpp))
-    expected = len(roots_p) - len(rs.positive_roots_within(dpp))
+    forms_dpp, _, _, w0_dpp = _parabolic(rs, dpp)
+    omega = weyl.multiply(w0_p, w0_dpp)
+    expected = len(forms) - len(forms_dpp)
     if omega.length != expected:
         raise InternalConsistencyError(
             f"omega factor has length {omega.length}, expected {expected}")
@@ -225,6 +238,7 @@ def qhp_product(ring: QuantumFlagRing, parabolic: Sequence[int],
     rs = ring.rs
     par = rs.check_parabolic(parabolic)
     _check_representatives(par, u, v)
+    npos, slots = len(rs.positive_roots), [i - 1 for i in par]
     undo: Dict[Tuple[int, ...], Optional[WeylElt]] = {}  # lam -> omega^{-1}
     out: Dict[Tuple[WeylElt, Tuple[int, ...]], int] = {}
     for (x, lam), c in ring.quantum_product(u, v).sorted_terms():
@@ -233,7 +247,7 @@ def qhp_product(ring: QuantumFlagRing, parabolic: Sequence[int],
             undo[lam] = inverse if lift.lambda_B == lam else None
         if undo[lam] is not None:
             w = weyl.multiply(x, undo[lam])
-            if not any(map(w.descends_right, par)):
+            if all(w.key[k] < npos for k in slots):  # no descent in P
                 lam_P = tuple(e for j, e in enumerate(lam, 1) if j not in par)
                 out[(w, lam_P)] = c
     return out

@@ -12,8 +12,9 @@ The full quantum product is computed in two stages:
     pivot (i, e) itself), each a sparse column over the degree's basis:
     ``independent_inverse`` picks the first independent ones and inverts
     them in one sparse fraction-free integer Gauss-Jordan pass, checked
-    exactly.  Each expression, with its q-corrections, is stored once, as
-    integers over its least common denominator, naming its pivots.
+    exactly.  Each expression, with its q-corrections, is finished on its
+    first read and stored once, as integers over its least common
+    denominator, naming its pivots.
     Candidates are grouped by x, the x with the fewest classical terms over
     all i first, and within one x go sparsest column first (ties in element,
     then i, order): sparse pivots give short expressions to replay, and
@@ -43,7 +44,10 @@ the flat tuple (key, coeff, key, coeff, ...).  Stored classes are
 homogeneous of degree at most 2 l(w0), so |lambda| <= l(w0) < D, no digit
 carries, and key order is canonical term order (``_canonical``).  D grows
 with the group, so the packing caps neither the rank nor l(w0).  Equal
-keys of stored classes are one int object, interned per ring.
+keys of stored classes are one int object, interned per ring.  The n
+quantum Chevalley rows of one w are built together from integer keys: the
+keys of all w s_gamma (``weyl.reflection_keys``) go through one key ->
+index table of the ring's elements, and no Weyl element is built or hashed.
 
 JSON form of a QClass: a list of {"word": [...], "q": [...], "coeff": "c"}
 read-only ``JsonTerm`` objects, with Weyl elements serialized as reduced
@@ -55,6 +59,7 @@ read-only ``JsonList`` per stored class, shared by every serve of it.
 from __future__ import annotations
 
 import threading
+from itertools import repeat
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -149,11 +154,18 @@ class JsonTerm(dict):
     ``copy``, ``copy.copy``, ``copy.deepcopy`` and pickle give plain dicts."""
 
     __slots__ = ()
-    __setitem__ = __delitem__ = __ior__ = _read_only
+    __init__ = __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
 
     def __reduce__(self):
         return dict, (dict(self),)
+
+    @classmethod
+    def _of(cls, word, q, coeff: str) -> "JsonTerm":
+        """A new term; ``__init__`` refuses, so nothing refills it."""
+        term = dict.__new__(cls)
+        dict.__init__(term, word=word, q=q, coeff=coeff)
+        return term
 
 
 class JsonList(list):
@@ -162,7 +174,7 @@ class JsonList(list):
     ``copy.deepcopy`` and pickle give plain lists."""
 
     __slots__ = ()
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    __init__ = __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
     append = extend = insert = pop = remove = clear = reverse = sort = _read_only
 
     def __reduce__(self):
@@ -179,8 +191,27 @@ def qclass_to_json(qc: QClass) -> List[JsonTerm]:
     """
     if qc._packed is not None:
         return qc._ring._json_list(qc._packed)
-    return [JsonTerm(word=w.word(), q=lam, coeff=str(c))
-            for (w, lam), c in qc.sorted_terms()]
+    return [JsonTerm._of(w.word(), lam, str(c)) for (w, lam), c in qc.sorted_terms()]
+
+
+class _Expressions(dict):
+    """The divisor expressions of a ring, each finished from ``raw`` on its
+    first read: a round of G/P products reads few of the classes that each
+    inverted degree writes to ``raw``, v idx -> ((den, comb), (pivots, each
+    pivot's q terms as ((x' idx, qshift), coeff))."""
+
+    def __init__(self):
+        super().__init__()
+        self.raw: Dict[int, tuple] = {}
+
+    def __missing__(self, v: int) -> tuple:
+        (den, comb), (pivots, quantum) = self.raw[v]
+        corr: Dict[Tuple[int, int], int] = {}  # (x' idx, qshift) -> coeff
+        for k, a in (comb := sorted(comb.items())):
+            for key, c in quantum[k]:
+                corr[key] = corr.get(key, 0) + a * c
+        return self.setdefault(v, (den, [(pivots[k], a) for k, a in comb], [
+            (*key, a) for key, a in sorted(corr.items()) if a]))
 
 
 class QuantumFlagRing:
@@ -191,6 +222,7 @@ class QuantumFlagRing:
         self.n = rs.n
         self.elements: Tuple[WeylElt, ...] = weyl.enumerate_group(rs, cap=weyl_cap)
         self.index: Dict[WeylElt, int] = {w: i for i, w in enumerate(self.elements)}
+        self._key_index = {w.key: i for i, w in enumerate(self.elements)}
         self.lengths: Tuple[int, ...] = tuple(w.length for w in self.elements)
         self.max_length = max(self.lengths)
         self.by_length: List[List[int]] = [[] for _ in range(self.max_length + 1)]
@@ -213,12 +245,13 @@ class QuantumFlagRing:
         self._chev_data = [(rs.two_rho_pairing(gv), self._pack(gv),
                             [(i, c) for i, c in enumerate(gv) if c])
                            for gv in map(rs.coroot_of, rs.positive_roots)]
-        # i - 1 -> element index -> sigma^w * sigma^{s_i} as (key delta, coeff)
-        self._chev_rows: List[Dict[int, tuple]] = [{} for _ in range(self.n)]
+        # i - 1 -> element index -> sigma^w * sigma^{s_i}, None until built
+        self._chev_rows: List[List[Optional[tuple]]] = [
+            [None] * self._nw for _ in range(self.n)]
         # degree -> pivots (i, x idx);
         # v idx -> (den, [(pivot, den*coeff)], [(x' idx, qshift, den*coeff)])
         self._pivots: Dict[int, List[Tuple[int, int]]] = {}
-        self._int_expr: Dict[int, tuple] = {}
+        self._int_expr = _Expressions()
         self._expr_built_upto = 0  # grows only, under _expr_lock
         self._expr_lock = threading.Lock()
         # u idx -> v idx -> sigma^u * sigma^v as (key, coeff, key, coeff, ...)
@@ -295,8 +328,9 @@ class QuantumFlagRing:
         hit = self._json_lists.get(d)
         if hit is None:
             get, it = self._json_terms.get, iter(d)
-            hit = self._json_lists.setdefault(d, JsonList(  # sized exactly
-                [get(kc) or self._json_of(kc) for kc in zip(it, it)]))
+            hit = list.__new__(JsonList)  # its own __init__ refuses
+            list.__init__(hit, [get(kc) or self._json_of(kc) for kc in zip(it, it)])
+            hit = self._json_lists.setdefault(d, hit)
         return hit
 
     def _json_of(self, kc: Tuple[int, int]) -> JsonTerm:
@@ -304,7 +338,7 @@ class QuantumFlagRing:
         key, c = kc
         w, lam = self._keys[key][2]
         return self._json_terms.setdefault(
-            kc, JsonTerm(word=w.word(), q=lam, coeff=str(c)))
+            kc, JsonTerm._of(w.word(), lam, str(c)))
 
     # -- element helpers -----------------------------------------------------
 
@@ -322,21 +356,22 @@ class QuantumFlagRing:
     def _chev_row(self, i: int, widx: int) -> tuple:
         """Expansion of sigma^{w} * sigma^{s_i} as (key delta, coeff): times
         q^mu, a term's key is that of q^mu sigma^w plus its delta.  The n
-        rows of w are built together, from all w s_gamma at once."""
-        if widx not in self._chev_rows[i - 1]:
+        rows of w are built together, from integer keys (module docstring)."""
+        tables = self._chev_rows
+        if tables[-1][widx] is None:
             lengths, wkeys, up = self.lengths, self._wkeys, self.lengths[widx] + 1
-            rows = [[] for _ in range(self.n)]
+            base, rows = wkeys[widx], [[] for _ in range(self.n)]
             for widx2, (tworho, qkey, support) in zip(map(
-                    self.index.__getitem__,
-                    weyl.times_reflections(self.elements[widx])), self._chev_data):
+                    self._key_index.__getitem__,
+                    weyl.reflection_keys(self.elements[widx])), self._chev_data):
                 drop = up - lengths[widx2]
                 if drop == 0 or drop == tworho:
-                    delta = wkeys[widx2] - wkeys[widx] + (qkey if drop else 0)
+                    delta = wkeys[widx2] - base + (qkey if drop else 0)
                     for j, c in support:
                         rows[j].append((delta, c))
-            for table, out in zip(self._chev_rows, rows):
-                table[widx] = tuple(out)
-        return self._chev_rows[i - 1][widx]
+            for table, out in zip(tables, rows):  # row n last: with it, a
+                table[widx] = tuple(out)  # racing reader finds all n
+        return tables[i - 1][widx]
 
     def chevalley_product(self, u: WeylElt, i: int) -> QClass:
         """sigma^u * sigma^{s_i}: the two Chevalley sums, nothing else."""
@@ -353,7 +388,7 @@ class QuantumFlagRing:
         get, it = out.get, iter(cls)
         for key, val in zip(it, it):
             val *= scale
-            for delta, c in rows.get(key % nw) or self._chev_row(i, key % nw):
+            for delta, c in rows[key % nw] or self._chev_row(i, key % nw):
                 k2 = key + delta
                 out[k2] = get(k2, 0) + c * val
         return out
@@ -370,18 +405,19 @@ class QuantumFlagRing:
                     self._expr_built_upto = d
 
     def _build_expressions_degree(self, d: int) -> None:
-        basis, wkeys = self.by_length[d], self._wkeys
+        basis, wkeys, nw = self.by_length[d], self._wkeys, self._nw
         pos = {wkeys[widx]: row for row, widx in enumerate(basis)}  # q^0 keys
-        cols = {}  # classical sigma^x * sigma^{s_i}, sparse over the basis
+        cols, xsize = {}, {}  # classical sigma^x * sigma^{s_i}, sparse over the basis
         for x in self.by_length[d - 1]:
-            for i in range(1, self.n + 1):
+            base, xsize[x] = wkeys[x], 0
+            self._chev_row(1, x)  # all n rows of x
+            for i, table in enumerate(self._chev_rows, 1):
                 col = cols[i, x] = {}
-                for dk, c in self._chev_row(i, x):
-                    row = pos.get(wkeys[x] + dk)
+                for dk, c in table[x]:  # one term per x s_gamma: no key repeats
+                    row = pos.get(base + dk)
                     if row is not None:
-                        col[row] = col.get(row, 0) + c
-        xsize = {x: sum(len(cols[i, x]) for i in range(1, self.n + 1))
-                 for x in self.by_length[d - 1]}
+                        col[row] = c
+                xsize[x] += len(col)
         candidates = sorted(cols, key=lambda ix: (xsize[ix[1]], ix[1], len(cols[ix])))
         picked, rows = independent_inverse(map(cols.get, candidates), len(basis))
         if rows is None:
@@ -389,17 +425,10 @@ class QuantumFlagRing:
                 f"degree {d}: divisor classes fail to span "
                 f"({len(picked)} of {len(basis)})")
         pivots = self._pivots[d] = [candidates[k] for k in picked]
-        for v, (den, comb) in zip(basis, rows):
-            expr = [(pivots[k], a) for k, a in sorted(comb.items())]
-            corr: Dict[Tuple[int, int], int] = {}  # (x' idx, qshift) -> coeff
-            for (i, x), a in expr:
-                for dk, c in self._chev_rows[i - 1][x]:
-                    k2 = wkeys[x] + dk
-                    if k2 not in pos:
-                        key = (k2 % self._nw, k2 - wkeys[k2 % self._nw])
-                        corr[key] = corr.get(key, 0) + a * c
-            self._int_expr[v] = (den, expr, [(w2, qs, a) for (w2, qs), a
-                                             in sorted(corr.items()) if a])
+        quantum = [[((k2 % nw, k2 - wkeys[k2 % nw]), c) for k2, c in (
+            (wkeys[x] + dk, c) for dk, c in self._chev_rows[i - 1][x])
+                    if k2 not in pos] for i, x in pivots]  # once per pivot
+        self._int_expr.raw.update(zip(basis, zip(rows, repeat((pivots, quantum)))))
 
     # -- the quantum product -----------------------------------------------------
 
@@ -475,7 +504,7 @@ class QuantumFlagRing:
         entries = [p for row in self._prod.values() for p in row.values()]
         return dict(
             memo_entries=len(entries), memo_terms=sum(map(len, entries)) // 2,
-            chevalley_rows=sum(map(len, self._chev_rows)),
+            chevalley_rows=sum(len(t) - t.count(None) for t in self._chev_rows),
             expression_degrees=len(self._pivots), interned_keys=len(self._keys),
             json_terms=len(self._json_terms), json_lists=len(self._json_lists))
 

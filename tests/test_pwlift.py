@@ -1,3 +1,5 @@
+import hashlib
+import json
 from itertools import combinations, product as iproduct
 
 import pytest
@@ -387,6 +389,46 @@ def test_qhp_product_inverts_each_distinct_lift_once(monkeypatch):
         assert len(inverted) == len(solves) == 3
     assert inverted == [lift.omega_factor
                         for lift, _ in b4._cache["pw_lift"].values()]
+
+
+# sha256 of the lifts below, [series, rank, parabolic, exponents, lambda_B,
+# Delta_P', word of omega] as json.dumps lists, taken when each lift still
+# inverted its Cartan block and ascended to w0_P itself.
+LIFTS_SHA256 = "6744249855642670b90be29a3fc6fb210f6f38096375142e05c84b8ee3e6e521"
+
+
+def test_parabolic_data_is_derived_once_per_system_and_parabolic(monkeypatch):
+    # Every coset with exponents <= 2 on B4/(1,2,3) and C3/(1,2): the
+    # Cartan block of each parabolic met (P and each Delta_P') is inverted
+    # once, and w0 of each is ascended to once, per fresh system.
+    inverted, ascended = [], []
+    inverse, longest = pwlift.independent_inverse, weyl.longest_element
+    monkeypatch.setattr(pwlift, "independent_inverse", lambda cols, m: (
+        inverted.append(m) or inverse(cols, m)))
+    monkeypatch.setattr(weyl, "longest_element", lambda rs, ind=None: (
+        ascended.append((rs.name, tuple(ind))) or longest(rs, ind)))
+    lifts, met = [], set()
+    for series, rank, par in (("B", 4, (1, 2, 3)), ("C", 3, (1, 2))):
+        rs = build_root_system(series, rank)  # fresh, so its tables start empty
+        free = [j for j in range(1, rank + 1) if j not in par]
+        for exps in iproduct(range(3), repeat=len(free)):
+            lift = pw_lift(rs, par, dict(zip(free, exps)))
+            met |= {(rs.name, par), (rs.name, lift.delta_P_prime)}
+            lifts.append([series, rank, list(par), list(exps), list(lift.lambda_B),
+                          list(lift.delta_P_prime), list(lift.omega_factor.word())])
+        assert set(rs._cache["parabolic"]) == {p for name, p in met
+                                               if name == rs.name}
+    assert sorted(ascended) == sorted(met) and len(inverted) == len(met) == 5
+    digest = hashlib.sha256(json.dumps(lifts).encode()).hexdigest()
+    assert digest == LIFTS_SHA256
+
+
+def test_lift_over_the_empty_parabolic_is_the_class_itself():
+    # G/B: no sign pattern to search, a single solution, omega = e.
+    b3 = build_root_system("B", 3)
+    for lam in [(0, 0, 0), (1, 2, 0), (3, 1, 4)]:
+        assert pw_lift(b3, (), lam) == (lam, (), weyl.identity(b3))
+    assert list(b3._cache["parabolic"]) == [()]
 
 
 def test_lift_cache_keys_the_coset_not_its_representative(monkeypatch):

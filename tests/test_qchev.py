@@ -1148,3 +1148,151 @@ def test_json_terms_are_read_only_and_copy_to_plain_dicts(a2_ring):
         assert type(plain) is dict and plain == want
         plain["coeff"] = "2"
     assert term == want
+
+
+def test_a_served_json_list_cannot_be_refilled_through_init():
+    # list.__init__ empties and refills a list in place; on the ring's shared
+    # list that would rewrite every later serve of the class.
+    ring = QuantumFlagRing(build_root_system("A", 2))
+    s1 = ring.element_from_word([1])
+    terms = qclass_to_json(ring.quantum_product(s1, s1))
+    want = [{"word": (), "q": (1, 0), "coeff": "1"},
+            {"word": (2, 1), "q": (0, 0), "coeff": "1"}]
+    assert terms == want
+    for args in ([], [[{}]], [[]]):
+        with pytest.raises(TypeError, match="read-only"):
+            terms.__init__(*args)
+    assert terms == want and type(terms) is JsonList
+    assert qclass_to_json(ring.quantum_product(s1, s1)) is terms
+    assert json.dumps(qclass_to_json(ring.quantum_product(s1, s1))) == json.dumps(want)
+
+
+def test_a_served_json_term_cannot_be_refilled_through_init():
+    ring = QuantumFlagRing(build_root_system("A", 2))
+    s1 = ring.element_from_word([1])
+    term = qclass_to_json(ring.quantum_product(s1, s1))[0]
+    want = {"word": (), "q": (1, 0), "coeff": "1"}
+    for args, kwargs in (((), {"coeff": "9"}), (({"q": (0, 0)},), {}), ((), {})):
+        with pytest.raises(TypeError, match="read-only"):
+            term.__init__(*args, **kwargs)
+    assert term == want and list(term) == ["word", "q", "coeff"]
+    # the shared term is the one every product holding q1 * sigma^e serves
+    again = QuantumFlagRing(build_root_system("A", 2))
+    assert qclass_to_json(ring.quantum_product(s1, s1))[0] is term
+    assert qclass_to_json(again.quantum_product(
+        again.element_from_word([1]), again.element_from_word([1])))[0] == want
+
+
+class QuantumBruhatGraph:
+    """Oracle for the quantum Chevalley rows: the quantum Bruhat graph of the
+    system with Cartan matrix ``cartan`` (cartan[i][j] = <alpha_j,
+    alpha_i^vee>), from root matrices alone, with nothing from ``qchev``.
+
+    The roots come by reflection closure from the simple roots, and each
+    coroot gamma^vee follows its root through the same reflections.  An
+    element is its matrix on root coordinates (the images of the simple
+    roots), l(w) counts the positive roots it sends negative, and
+    <2 rho, gamma^vee> pairs gamma^vee with the sum of the positive roots.
+    sigma^w * sigma^{s_i} sums <chi_i, gamma^vee> q^{d} sigma^{w s_gamma}
+    over the edges w -> w s_gamma: d = 0 when l(w s_gamma) = l(w) + 1, and
+    d = gamma^vee when l(w s_gamma) = l(w) + 1 - <2 rho, gamma^vee>.
+    """
+
+    def __init__(self, cartan):
+        self.cartan, self.n = cartan, len(cartan)
+        roots = [self.unit(i) for i in range(self.n)]
+        self.coroot = {alpha: alpha for alpha in roots}
+        for beta in roots:  # the list grows while it is read: the closure
+            for i in range(self.n):
+                gamma = self._reflect(i, beta, dual=False)
+                if gamma not in self.coroot:
+                    self.coroot[gamma] = self._reflect(i, self.coroot[beta], dual=True)
+                    roots.append(gamma)
+        self.positive = [g for g in roots if min(g) >= 0]
+        self.gens = [self.reflection(alpha) for alpha in roots[:self.n]]
+        two_rho = [sum(col) for col in zip(*self.positive)]
+        self.two_rho = {g: self._pair(two_rho, self.coroot[g]) for g in self.positive}
+        self.refl = {g: self.reflection(g) for g in self.positive}
+
+    def unit(self, j):
+        return tuple(int(k == j) for k in range(self.n))
+
+    def _pair(self, beta, gv):
+        """<beta, gamma^vee> for root coordinates beta, coroot coordinates gv."""
+        return sum(gv[i] * self.cartan[i][j] * beta[j]
+                   for i in range(self.n) for j in range(self.n))
+
+    def _reflect(self, i, v, dual):
+        cols = [row[i] for row in self.cartan] if dual else self.cartan[i]
+        c = sum(a * b for a, b in zip(cols, v))
+        return tuple(x - c * (k == i) for k, x in enumerate(v))
+
+    def act(self, w, beta):
+        return tuple(sum(b * col[k] for b, col in zip(beta, w))
+                     for k in range(self.n))
+
+    def times(self, w1, w2):
+        return tuple(self.act(w1, col) for col in w2)
+
+    def reflection(self, gamma):
+        """s_gamma: alpha_j -> alpha_j - <alpha_j, gamma^vee> gamma."""
+        gv = self.coroot[gamma]
+        return tuple(tuple(a - self._pair(alpha, gv) * g
+                           for a, g in zip(alpha, gamma))
+                     for alpha in map(self.unit, range(self.n)))
+
+    def element(self, word):
+        w = tuple(map(self.unit, range(self.n)))
+        for i in word:
+            w = self.times(w, self.gens[i - 1])
+        return w
+
+    def length(self, w):
+        return sum(min(self.act(w, beta)) < 0 for beta in self.positive)
+
+    def rows(self, w):
+        """i (1-based) -> {(matrix of w s_gamma, q-shift): coeff}."""
+        up, zero = self.length(w) + 1, (0,) * self.n
+        out = {i: {} for i in range(1, self.n + 1)}
+        for gamma in self.positive:
+            x = self.times(w, self.refl[gamma])
+            drop, gv = up - self.length(x), self.coroot[gamma]
+            if drop in (0, self.two_rho[gamma]):
+                for i, c in enumerate(gv, 1):
+                    if c:
+                        out[i][x, gv if drop else zero] = c
+        return out
+
+
+def decoded_chevalley_row(ring, i, widx, matrix):
+    """``ring._chev_row(i, w)`` as {(matrix of w', q-shift): coeff}."""
+    out = {}
+    for delta, c in ring._chev_row(i, widx):
+        key = ring._wkeys[widx] + delta
+        out[matrix[key % ring._nw], ring._q_of(key)[0]] = c
+    return out
+
+
+@pytest.mark.parametrize("series,rank,sample", [
+    ("A", 1, None), ("A", 2, None), ("A", 3, None), ("A", 4, None),
+    ("B", 2, None), ("B", 3, None), ("B", 4, None), ("C", 2, None),
+    ("C", 3, None), ("C", 4, None), ("D", 4, None), ("G", 2, None),
+    ("F", 4, 60)])
+def test_chevalley_rows_are_the_quantum_bruhat_graph(series, rank, sample):
+    # Every row sigma^w * sigma^{s_i} (a seeded sample of w on F4) against
+    # an oracle that shares nothing with the ring but the Cartan matrix and
+    # the reduced words that name its elements.
+    ring = QuantumFlagRing(build_root_system(series, rank))
+    qbg = QuantumBruhatGraph(ring.rs.cartan)
+    assert len(qbg.positive) == len(ring.rs.positive_roots)
+    matrix = [qbg.element(w.word()) for w in ring.elements]
+    assert len(set(matrix)) == len(matrix)
+    assert [qbg.length(m) for m in matrix] == list(ring.lengths)
+    order = range(len(ring.elements))
+    if sample:
+        order = random.Random(30).sample(order, sample)
+    for widx in order:
+        want = qbg.rows(matrix[widx])
+        for i in range(1, rank + 1):
+            assert decoded_chevalley_row(ring, i, widx, matrix) == want[i], (
+                series, rank, ring.elements[widx], i)
