@@ -76,6 +76,10 @@ def _parse_lambda(text: str) -> Dict[int, int]:
     return out  # pw_lift checks the exponents
 
 
+def _joined(seq) -> str:
+    return ",".join(map(str, seq))
+
+
 def _word_elt(ring: QuantumFlagRing, text: str, label: str) -> WeylElt:
     word = _parse_int_list(text)
     w = ring.element_from_word(word)
@@ -107,11 +111,9 @@ def _cmd_qprod(args) -> int:
         _emit(json.dumps({"u": list(u.word()), "v": list(v.word()),
                           "terms": qclass_to_json(qc)}, indent=2), args.out)
     elif args.format == "csv":
-        rows = ["word;q;coeff"]
-        rows += ["%s;%s;%s" % (",".join(map(str, w.word())),
-                               ",".join(map(str, lam)), c)
-                 for (w, lam), c in qc.sorted_terms()]
-        _emit("\n".join(rows), args.out)
+        _emit("\n".join(["word;q;coeff"] + [
+            f"{_joined(w.word())};{_joined(lam)};{c}"
+            for (w, lam), c in qc.sorted_terms()]), args.out)
     else:
         _emit(format_qclass(qc), args.out)
     return EXIT_OK
@@ -180,18 +182,13 @@ def _cmd_mult_table(args) -> int:
                  "terms": qclass_to_json(qc)} for u, v, qc in rows]
         _emit(json.dumps(data, indent=2), args.out)
     elif args.format == "csv":
-        lines = ["u;v;product"]
-        lines += ["%s;%s;%s" % (",".join(map(str, u.word())),
-                                ",".join(map(str, v.word())),
-                                format_qclass(qc)) for u, v, qc in rows]
-        _emit("\n".join(lines), args.out)
+        _emit("\n".join(["u;v;product"] + [
+            f"{_joined(u.word())};{_joined(v.word())};{format_qclass(qc)}"
+            for u, v, qc in rows]), args.out)
     else:
-        lines = ["| u | v | u * v |", "| --- | --- | --- |"]
-        lines += ["| s[%s] | s[%s] | %s |" % (",".join(map(str, u.word())),
-                                              ",".join(map(str, v.word())),
-                                              format_qclass(qc))
-                  for u, v, qc in rows]
-        _emit("\n".join(lines), args.out)
+        _emit("\n".join(["| u | v | u * v |", "| --- | --- | --- |"] + [
+            f"| s[{_joined(u.word())}] | s[{_joined(v.word())}] | {format_qclass(qc)} |"
+            for u, v, qc in rows]), args.out)
     return EXIT_OK
 
 
@@ -212,8 +209,7 @@ def _cmd_pw(args) -> int:
     else:
         _emit("lambda_B = %s\ndelta_P' = %s\nomega_P*omega' = s[%s] (length %d)"
               % (list(lift.lambda_B), list(lift.delta_P_prime),
-                 ",".join(map(str, lift.omega_factor.word())), lift.length),
-              args.out)
+                 _joined(lift.omega_factor.word()), lift.length), args.out)
     return EXIT_OK
 
 

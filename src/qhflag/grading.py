@@ -110,8 +110,7 @@ def _presentations(rs: RootSystem):
             yield 1, beta, frozenset(range(1, n + 1)), \
                 lambda o, r, k: k <= n - 1
     elif s in ("B", "C"):
-        ident = tuple(range(1, n + 1))
-        yield 1, ident, frozenset(range(1, n + 1)), \
+        yield 1, tuple(range(1, n + 1)), frozenset(range(1, n + 1)), \
             lambda o, r, k: k <= n - 1
     elif s == "D":
         ident = tuple(range(1, n + 1))
@@ -255,13 +254,9 @@ class OrderedParabolic:
                     f"{prefix[-1]} is not an end node of the prefix {prefix}")
         self.position = {idx: j + 1 for j, idx in enumerate(self.order)}
         # Root layers R^+_{P_k} \ R^+_{P_{k-1}} for the inversion formula.
-        self.layers: List[FrozenSet] = []
-        prev: FrozenSet = frozenset()
-        for j in range(1, self.r + 1):
-            cur = frozenset(rs.positive_roots_within(self.order[:j]))
-            self.layers.append(cur - prev)
-            prev = cur
-        self.layers.append(frozenset(rs.positive_roots) - prev)
+        within = [frozenset(rs.positive_roots_within(self.order[:j]))
+                  for j in range(self.r + 1)] + [frozenset(rs.positive_roots)]
+        self.layers: List[FrozenSet] = [b - a for a, b in zip(within, within[1:])]
         self._inversions_per_layer = weyl.inversion_counter(rs, self.layers)
         self._grw: Dict[WeylElt, Grading] = {}
         self._grq: Dict[int, Grading] = {}

@@ -145,12 +145,10 @@ def _solve_lift(rs: RootSystem, par: Tuple[int, ...],
         a = [sum(x * y for x, y in zip(row, rhs)) for row in inv]
         if any(x % den for x in a):
             continue
-        lam = list(rep)
-        for i, x in zip(par, a):
-            lam[i - 1] += x // den
-        lam_t = tuple(lam)
-        if all(sum(map(mul, f, lam_t)) in (0, -1) for f in forms):
-            solutions.append(lam_t)
+        shift = dict(zip(par, a))
+        lam = tuple(e + shift.get(i, 0) // den for i, e in enumerate(rep, 1))
+        if all(sum(map(mul, f, lam)) in (0, -1) for f in forms):
+            solutions.append(lam)
     uniq = sorted(set(solutions))
     if len(uniq) != 1:
         raise InternalConsistencyError(

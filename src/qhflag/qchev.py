@@ -148,6 +148,14 @@ def _read_only(self, *args, **kwargs):
                     "list(terms) give editable copies")
 
 
+def _filled(cls, *args, **kwargs):
+    """A new ``JsonTerm`` or ``JsonList``, filled by its base class: its own
+    ``__init__`` refuses, so nothing refills it once served."""
+    obj = cls.__new__(cls)
+    cls.__base__.__init__(obj, *args, **kwargs)
+    return obj
+
+
 class JsonTerm(dict):
     """One {"word", "q", "coeff"} object of ``qclass_to_json``, read-only:
     a served class's terms are shared by every product that holds them.
@@ -159,13 +167,6 @@ class JsonTerm(dict):
 
     def __reduce__(self):
         return dict, (dict(self),)
-
-    @classmethod
-    def _of(cls, word, q, coeff: str) -> "JsonTerm":
-        """A new term; ``__init__`` refuses, so nothing refills it."""
-        term = dict.__new__(cls)
-        dict.__init__(term, word=word, q=q, coeff=coeff)
-        return term
 
 
 class JsonList(list):
@@ -191,7 +192,8 @@ def qclass_to_json(qc: QClass) -> List[JsonTerm]:
     """
     if qc._packed is not None:
         return qc._ring._json_list(qc._packed)
-    return [JsonTerm._of(w.word(), lam, str(c)) for (w, lam), c in qc.sorted_terms()]
+    return [_filled(JsonTerm, word=w.word(), q=lam, coeff=str(c))
+            for (w, lam), c in qc.sorted_terms()]
 
 
 class _Expressions(dict):
@@ -328,9 +330,8 @@ class QuantumFlagRing:
         hit = self._json_lists.get(d)
         if hit is None:
             get, it = self._json_terms.get, iter(d)
-            hit = list.__new__(JsonList)  # its own __init__ refuses
-            list.__init__(hit, [get(kc) or self._json_of(kc) for kc in zip(it, it)])
-            hit = self._json_lists.setdefault(d, hit)
+            terms = [get(kc) or self._json_of(kc) for kc in zip(it, it)]
+            hit = self._json_lists.setdefault(d, _filled(JsonList, terms))  # sized exactly
         return hit
 
     def _json_of(self, kc: Tuple[int, int]) -> JsonTerm:
@@ -338,7 +339,7 @@ class QuantumFlagRing:
         key, c = kc
         w, lam = self._keys[key][2]
         return self._json_terms.setdefault(
-            kc, JsonTerm._of(w.word(), lam, str(c)))
+            kc, _filled(JsonTerm, word=w.word(), q=lam, coeff=str(c)))
 
     # -- element helpers -----------------------------------------------------
 

@@ -10,8 +10,8 @@ storage).  The symmetrizer ``d`` satisfies ``d[i] * cartan[i][j] ==
 d[j] * cartan[j][i]`` and is normalized so short roots get 1.
 
 Instances are immutable after construction apart from the lazily filled
-tables in ``_cache`` (the Weyl table, and the comparison lifts and W^P of
-``pwlift``), and safe for unrestricted concurrent reads.
+tables in ``_cache`` (the Weyl table, and the comparison lifts, W^P and
+parabolic data of ``pwlift``), and safe for unrestricted concurrent reads.
 """
 
 from __future__ import annotations
@@ -27,31 +27,18 @@ RANK_CAP = 8
 
 _VALID_SERIES = "ABCDEFG"
 
-# Minimal / maximal rank per series (D3 = A3 and B1 = A1 are rejected to keep
-# labels unambiguous; E/F/G exist only at their classical ranks).
+# Minimal / maximal rank and positive-root count per series (D3 = A3 and
+# B1 = A1 are rejected to keep labels unambiguous; E/F/G exist only at
+# their classical ranks).
 _RANK_RANGE = {
-    "A": (1, RANK_CAP),
-    "B": (2, RANK_CAP),
-    "C": (2, RANK_CAP),
-    "D": (4, RANK_CAP),
-    "E": (6, 8),
-    "F": (4, 4),
-    "G": (2, 2),
+    "A": (1, RANK_CAP, lambda n: n * (n + 1) // 2),
+    "B": (2, RANK_CAP, lambda n: n * n),
+    "C": (2, RANK_CAP, lambda n: n * n),
+    "D": (4, RANK_CAP, lambda n: n * (n - 1)),
+    "E": (6, 8, {6: 36, 7: 63, 8: 120}.get),
+    "F": (4, 4, lambda n: 24),
+    "G": (2, 2, lambda n: 6),
 }
-
-
-def _expected_positive_count(series: str, n: int) -> int:
-    if series == "A":
-        return n * (n + 1) // 2
-    if series in ("B", "C"):
-        return n * n
-    if series == "D":
-        return n * (n - 1)
-    if series == "E":
-        return {6: 36, 7: 63, 8: 120}[n]
-    if series == "F":
-        return 24
-    return 6  # G2
 
 
 def _cartan_and_symmetrizer(series: str, n: int):
@@ -110,7 +97,7 @@ class RootSystem:
         self.positive_roots: Tuple[Root, ...] = self._generate_positive_roots()
         self._posset = frozenset(self.positive_roots)
         if series in _RANK_RANGE:
-            expected = _expected_positive_count(series, rank)
+            expected = _RANK_RANGE[series][2](rank)
             if len(self.positive_roots) != expected:
                 raise InternalConsistencyError(
                     f"{series}{rank}: generated {len(self.positive_roots)} "
@@ -139,18 +126,14 @@ class RootSystem:
 
     def _generate_positive_roots(self) -> Tuple[Root, ...]:
         n = self.n
-        simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-        seen = set(simple)
-        frontier = list(simple)
-        while frontier:
-            nxt = []
-            for beta in frontier:
-                for i in range(1, n + 1):
-                    img = self.reflect_root(i, beta)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
+        roots = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+        seen = set(roots)
+        for beta in roots:  # the list grows while it is read: the closure
+            for i in range(1, n + 1):
+                img = self.reflect_root(i, beta)
+                if img not in seen:
+                    seen.add(img)
+                    roots.append(img)
         pos = [v for v in seen if all(c >= 0 for c in v)]
         pos.sort(key=lambda v: (sum(v), v))
         neg = {tuple(-c for c in v) for v in pos}
@@ -218,15 +201,10 @@ class RootSystem:
                     for j, a in enumerate(self.cartan[i]))
         if norm2 <= 0 or norm2 % 2:
             raise InternalConsistencyError(f"bad root norm {norm2} for {gamma}")
-        dg = norm2 // 2
-        out = []
-        for j in range(self.n):
-            num = gamma[j] * self.symmetrizer[j]
-            if num % dg:
-                raise InternalConsistencyError(
-                    f"coroot of {gamma} is not integral")
-            out.append(num // dg)
-        return tuple(out)
+        dg, nums = norm2 // 2, [g * d for g, d in zip(gamma, self.symmetrizer)]
+        if any(x % dg for x in nums):
+            raise InternalConsistencyError(f"coroot of {gamma} is not integral")
+        return tuple(x // dg for x in nums)
 
     def two_rho_pairing(self, lam: Coroot) -> int:
         """<2 rho, lam>; equals 2 * sum of coroot coordinates."""
@@ -248,11 +226,8 @@ class RootSystem:
     def positive_roots_within(self, indices: Iterable[int]) -> Tuple[Root, ...]:
         """Positive roots supported on the given simple indices."""
         ind = set(self.check_parabolic(indices))
-        out = []
-        for beta in self.positive_roots:
-            if all(beta[k] == 0 or (k + 1) in ind for k in range(self.n)):
-                out.append(beta)
-        return tuple(out)
+        return tuple(beta for beta in self.positive_roots
+                     if all(c == 0 or k in ind for k, c in enumerate(beta, 1)))
 
     def adjacent(self, i: int, j: int) -> bool:
         return i != j and self.cartan[i - 1][j - 1] != 0
@@ -274,7 +249,7 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     series = series.upper()
     if not isinstance(rank, int) or isinstance(rank, bool):
         raise InvalidInputError("rank must be an integer")
-    lo, hi = _RANK_RANGE[series]
+    lo, hi, _ = _RANK_RANGE[series]
     if rank > RANK_CAP:
         raise InvalidInputError(
             f"rank {rank} exceeds the rank cap {RANK_CAP}")

@@ -166,11 +166,8 @@ def _filtration(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
             if not _want(only_case, case):
                 continue
             bound = grading_add(gu, op.gr_weyl(v))
-            bad = []
-            for (w, lam), c in ring.quantum_product(u, v).sorted_terms():
-                g = op.gr(w, lam)
-                if not g <= bound:
-                    bad.append((w, lam, g))
+            bad = [(w, lam, g) for (w, lam), _ in ring.quantum_product(u, v).sorted_terms()
+                   if not (g := op.gr(w, lam)) <= bound]
             rep.record(case, not bad,
                        lhs=lambda: "; ".join(f"gr({ctx.term_str(w, lam)})={g}"
                                              for w, lam, g in bad),
@@ -244,7 +241,6 @@ def _ideal_and_quotient(ctx: _Context, rep: Report,
 
     sub, index_map = parabolic_subsystem(rs, par)
     sub_ring = QuantumFlagRing(sub, weyl_cap=ctx.setup.max_weyl)
-    rev = {v: k for k, v in index_map.items()}
 
     def to_sub(w: WeylElt) -> WeylElt:
         return sub_ring.element_from_word([index_map[i] for i in w.word()])
@@ -254,13 +250,9 @@ def _ideal_and_quotient(ctx: _Context, rep: Report,
             case = lambda: f"quotient:u={ctx.word(u)};v={ctx.word(v)}"
             if not _want(only_case, case):
                 continue
-            retained = {}
-            for (w, lam), c in ring.quantum_product(u, v).sorted_terms():
-                if w in wp and all(lam[k] == 0 or (k + 1) in par
-                                   for k in range(rs.n)):
-                    sub_lam = tuple(lam[rev[j] - 1] for j in
-                                    range(1, sub.n + 1))
-                    retained[(to_sub(w), sub_lam)] = c
+            retained = {(to_sub(w), tuple(lam[i - 1] for i in par)): c  # par sorted
+                        for (w, lam), c in ring.quantum_product(u, v).sorted_terms()
+                        if w in wp and all(e == 0 or k in par for k, e in enumerate(lam, 1))}
             direct = dict(sub_ring.quantum_product(to_sub(u), to_sub(v)).sorted_terms())
             rep.record(case, retained == direct,
                        lhs=lambda: format_qclass(QClass(sub, retained)),
@@ -514,11 +506,9 @@ def _basics(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
             case = lambda: f"positivity:u={ctx.word(u)};v={ctx.word(v)}"
             if not _want(only_case, case):
                 continue
-            bad = []
-            for (w, lam), c in ring.quantum_product(u, v).sorted_terms():
-                homook = w.length + rs.two_rho_pairing(lam) == u.length + v.length
-                if not (isinstance(c, int) and c > 0 and homook):
-                    bad.append((w, lam, c))
+            bad = [(w, lam, c) for (w, lam), c in ring.quantum_product(u, v).sorted_terms()
+                   if not (isinstance(c, int) and c > 0 and w.length
+                           + rs.two_rho_pairing(lam) == u.length + v.length)]
             rep.record(case, not bad,
                        lhs=lambda: "; ".join(f"{ctx.term_str(w, lam)}:{c}"
                                              for w, lam, c in bad),

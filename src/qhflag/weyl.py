@@ -219,9 +219,7 @@ def enumerate_group(rs: RootSystem, indices: Optional[Iterable[int]] = None,
     CapExceededError as soon as more than ``cap`` elements are found.  A
     complete enumeration is cached per system and index set.
     """
-    if indices is None:
-        indices = range(1, rs.n + 1)
-    ind = rs.check_parabolic(indices)
+    ind = rs.check_parabolic(range(1, rs.n + 1) if indices is None else indices)
     table = _table(rs)
     group = table.groups.get(ind)
     if group is not None:
@@ -276,9 +274,7 @@ def _strip(w: WeylElt, ind: Sequence[int]) -> Tuple[WeylElt, WeylElt]:
 
 def longest_element(rs: RootSystem, indices: Optional[Iterable[int]] = None) -> WeylElt:
     """Longest element of W_{P'}, by greedy length ascent (no enumeration)."""
-    if indices is None:
-        indices = range(1, rs.n + 1)
-    ind = rs.check_parabolic(indices)
+    ind = rs.check_parabolic(range(1, rs.n + 1) if indices is None else indices)
     x = identity(rs)
     while j := next((i for i in ind if not x.descends_right(i)), 0):
         x = multiply(x, simple_reflection(rs, j))
