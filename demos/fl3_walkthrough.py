@@ -12,7 +12,7 @@ op = canonical_order(rs, (1,))
 
 print("== the full multiplication table of QH*(Fl_3) ==")
 for u, v, qc in ring.multiplication_table():
-    if u.length and v.length and ring.index[u] <= ring.index[v]:
+    if u.length and v.length and ring.index(u) <= ring.index(v):
         print(f"  s{list(u.word())} * s{list(v.word())} = {format_qclass(qc)}")
 
 print("\n== gradings: gr(q1) =", op.gr_q(1), ", gr(q2) =", op.gr_q(2), "==")

@@ -252,7 +252,6 @@ class OrderedParabolic:
             if deg != 1:
                 raise InvalidInputError(
                     f"{prefix[-1]} is not an end node of the prefix {prefix}")
-        self.position = {idx: j + 1 for j, idx in enumerate(self.order)}
         # Root layers R^+_{P_k} \ R^+_{P_{k-1}} for the inversion formula.
         within = [frozenset(rs.positive_roots_within(self.order[:j]))
                   for j in range(self.r + 1)] + [frozenset(rs.positive_roots)]
@@ -312,10 +311,9 @@ class OrderedParabolic:
             g = self._grw[w] = via_dec
         return g
 
-    def gr(self, w: WeylElt, lam: Optional[Sequence[int]] = None) -> Grading:
+    def gr(self, w: WeylElt, lam: Sequence[int]) -> Grading:
         """Grading of the basis element q^lam sigma^w."""
-        g = self.gr_weyl(w)
-        return g if lam is None else grading_add(g, self.gr_q_lambda(lam))
+        return grading_add(self.gr_weyl(w), self.gr_q_lambda(lam))
 
     def graded_basis(self, elements: Iterable[WeylElt],
                      lams: Sequence[Tuple[int, ...]], width: int,
@@ -350,13 +348,6 @@ class OrderedParabolic:
 
     # -- chain elements and graded representatives ---------------------------
 
-    def u_elt(self, i: int, m: int) -> WeylElt:
-        """u_i^(m): the descending product s_{m-i+1} ... s_m of ordered roots."""
-        if not 0 <= i <= m <= self.r:
-            raise InvalidInputError("u_i^(m) needs 0 <= i <= m <= r")
-        word = [self.order[k - 1] for k in range(m - i + 1, m + 1)]
-        return weyl.word_to_element(self.rs, word)
-
     def unique_basis_element(self, d: Sequence[int]) -> Tuple[WeylElt, Tuple[int, ...]]:
         """The unique (w, lambda) whose grading is d on the first sigma
         coordinates and zero beyond them."""
@@ -368,8 +359,8 @@ class OrderedParabolic:
         for i in range(s, 0, -1):
             a[i], b[i] = divmod(d[i - 1] + i * a[i + 1], i + 1)
         w = weyl.identity(self.rs)
-        for i in range(s, 0, -1):
-            w = weyl.multiply(w, self.u_elt(b[i], i))
+        for i in range(s, 0, -1):  # times u_{b_i}^(i) = s_{i-b_i+1} ... s_i
+            w = weyl.multiply(w, weyl.word_to_element(self.rs, self.order[i - b[i]:i]))
         lam = [0] * self.rs.n
         for i in range(1, s + 1):
             lam[self.order[i - 1] - 1] = a[i]

@@ -46,8 +46,8 @@ carries, and key order is canonical term order (``_canonical``).  D grows
 with the group, so the packing caps neither the rank nor l(w0).  Equal
 keys of stored classes are one int object, interned per ring.  The n
 quantum Chevalley rows of one w are built together from integer keys: the
-keys of all w s_gamma (``weyl.reflection_keys``) go through one key ->
-index table of the ring's elements, and no Weyl element is built or hashed.
+keys of all w s_gamma (``weyl.reflection_keys``) go through the ring's one
+element index (key -> position), and no Weyl element is built or hashed.
 
 JSON form of a QClass: a list of {"word": [...], "q": [...], "coeff": "c"}
 read-only ``JsonTerm`` objects, with Weyl elements serialized as reduced
@@ -217,13 +217,13 @@ class _Expressions(dict):
 
 
 class QuantumFlagRing:
-    """QH*(G/B) for one root system, with memoized exact products."""
+    """QH*(G/B) for one root system, with memoized exact products.
+    ``index(w)`` is w's position in ``elements``, for w of this system only."""
 
     def __init__(self, rs: RootSystem, weyl_cap: int = weyl.WEYL_CAP):
         self.rs = rs
         self.n = rs.n
         self.elements: Tuple[WeylElt, ...] = weyl.enumerate_group(rs, cap=weyl_cap)
-        self.index: Dict[WeylElt, int] = {w: i for i, w in enumerate(self.elements)}
         self._key_index = {w.key: i for i, w in enumerate(self.elements)}
         self.lengths: Tuple[int, ...] = tuple(w.length for w in self.elements)
         self.max_length = max(self.lengths)
@@ -346,11 +346,10 @@ class QuantumFlagRing:
     def element_from_word(self, word: Iterable[int]) -> WeylElt:
         return weyl.word_to_element(self.rs, word)
 
-    def _idx(self, w: WeylElt) -> int:
-        try:
-            return self.index[w]
-        except KeyError:
+    def index(self, w: WeylElt) -> int:
+        if not isinstance(w, WeylElt) or (w.rs is not self.rs and w.rs != self.rs):
             raise InvalidInputError("Weyl element does not belong to this ring")
+        return self._key_index[w.key]
 
     # -- quantum Chevalley ----------------------------------------------------
 
@@ -377,7 +376,7 @@ class QuantumFlagRing:
     def chevalley_product(self, u: WeylElt, i: int) -> QClass:
         """sigma^u * sigma^{s_i}: the two Chevalley sums, nothing else."""
         self.rs._check_index(i)
-        ui = self._idx(u)
+        ui = self.index(u)
         return self._from_packed(self._canonical(
             self._chev_apply(i, (self._wkeys[ui], 1), 1, {}), self.lengths[ui] + 1))
 
@@ -466,12 +465,12 @@ class QuantumFlagRing:
 
     def quantum_product(self, u: WeylElt, v: WeylElt) -> QClass:
         """sigma^u * sigma^v in QH*(G/B)."""
-        return self._from_packed(self._product(self._idx(u), self._idx(v)))
+        return self._from_packed(self._product(self.index(u), self.index(v)))
 
     def product_with_class(self, qc: QClass, v: WeylElt) -> QClass:
         """Linear extension (sum c q^mu sigma^x) * sigma^v; mu may be any
         integer vector, since it shifts exponents, not packed keys."""
-        self._idx(v)  # a foreign v is an error even when qc is zero
+        self.index(v)  # a foreign v is an error even when qc is zero
         acc: Dict[Tuple[WeylElt, Tuple[int, ...]], object] = {}
         for (x, mu), c in qc.terms.items():
             for (w, lam), vv in self.quantum_product(x, v).sorted_terms():
@@ -485,7 +484,7 @@ class QuantumFlagRing:
         lam = int_exponents(lam)
         if len(lam) != self.n or any(e < 0 for e in lam):
             raise InvalidInputError("q-multidegree must be nonnegative, length n")
-        ui, vi, wi = self._idx(u), self._idx(v), self._idx(w)
+        ui, vi, wi = self.index(u), self.index(v), self.index(w)
         if max(lam) >= self._qdigit:  # homogeneity: no exponent exceeds l(w0)
             return 0
         key, it = self._wkeys[wi] + self._pack(lam), iter(self._product(ui, vi))

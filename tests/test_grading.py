@@ -1,13 +1,14 @@
+import hashlib
 import random
 import sys
 import threading
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import pytest
 
 from qhflag.errors import InternalConsistencyError, InvalidInputError
 from qhflag.grading import (OrderedParabolic, canonical_order,
-                            connected_components, is_a_chain,
+                            connected_components, is_a_chain, is_connected,
                             ordered_parabolic)
 from qhflag.pwlift import minimal_representatives, pw_lift
 from qhflag.rootsys import build_root_system
@@ -424,6 +425,30 @@ def test_unique_basis_element_uniqueness_bruteforce():
         assert hits[d] == {op.unique_basis_element(d)}
 
 
+# sha256 of every (system, order, d, word of w, lambda) below: pins each
+# graded representative, not only its grading and uniqueness.
+UNIQUE_BASIS_SHA256 = "425f162115bd0516335d52ed18326e57061827091a88b31c2a1edfd593d239d8"
+
+
+def test_unique_basis_element_is_pinned():
+    digest, count = hashlib.sha256(), 0
+    for series, rank in [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                         ("C", 3), ("D", 4), ("G", 2)]:
+        rs = build_root_system(series, rank)
+        for size in range(1, rank):  # every connected proper parabolic
+            for par in combinations(range(1, rank + 1), size):
+                if not is_connected(rs, par):
+                    continue
+                op = canonical_order(rs, par)
+                for d in iproduct(range(5), repeat=op.sigma):
+                    w, lam = op.unique_basis_element(d)
+                    digest.update(repr((series, rank, op.order, d, w.word(),
+                                        lam)).encode())
+                    count += 1
+    assert count == 1000
+    assert digest.hexdigest() == UNIQUE_BASIS_SHA256
+
+
 # --- semigroup closure -------------------------------------------------------
 
 def semigroup_witness(op, reps, x):
@@ -431,7 +456,7 @@ def semigroup_witness(op, reps, x):
     (chain subsets): peel the top coordinate with an outside quantum
     variable and a minimal representative, then use the unique graded
     representative on the rest."""
-    outside = next(j for j in range(1, op.rs.n + 1) if j not in op.position)
+    outside = next(j for j in range(1, op.rs.n + 1) if j not in op.order)
     d = op.gr_q(outside)
     a, b = divmod(x[op.r], d[op.r])
     v = next(w for w in reps if w.length == b)

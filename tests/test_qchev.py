@@ -119,6 +119,41 @@ def test_structure_constants(a2_ring):
         a2_ring.structure_constant(s1, s1, s21, (-1, 0))
 
 
+@pytest.fixture(scope="module")
+def b3_ring():
+    return QuantumFlagRing(build_root_system("B", 3))
+
+
+# Each entry point of the ring, called with x where it takes an element.
+ENTRY_POINTS = {
+    "index": lambda ring, x, s1: ring.index(x),
+    "quantum_product": lambda ring, x, s1: ring.quantum_product(x, s1),
+    "structure_constant": lambda ring, x, s1: ring.structure_constant(
+        s1, s1, x, (0, 0, 0)),
+    "chevalley_product": lambda ring, x, s1: ring.chevalley_product(x, 2),
+    "product_with_class": lambda ring, x, s1: ring.product_with_class(
+        ring.quantum_product(s1, s1), x),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize("kind", ["list", "tuple", "None", "int", "C3", "twin"])
+def test_ring_takes_only_elements_of_its_system(b3_ring, entry, kind):
+    # A twin B3 system is equal to the ring's, so its elements are accepted
+    # and read as the ring's own; anything else is one InvalidInputError.
+    call, s1 = ENTRY_POINTS[entry], b3_ring.element_from_word([1])
+    native = b3_ring.element_from_word([1, 2])
+    if kind == "twin":
+        twin = weyl.word_to_element(build_root_system("B", 3), [1, 2])
+        assert twin.rs is not b3_ring.rs
+        assert call(b3_ring, twin, s1) == call(b3_ring, native, s1)
+        return
+    x = {"list": [1, 2], "tuple": (1, 2), "None": None, "int": 3,
+         "C3": weyl.word_to_element(build_root_system("C", 3), [1, 2])}[kind]
+    with pytest.raises(InvalidInputError, match="does not belong to this ring"):
+        call(b3_ring, x, s1)
+
+
 @pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("A", 3),
                                          ("G", 2), ("B", 3), ("C", 3)])
 def test_degree_homogeneity_and_positivity(series, rank):
@@ -175,7 +210,7 @@ class OrderedPairOracle:
             res = ring.chevalley_product(u, v.word()[0])
         else:
             ring._build_expressions_upto(v.length)
-            den, expr, corr = ring._int_expr[ring.index[v]]
+            den, expr, corr = ring._int_expr[ring.index(v)]
             acc = {}
             for (i, x), a in expr:
                 for (w, mu), c in self(u, ring.elements[x]).terms.items():
@@ -683,7 +718,7 @@ def test_integer_expressions_match_a_fraction_oracle(series, rank_):
         pivots, exprs = fraction_expressions(ring, d)
         assert ring._pivots[d] == pivots
         for v, (den, expr, corr) in exprs.items():
-            got_den, got_expr, got_corr = ring._int_expr[ring.index[v]]
+            got_den, got_expr, got_corr = ring._int_expr[ring.index(v)]
             assert (got_den, got_expr) == (
                 den, [(pivots[k], a) for k, a in expr])
             assert [(x2, qs) for x2, qs, _ in got_corr] == sorted(
@@ -939,12 +974,12 @@ def test_a_term_of_the_wrong_degree_is_refused(planted):
     # built from that row must fail the homogeneity check.
     ring = QuantumFlagRing(build_root_system("A", 2))
     s1 = ring.element_from_word([1])
-    row = ring._chev_row(1, ring.index[s1])
+    row = ring._chev_row(1, ring.index(s1))
     if planted == "classical":  # sigma^{w0}: degree 3, not 2
-        delta = ring._wkeys[-1] - ring._wkeys[ring.index[s1]]
+        delta = ring._wkeys[-1] - ring._wkeys[ring.index(s1)]
     else:  # q1 * sigma^{s1}: degree 3, not 2
         delta = ring._pack((1, 0))
-    ring._chev_rows[0][ring.index[s1]] = row + ((delta, 1),)
+    ring._chev_rows[0][ring.index(s1)] = row + ((delta, 1),)
     with pytest.raises(InternalConsistencyError, match="homogeneity"):
         ring.chevalley_product(s1, 1)
     with pytest.raises(InternalConsistencyError, match="homogeneity"):
@@ -974,7 +1009,7 @@ def test_divisor_classes_that_fail_to_span_are_refused():
     # Plant sigma^{s_1} as the row of sigma^e * sigma^{s_2}: the degree-1
     # pivots then span one class of two.
     ring = QuantumFlagRing(build_root_system("A", 2))
-    e = ring.index[weyl.identity(ring.rs)]
+    e = ring.index(weyl.identity(ring.rs))
     ring._chev_rows[1][e] = ring._chev_row(1, e)
     s1 = ring.element_from_word([1])
     with pytest.raises(InternalConsistencyError, match="fail to span"):

@@ -421,25 +421,23 @@ def test_seed_changes_sampled_cases_only():
     assert a.total == b.total
 
 
-def test_replay_reproduces_verdicts():
-    setup = setup_for("A2", (1,))
-    for suite in ("filtration", "key-lemma", "graded-iso"):
-        rep = run_suite(suite, setup)
-        assert rep.ok
-        # replay a spread of cases: same verdict, one case each
-        ids = [f["case"] for f in rep.failures]
-        if not ids:
-            full = run_suite(suite, setup)
-            assert full.total > 0
-        probe = ["u=[1];v=[1]", "lemma41:d=(0,)" if suite == "graded-iso"
-                 else "u=[1];v=[2]"]
-        for case in probe:
-            try:
+def test_replay_reproduces_verdicts(monkeypatch):
+    # The first, middle and last case each suite records replay alone: the
+    # replay records that case only, with the full run's verdict and text.
+    cases = record_stream(monkeypatch)
+    for system, par in (("A2", (1,)), ("A3", (1, 2))):
+        setup = setup_for(system, par)
+        for suite in select_suites("all", parse_system_id(system), par):
+            cases.clear()
+            run_suite(suite, setup)
+            full = list(cases)
+            for case, ok, lhs, rhs in (full[0], full[len(full) // 2], full[-1]):
+                del cases[len(full):]
                 single = replay_case(suite, setup, case)
-            except InvalidInputError:
-                continue
-            assert single.total == 1
-            assert single.ok
+                assert cases[len(full):] == [[case, ok, lhs, rhs]], suite
+                assert (single.total, single.ok) == (1, ok)
+                assert single.failures == ([] if ok else [
+                    {"case": case, "lhs": lhs, "rhs": rhs}])
 
 
 def test_replay_stops_its_suite_at_the_case():
