@@ -44,6 +44,9 @@ ALL_SUITES = THEOREM_SUITES + CONJECTURE_SUITES
 # graded-iso's lemma41 bound on graded coordinates, and the sample counts of
 # basics' associativity and psi-grading's multiplicativity cases.
 _GRADING_BOX, _ASSOC_SAMPLES, _PSI_SAMPLES = 6, 200, 100
+# graded-iso searches W x (the lambda range)^n; the cap on that lambda box,
+# 16^5, admits every rank up to 5.
+_LAMBDA_RANGE, _LAMBDA_BOX_CAP = range(-_GRADING_BOX, _GRADING_BOX + 4), 16 ** 5
 # The suites that enumerate the q-box (max_q + 1)^|complement|, and its cap:
 # 4^7 admits the default max_q = 3 on every proper parabolic up to rank 8.
 _QBOX_SUITES, _QBOX_CAP = {"graded-iso", "psi-grading"}, 4 ** 7
@@ -124,7 +127,8 @@ class Report:
 
 class _Context:
     """The system, grading and ring of one run, shared by its suites; the
-    first all-pairs suite builds the ring and pays for its product table."""
+    first all-pairs suite builds the ring and pays for its product table.
+    Each term's grading is computed once per run, in ``gr``."""
 
     def __init__(self, setup: VerificationSetup):
         self.setup = setup
@@ -133,12 +137,32 @@ class _Context:
         self.parabolic = tuple(sorted(self.op.order))
         self.comp = self.rs.complement(self.parabolic)
         self._ring: Optional[QuantumFlagRing] = None
+        self._gr: Dict[Tuple[WeylElt, Tuple[int, ...]], Tuple[int, ...]] = {}
 
     @property
     def ring(self) -> QuantumFlagRing:
         if self._ring is None:
             self._ring = QuantumFlagRing(self.rs, weyl_cap=self.setup.max_weyl)
         return self._ring
+
+    def gr(self, term: Tuple[WeylElt, Tuple[int, ...]]) -> Tuple[int, ...]:
+        """The grading of a term (w, lam), read from this run's table."""
+        g = self._gr.get(term)
+        if g is None:
+            g = self._gr[term] = self.op.gr(*term)
+        return g
+
+    def pairs(self, only_case: Optional[str], tag: str, us: Sequence[WeylElt],
+              vs: Optional[Sequence[WeylElt]] = None):
+        """(u, v, case, u*v) for each wanted case ``f"{tag}u=...;v=..."`` of
+        us x vs, u-major, vs the ring's elements unless given.  The product
+        is read only for a wanted case, so a replay reads none before it."""
+        ring = self.ring
+        for u in us:
+            for v in ring.elements if vs is None else vs:
+                case = lambda: f"{tag}u={self.word(u)};v={self.word(v)}"
+                if _want(only_case, case):
+                    yield u, v, case, ring.quantum_product(u, v)
 
     def word(self, w: WeylElt) -> str:
         return "[%s]" % ",".join(map(str, w.word()))
@@ -158,20 +182,14 @@ def _want(only_case: Optional[str], case: Text) -> bool:
 
 def _filtration(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
     """Every term of every Schubert product respects the grading bound."""
-    op, ring = ctx.op, ctx.ring
-    for u in ring.elements:
-        gu = op.gr_weyl(u)
-        for v in ring.elements:
-            case = lambda: f"u={ctx.word(u)};v={ctx.word(v)}"
-            if not _want(only_case, case):
-                continue
-            bound = grading_add(gu, op.gr_weyl(v))
-            bad = [(w, lam, g) for (w, lam), _ in ring.quantum_product(u, v).sorted_terms()
-                   if not (g := op.gr(w, lam)) <= bound]
-            rep.record(case, not bad,
-                       lhs=lambda: "; ".join(f"gr({ctx.term_str(w, lam)})={g}"
-                                             for w, lam, g in bad),
-                       rhs=lambda: f"bound={bound}")
+    for u, v, case, qc in ctx.pairs(only_case, "", ctx.ring.elements):
+        bound = grading_add(ctx.op.gr_weyl(u), ctx.op.gr_weyl(v))
+        bad = [(w, lam, g) for (w, lam), _ in qc.sorted_terms()
+               if not (g := ctx.gr((w, lam))) <= bound]
+        rep.record(case, not bad,
+                   lhs=lambda: "; ".join(f"gr({ctx.term_str(w, lam)})={g}"
+                                         for w, lam, g in bad),
+                   rhs=lambda: f"bound={bound}")
     rep.extra["pairs"] = rep.total
 
 
@@ -222,22 +240,15 @@ def _ideal_and_quotient(ctx: _Context, rep: Report,
     directly on the parabolic subsystem."""
     rs, op, ring, par = ctx.rs, ctx.op, ctx.ring, ctx.parabolic
     rtop = op.r  # index of the quotient coordinate in gr, 0-based
-    wp_elements = weyl.enumerate_group(rs, indices=par, cap=ctx.setup.max_weyl)
-    wp = set(wp_elements)  # for membership; the tuple is in (length, word) order
+    wps = weyl.enumerate_group(rs, indices=par, cap=ctx.setup.max_weyl)
+    wp = set(wps)  # for membership; wps is in (length, word) order
 
-    for u in ring.elements:
-        if u in wp:
-            continue
-        for v in ring.elements:
-            case = lambda: f"ideal:u={ctx.word(u)};v={ctx.word(v)}"
-            if not _want(only_case, case):
-                continue
-            bad = [(w, lam) for (w, lam), c in ring.quantum_product(u, v).sorted_terms()
-                   if op.gr(w, lam)[rtop] <= 0]
-            rep.record(case, not bad,
-                       lhs=lambda: "; ".join(ctx.term_str(w, lam)
-                                             for w, lam in bad),
-                       rhs="last grading coordinate > 0")
+    outside = [u for u in ring.elements if u not in wp]
+    for u, v, case, qc in ctx.pairs(only_case, "ideal:", outside):
+        bad = [t for t, _ in qc.sorted_terms() if ctx.gr(t)[rtop] <= 0]
+        rep.record(case, not bad,
+                   lhs=lambda: "; ".join(ctx.term_str(*t) for t in bad),
+                   rhs="last grading coordinate > 0")
 
     sub, index_map = parabolic_subsystem(rs, par)
     sub_ring = QuantumFlagRing(sub, weyl_cap=ctx.setup.max_weyl)
@@ -245,18 +256,14 @@ def _ideal_and_quotient(ctx: _Context, rep: Report,
     def to_sub(w: WeylElt) -> WeylElt:
         return sub_ring.element_from_word([index_map[i] for i in w.word()])
 
-    for u in wp_elements:
-        for v in wp_elements:
-            case = lambda: f"quotient:u={ctx.word(u)};v={ctx.word(v)}"
-            if not _want(only_case, case):
-                continue
-            retained = {(to_sub(w), tuple(lam[i - 1] for i in par)): c  # par sorted
-                        for (w, lam), c in ring.quantum_product(u, v).sorted_terms()
-                        if w in wp and all(e == 0 or k in par for k, e in enumerate(lam, 1))}
-            direct = dict(sub_ring.quantum_product(to_sub(u), to_sub(v)).sorted_terms())
-            rep.record(case, retained == direct,
-                       lhs=lambda: format_qclass(QClass(sub, retained)),
-                       rhs=lambda: format_qclass(QClass(sub, direct)))
+    for u, v, case, qc in ctx.pairs(only_case, "quotient:", wps, wps):
+        retained = {(to_sub(w), tuple(lam[i - 1] for i in par)): c  # par sorted
+                    for (w, lam), c in qc.sorted_terms()
+                    if w in wp and all(e == 0 or k in par for k, e in enumerate(lam, 1))}
+        direct = dict(sub_ring.quantum_product(to_sub(u), to_sub(v)).sorted_terms())
+        rep.record(case, retained == direct,
+                   lhs=lambda: format_qclass(QClass(sub, retained)),
+                   rhs=lambda: format_qclass(QClass(sub, direct)))
 
 
 def _psi_grading(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
@@ -270,7 +277,7 @@ def _psi_grading(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
         if not _want(only_case, case):
             continue
         w, lam_b = pwlift.psi_map(rs, ctx.parabolic, weyl.identity(rs), lam_p)
-        window = op.gr(w, lam_b)[:op.r]
+        window = ctx.gr((w, lam_b))[:op.r]
         ok = all(x == 0 for x in window) and all(x >= 0 for x in lam_b)
         rep.record(case, ok,
                    lhs=lambda: f"gr_r={window}; lambda_B={lam_b}",
@@ -310,7 +317,7 @@ def _graded_iso(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
     # (a) uniqueness of graded representatives on the box, by brute search.
     reps_by_grading = op.graded_basis(
         weyl.enumerate_group(rs, cap=ctx.setup.max_weyl),
-        list(product(range(-box, box + 4), repeat=rs.n)), s,
+        list(product(_LAMBDA_RANGE, repeat=rs.n)), s,
         lambda h: all(0 <= x <= box for x in h))
     in_box = {d: op.unique_basis_element(d)
               for d in product(range(box + 1), repeat=s)}
@@ -339,8 +346,7 @@ def _graded_iso(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
             gtar = target + (0,) * (op.r + 1 - s)
             # gr is affine in lambda: gr(w, lam + la + lb) = gr(w, lam) + shift.
             shift = op.gr_q_lambda(tuple(x + y for x, y in zip(la, lb)))
-            others_ok = all(grading_add(op.gr(w, lam), shift) < gtar
-                            for (w, lam) in prod)
+            others_ok = all(grading_add(ctx.gr(t), shift) < gtar for t in prod)
             rep.record(
                 case, lead == 1 and others_ok,
                 lhs=lambda: f"leading coefficient={lead}; dominated={others_ok}",
@@ -372,7 +378,7 @@ def _graded_iso(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
         closure_ok = True
         for (w, lam), c in ring.quantum_product(wu, wv).sorted_terms():
             lam = tuple(x + y + z for x, y, z in zip(lam, lu, lv))
-            g = op.gr(w, lam)
+            g = ctx.gr((w, lam))
             if all(x == 0 for x in g[:op.r]):
                 top[(w, lam)] = c
             elif not g < (0,) * (op.r + 1):
@@ -477,36 +483,24 @@ def _basics(ctx: _Context, rep: Report, only_case: Optional[str]) -> None:
             target = op.gr_weyl(usj)
             prod = dict(ring.quantum_product(u, sj).sorted_terms())
             lead = prod.pop((usj, (0,) * rs.n), 0)
-            rest_ok = all(op.gr(w, lam) < target for (w, lam) in prod)
+            rest_ok = all(ctx.gr(t) < target for t in prod)
             rep.record(case, lead == 1 and rest_ok,
                        lhs=lambda: f"coefficient={lead}; dominated={rest_ok}",
                        rhs="coefficient 1, all other terms strictly below")
 
     elements = ring.elements
-    zero = (0,) * rs.n
     for ui, u in enumerate(elements):
-        gu = op.gr_weyl(u)
-        for v in elements[ui:]:
-            case = lambda: f"commutativity:u={ctx.word(u)};v={ctx.word(v)}"
-            if _want(only_case, case):
-                rep.record(case,
-                           ring.quantum_product(u, v) == ring.quantum_product(v, u),
-                           lhs="product(u,v)", rhs="product(v,u)")
-        for v in elements:
-            case = lambda: (f"classical-filtration:u={ctx.word(u)};"
-                            f"v={ctx.word(v)}")
-            if not _want(only_case, case):
-                continue
-            bound = grading_add(gu, op.gr_weyl(v))
-            bad = [w for (w, lam), c in ring.quantum_product(u, v).sorted_terms()
-                   if lam == zero and not op.gr_weyl(w) <= bound]
+        for _, v, case, qc in ctx.pairs(only_case, "commutativity:", [u], elements[ui:]):
+            rep.record(case, qc == ring.quantum_product(v, u),
+                       lhs="product(u,v)", rhs="product(v,u)")
+        for _, v, case, qc in ctx.pairs(only_case, "classical-filtration:", [u]):
+            bound = grading_add(op.gr_weyl(u), op.gr_weyl(v))
+            bad = [w for (w, lam), c in qc.sorted_terms()
+                   if not any(lam) and not op.gr_weyl(w) <= bound]
             rep.record(case, not bad, lhs=lambda: "; ".join(map(ctx.word, bad)),
                        rhs=lambda: f"bound={bound}")
-        for v in elements:
-            case = lambda: f"positivity:u={ctx.word(u)};v={ctx.word(v)}"
-            if not _want(only_case, case):
-                continue
-            bad = [(w, lam, c) for (w, lam), c in ring.quantum_product(u, v).sorted_terms()
+        for _, v, case, qc in ctx.pairs(only_case, "positivity:", [u]):
+            bad = [(w, lam, c) for (w, lam), c in qc.sorted_terms()
                    if not (isinstance(c, int) and c > 0 and w.length
                            + rs.two_rho_pairing(lam) == u.length + v.length)]
             rep.record(case, not bad,
@@ -575,13 +569,16 @@ class _ReplayReport(Report):
 def run_suites(spec: str, setup: VerificationSetup,
                only_case: Optional[str] = None) -> List[Report]:
     """Run the suites ``spec`` names, as ``select_suites`` reads it, on one
-    shared context, refusing first a q-box above the cap that one of them
-    enumerates; with ``only_case``, each suite stops at that case."""
+    shared context, refusing first a q-box or lambda box above its cap that
+    one of them enumerates; with ``only_case``, each suite stops at that case."""
     ctx = _Context(setup)
     names, k = select_suites(spec, ctx.rs, ctx.parabolic), len(ctx.comp)
     if _QBOX_SUITES & set(names) and (setup.max_q + 1) ** k > _QBOX_CAP:
         raise InvalidInputError(f"max-q {setup.max_q} gives a q-box of "
                                 f"(max-q + 1)^{k} points; the cap is {_QBOX_CAP}")
+    if "graded-iso" in names and len(_LAMBDA_RANGE) ** ctx.rs.n > _LAMBDA_BOX_CAP:
+        raise InvalidInputError(f"graded-iso's lambda box has {len(_LAMBDA_RANGE)}^"
+                                f"{ctx.rs.n} points; the cap is {_LAMBDA_BOX_CAP}")
     reports = []
     for name in names:
         t0 = time.monotonic()

@@ -4,6 +4,7 @@ import re
 import pytest
 
 from qhflag.cli import main
+from qhflag.grading import OrderedParabolic
 
 
 def run(capsys, *argv):
@@ -237,6 +238,20 @@ def test_verify_q_box_above_the_cap_is_usage_error(tmp_path, capsys, suite):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"max-q={big}\n")
     assert run(capsys, *argv, "--config", str(cfg)) == (2, "", want)
+
+
+def test_verify_lambda_box_above_the_cap_is_usage_error(capsys, monkeypatch):
+    # graded-iso's lambda box on E6 is 16^6 points: one line and exit 2,
+    # before the box is built (graded_basis raising would show it was).
+    def graded_basis(*args):
+        raise AssertionError("graded_basis ran")
+
+    monkeypatch.setattr(OrderedParabolic, "graded_basis", graded_basis)
+    want = ("error: graded-iso's lambda box has 16^6 points; "
+            "the cap is 1048576\n")
+    for suites in ("graded-iso", "all"):
+        assert run(capsys, "verify", "E6", "--parabolic", "2,3,4,5,6",
+                   "--suites", suites, "--max-weyl", "51840") == (2, "", want)
 
 
 def test_verify_all_small(capsys):

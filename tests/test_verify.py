@@ -125,11 +125,10 @@ def test_case_text_is_unchanged(monkeypatch, system, par, suite, stream,
     assert sha256_json(rep) == report
 
 
-def test_passing_key_lemma_builds_no_text(monkeypatch):
-    # Every case is evaluated and counted, but a passing case builds neither
-    # its name nor its witnesses: no text callable runs, no word is spelled.
-    built = []
-    words = []
+def text_spies(monkeypatch):
+    """The lists of text callables that ``_text`` runs and of the elements
+    that ``ctx.word`` spells, filled as the suites build case text."""
+    built, words = [], []
     resolve, word = verify._text, verify._Context.word
 
     def counted_text(t):
@@ -143,6 +142,13 @@ def test_passing_key_lemma_builds_no_text(monkeypatch):
 
     monkeypatch.setattr(verify, "_text", counted_text)
     monkeypatch.setattr(verify._Context, "word", counted_word)
+    return built, words
+
+
+def test_passing_key_lemma_builds_no_text(monkeypatch):
+    # Every case is evaluated and counted, but a passing case builds neither
+    # its name nor its witnesses: no text callable runs, no word is spelled.
+    built, words = text_spies(monkeypatch)
     setup = setup_for("B3", (1, 2))
     rep = run_suite("key-lemma", setup)
     assert rep.ok and rep.total == rep.passes == 372
@@ -152,6 +158,32 @@ def test_passing_key_lemma_builds_no_text(monkeypatch):
     assert replay_case("key-lemma", setup,
                        "u=[1];gamma=(0, 1, 0);i=2;part=a").total == 1
     assert len(built) == 5 and words
+
+
+def test_passing_pairwise_suites_build_no_text(monkeypatch):
+    # The suites that walk ctx.pairs build a case's name and witnesses only
+    # when it fails, as key-lemma does.
+    built, words = text_spies(monkeypatch)
+    reps = run_suites("filtration,ideal-quotient,basics", setup_for("A3", (1, 2)))
+    assert all(rep.ok for rep in reps)
+    assert [rep.total for rep in reps] == [576, 468, 1666]
+    assert (built, words) == ([], [])
+
+
+def test_each_term_is_graded_once_per_run(monkeypatch):
+    # Every term the pairwise suites grade is read from the run's table:
+    # OrderedParabolic.gr runs once per distinct (w, lambda).
+    calls = []
+    gr = OrderedParabolic.gr
+
+    def spy(self, w, lam):
+        calls.append((w, tuple(lam)))
+        return gr(self, w, lam)
+
+    monkeypatch.setattr(OrderedParabolic, "gr", spy)
+    reps = run_suites("filtration,ideal-quotient,basics", setup_for("A3", (1, 2)))
+    assert all(rep.ok for rep in reps)
+    assert len(calls) == len(set(calls)) == 147
 
 
 def test_key_lemma_loop_composes_no_u_s_gamma_itself(monkeypatch):
@@ -172,20 +204,26 @@ def test_key_lemma_loop_composes_no_u_s_gamma_itself(monkeypatch):
     assert callers.count("_key_lemma") == callers.count("times_reflections") == 0
 
 
-def bump_grading(monkeypatch):
-    """A wrong grading: gr(w) gains (sum of w's reduced word) mod 3 in its
-    first coordinate, which fails many cases of several suites."""
+def bump_grading(monkeypatch, coord=0, sign=1):
+    """A wrong grading: coordinate ``coord`` of gr(w) moves by ``sign`` times
+    (sum of w's reduced word) mod 3, which fails many cases of several suites."""
     gr_weyl = OrderedParabolic.gr_weyl
 
     def bumped(self, w):
-        g = gr_weyl(self, w)
-        return (g[0] + sum(w.word()) % 3,) + g[1:]
+        g = list(gr_weyl(self, w))
+        g[coord] += sign * (sum(w.word()) % 3)
+        return tuple(g)
 
     monkeypatch.setattr(OrderedParabolic, "gr_weyl", bumped)
 
 
+# The (coord, sign) of each suite's bump, else (0, 1).  The ideal claim is
+# that the last coordinate stays positive, so its bump lowers that one.
+FORCED_BUMPS = {"ideal-quotient": (-1, -1)}
+
 # Failure lists under bump_grading on A3/(1,2), as the suites produced them
-# when they formatted every case's text eagerly.
+# when they formatted every case's text eagerly (ideal-quotient: as each
+# pair loop read its own products and graded every term afresh).
 FORCED_FAILURES_SHA256 = [
     ("key-lemma", 18,
      "2ace870de32678e2c6c94a57b8ac56cf0da2c48dfe8d54e33376079e26d684f1"),
@@ -193,6 +231,8 @@ FORCED_FAILURES_SHA256 = [
      "25083c2b52c6396d3ae78ac879a9b8a72c2b53081d7421736f1c1651e2701027"),
     ("basics", 26,
      "30742364364ee97fc5b1691baf09d3eadb98934cde4f0674a3bf823a7036cda4"),
+    ("ideal-quotient", 40,
+     "9b9813d3ca1ec4c4f757d3edcd23a0869f76bb19f304bb8ba3d40ee2bcf4714f"),
 ]
 
 
@@ -200,7 +240,7 @@ FORCED_FAILURES_SHA256 = [
                          ids=[s for s, _, _ in FORCED_FAILURES_SHA256])
 def test_forced_failures_keep_their_text_and_replay(monkeypatch, suite, count,
                                                     digest):
-    bump_grading(monkeypatch)
+    bump_grading(monkeypatch, *FORCED_BUMPS.get(suite, (0, 1)))
     setup = setup_for("A3", (1, 2))
     rep = run_suite(suite, setup)
     assert len(rep.failures) == count
@@ -375,6 +415,33 @@ def test_a_q_box_above_the_cap_is_refused_before_any_suite_runs(monkeypatch):
     with pytest.raises(InvalidInputError, match=r"\(max-q \+ 1\)\^2 points; "
                        "the cap is 9"):
         run_suite("graded-iso", setup_for("A3", (1,), max_q=3))
+
+
+def test_a_lambda_box_above_the_cap_is_refused_before_any_suite_runs(monkeypatch):
+    # graded-iso searches W x (the lambda range)^n, 16^n points; the cap,
+    # 16^5, admits every rank up to 5.  graded_basis raising makes a check
+    # in the wrong place fail at once instead of building the box.
+    def graded_basis(*args):
+        raise AssertionError("graded_basis ran")
+
+    ran = []
+    monkeypatch.setattr(OrderedParabolic, "graded_basis", graded_basis)
+    monkeypatch.setitem(verify.SUITES, "filtration",
+                        lambda ctx, rep, only_case: ran.append(rep.suite))
+    e6 = setup_for("E6", (2, 3, 4, 5, 6), max_weyl=51840)
+    for spec in ("graded-iso", "filtration,graded-iso", "all"):
+        with pytest.raises(InvalidInputError, match=r"graded-iso's lambda box "
+                           r"has 16\^6 points; the cap is 1048576"):
+            run_suites(spec, e6)
+    assert ran == []
+    assert [r.suite for r in run_suites("filtration", e6)] == ["filtration"]
+    # At the cap the suite runs; one rank over, it is refused.
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "_LAMBDA_BOX_CAP", 16 ** 2)
+    assert run_suite("graded-iso", setup_for("A2", (1,))).ok
+    monkeypatch.setattr(OrderedParabolic, "graded_basis", graded_basis)
+    with pytest.raises(InvalidInputError, match=r"16\^3 points; the cap is 256"):
+        run_suite("graded-iso", setup_for("A3", (1,)))
 
 
 def test_setup_arguments_defaults_and_read_only():
